@@ -18,6 +18,8 @@ design points keep it fast:
 * Periodic events (:meth:`Engine.schedule_periodic`) are re-armed in place
   by the run loop after each fire — one :class:`ScheduledEvent` for the
   lifetime of a sampling timer rather than one allocation per expiry.
+  One-shot events that recur at irregular times (the scheduler's task
+  completion) are re-armed by their owner with :meth:`Engine.rearm`.
 """
 
 from __future__ import annotations
@@ -119,6 +121,11 @@ class Engine:
         return self._fired
 
     @property
+    def events_scheduled(self) -> int:
+        """Heap entries pushed so far: every seq drawn, including re-arms."""
+        return self._seq
+
+    @property
     def heap_compactions(self) -> int:
         """Times the queue was compacted to shed cancellation tombstones."""
         return self._compactions
@@ -154,6 +161,28 @@ class Engine:
         event = ScheduledEvent(time, priority, seq, callback, self)
         heapq.heappush(self._queue, (time, priority, seq, event))
         return event
+
+    def rearm(self, event: ScheduledEvent, time: int) -> None:
+        """Push an already-fired ``event`` back onto the queue at ``time``.
+
+        Same ordering as :meth:`schedule_at` (a fresh ``seq`` is drawn
+        here) without allocating a new event.  Only an event that is no
+        longer in the heap — one that has fired — may be re-armed; a
+        pending or cancelled one still owns a heap entry.
+        """
+        if time < self.clock._now:
+            raise SimulationError(
+                f"cannot schedule event in the past: {time} < {self.clock._now}"
+            )
+        if event._engine is not None:
+            raise SimulationError(f"cannot re-arm {event!r}: still queued")
+        seq = self._seq
+        self._seq = seq + 1
+        event.time = time
+        event.seq = seq
+        event.cancelled = False
+        event._engine = self
+        heapq.heappush(self._queue, (time, event.priority, seq, event))
 
     def schedule_after(
         self,

@@ -3,8 +3,8 @@
 The paper disables all but one core of the quad-core Snapdragon 8074 to
 reduce load-balancing noise; we model that single core.  The core tracks
 busy/idle state, cycle throughput at the current frequency, per-frequency
-residency (the ``/sys`` cpufreq ``time_in_state`` equivalent) and feeds the
-energy meter.  Task execution itself lives in :mod:`repro.kernel.scheduler`;
+residency (the ``/sys`` cpufreq ``time_in_state`` equivalent) and the
+energy drawn.  Task execution itself lives in :mod:`repro.kernel.scheduler`;
 the core is the mechanism, the scheduler the policy.
 """
 
@@ -15,9 +15,9 @@ from collections import defaultdict
 from typing import Callable
 
 from repro.core.errors import SimulationError
-from repro.core.simtime import SimClock
+from repro.core.simtime import MICROS_PER_SECOND, SimClock
 from repro.device.frequencies import FrequencyTable
-from repro.device.power import EnergyMeter, PowerModel
+from repro.device.power import PowerModel
 
 
 class CpuCore:
@@ -32,9 +32,7 @@ class CpuCore:
         self._clock = clock
         self._table = table
         self._power_model = power_model or PowerModel()
-        self._meter = EnergyMeter(self._power_model)
         self._freq_khz = table.min_khz
-        self._volts = table.point(self._freq_khz).volts
         self._busy = False
         self._busy_since: int | None = None
         self._busy_total = 0
@@ -42,6 +40,22 @@ class CpuCore:
         self._time_in_state: dict[int, int] = defaultdict(int)
         self._transitions = 0
         self._cycles_retired = 0.0
+        # Energy integration.  Active power per OPP is computed once from
+        # the CMOS model: the busy edges and retunes that change the
+        # draw run tens of thousands of times per replay, and each only
+        # has to charge the elapsed interval at the previous draw.
+        self._opp_power_w = {
+            point.freq_khz: self._power_model.active_power(
+                point.freq_khz, point.volts
+            )
+            for point in table.points
+        }
+        self._idle_power_w = self._power_model.idle_power()
+        self._active_power_w = self._opp_power_w[self._freq_khz]
+        self._power_w = self._idle_power_w
+        self._energy_j = 0.0
+        self._busy_energy_j = 0.0
+        self._last_charge = 0
         # Busy intervals accumulate as two parallel int64 arrays (16 B per
         # interval): a day-long replay logs ~half a million of them, and
         # boxed (start, end) tuples would dominate the run's memory.
@@ -119,7 +133,8 @@ class CpuCore:
 
     def energy_joules(self) -> float:
         """Energy consumed up to the current simulation time."""
-        return self._meter.energy_at(self._clock.now)
+        elapsed_s = (self._clock._now - self._last_charge) / MICROS_PER_SECOND
+        return self._energy_j + self._power_w * elapsed_s
 
     def dynamic_energy_joules(self) -> float:
         """Energy above the idle floor — the paper's energy metric.
@@ -130,12 +145,11 @@ class CpuCore:
         interval would have cost anyway.
         """
         busy_s = self.busy_time_total() / 1e6
-        busy_energy = self._meter.busy_energy_at(self._clock.now)
-        return busy_energy - self._power_model.idle_power() * busy_s
-
-    def cycles_per_micro(self) -> float:
-        """Cycles retired per microsecond at the current frequency."""
-        return self._freq_khz / 1_000.0
+        busy_energy = self._busy_energy_j
+        if self._busy:
+            elapsed_s = (self._clock._now - self._last_charge) / MICROS_PER_SECOND
+            busy_energy += self._power_w * elapsed_s
+        return busy_energy - self._idle_power_w * busy_s
 
     def enable_busy_trace(self) -> None:
         """Record (start, end) busy intervals for oracle composition."""
@@ -172,43 +186,65 @@ class CpuCore:
         target against policy limits; the core only requires it to be a
         real OPP.
         """
-        if not self._table.contains(freq_khz):
+        active_w = self._opp_power_w.get(freq_khz)
+        if active_w is None:
             raise SimulationError(f"{freq_khz} kHz is not an operating point")
         if freq_khz == self._freq_khz:
             return
         now = self._clock._now
-        self._account_open_intervals(now)
+        charge = self._power_w * ((now - self._last_charge) / MICROS_PER_SECOND)
+        self._energy_j += charge
+        self._last_charge = now
+        if self._busy:
+            # Close the open busy interval at the old frequency's rate.
+            self._busy_energy_j += charge
+            since = self._busy_since
+            elapsed = now - since
+            self._busy_total += elapsed
+            self._cycles_retired += elapsed * (self._freq_khz / 1_000.0)
+            if self._busy_starts is not None and elapsed > 0:
+                self._busy_starts.append(since)
+                self._busy_ends.append(now)
+            self._busy_since = now
+            self._power_w = active_w
         self._time_in_state[self._freq_khz] += now - self._state_since
         self._state_since = now
         self._freq_khz = freq_khz
         self._transitions += 1
-        self._volts = self._table.point(freq_khz).volts
-        self._meter.set_state(now, self._busy, freq_khz, self._volts)
+        self._active_power_w = active_w
 
     def set_busy(self, busy: bool) -> None:
-        """Mark the core as executing (True) or idle (False)."""
+        """Mark the core as executing (True) or idle (False).
+
+        One busy edge in one call: close the open busy interval (retiring
+        its cycles), charge the energy drawn since the last state change,
+        then switch the draw.  Runs twice per task.
+        """
         if busy == self._busy:
             return
         now = self._clock._now
-        self._account_open_intervals(now)
-        self._busy = busy
-        self._busy_since = now if busy else None
-        self._meter.set_state(now, busy, self._freq_khz, self._volts)
+        charge = self._power_w * ((now - self._last_charge) / MICROS_PER_SECOND)
+        self._energy_j += charge
+        self._last_charge = now
         if busy:
+            self._busy = True
+            self._busy_since = now
+            self._power_w = self._active_power_w
             if self._busy_listeners:
                 for listener in self._busy_listeners:
                     listener()
-        elif self._idle_listeners:
-            for listener in self._idle_listeners:
-                listener()
-
-    def _account_open_intervals(self, now: int) -> None:
-        """Close the open busy interval and retire its cycles."""
-        if self._busy and self._busy_since is not None:
-            elapsed = now - self._busy_since
+        else:
+            self._busy_energy_j += charge
+            since = self._busy_since
+            elapsed = now - since
             self._busy_total += elapsed
             self._cycles_retired += elapsed * (self._freq_khz / 1_000.0)
             if self._busy_starts is not None and elapsed > 0:
-                self._busy_starts.append(self._busy_since)
+                self._busy_starts.append(since)
                 self._busy_ends.append(now)
-            self._busy_since = now
+            self._busy = False
+            self._busy_since = None
+            self._power_w = self._idle_power_w
+            if self._idle_listeners:
+                for listener in self._idle_listeners:
+                    listener()

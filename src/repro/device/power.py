@@ -100,11 +100,14 @@ class PowerModel:
 
 
 class EnergyMeter:
-    """Integrates power over time as the core changes state.
+    """Integrates power over time as a core changes state.
 
-    The meter is updated lazily: callers invoke :meth:`sync` (directly or
-    via the state-change helpers) with the current timestamp, and the meter
-    charges the elapsed interval at the power of the *previous* state.
+    A standalone meter for callers that model their own state changes;
+    :class:`~repro.device.cpu.CpuCore` folds the same arithmetic into its
+    busy-edge and retune paths.  The meter is updated lazily: callers
+    invoke :meth:`sync` (directly or via the state-change helpers) with
+    the current timestamp, and the meter charges the elapsed interval at
+    the power of the *previous* state.
     """
 
     def __init__(self, model: PowerModel) -> None:
@@ -114,11 +117,6 @@ class EnergyMeter:
         self._last_sync = 0
         self._power_w = model.idle_power()
         self._busy = False
-        # Operating-point power cache: governors re-visit the same handful
-        # of OPPs thousands of times per run; the CMOS model is pure, so
-        # compute each point's active power once.
-        self._idle_power_w = model.idle_power()
-        self._active_power_cache: dict[tuple[int, float], float] = {}
 
     @property
     def energy_joules(self) -> float:
@@ -158,27 +156,12 @@ class EnergyMeter:
 
     def set_state(self, now: int, busy: bool, freq_khz: int, volts: float) -> None:
         """Record a state change (busy/idle or frequency) at ``now``."""
-        # Inlined sync(): this runs twice per task and once per DVFS
-        # transition — hundreds of thousands of times in a day-long replay.
-        if now < self._last_sync:
-            raise SimulationError(
-                f"energy meter cannot rewind: {now} < {self._last_sync}"
-            )
-        charge = self._power_w * ((now - self._last_sync) / MICROS_PER_SECOND)
-        self._energy_j += charge
-        if self._busy:
-            self._busy_energy_j += charge
-        self._last_sync = now
+        self.sync(now)
         self._busy = busy
         if busy:
-            key = (freq_khz, volts)
-            power = self._active_power_cache.get(key)
-            if power is None:
-                power = self._model.active_power(freq_khz, volts)
-                self._active_power_cache[key] = power
-            self._power_w = power
+            self._power_w = self._model.active_power(freq_khz, volts)
         else:
-            self._power_w = self._idle_power_w
+            self._power_w = self._model.idle_power()
 
     def energy_at(self, now: int) -> float:
         """Total energy including the un-synced tail interval up to ``now``."""

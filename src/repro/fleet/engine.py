@@ -184,6 +184,16 @@ def execute_spec(artifacts: "WorkloadArtifacts", spec: RunSpec) -> RunRecord:
     )
 
 
+def _check_served(spec: RunSpec, record: RunRecord, key: str) -> None:
+    """Refuse a store row whose identity is not the cell it was keyed for."""
+    served = (record.workload, record.config, record.rep)
+    if served != (spec.dataset, spec.config, spec.rep):
+        raise ReproError(
+            f"result store served {served[0]}:{served[1]}:rep{served[2]} "
+            f"for cell {spec.label()} (key {key[:12]})"
+        )
+
+
 class FleetEngine:
     """Dispatch specs through a backend with optional result cache.
 
@@ -237,6 +247,7 @@ class FleetEngine:
                 if cached is None:
                     pending.append((index, spec))
                 else:
+                    _check_served(spec, cached, key)
                     results[index] = cached
                     stats.cache_hits += 1
                     self._report(spec, cached=True)

@@ -16,27 +16,36 @@ from typing import Callable
 from repro.core.engine import PRIORITY_TASK, Engine, ScheduledEvent
 from repro.core.errors import SimulationError
 from repro.device.cpu import CpuCore
-from repro.kernel.task import PRIORITY_BACKGROUND, PRIORITY_FOREGROUND, Task
+from repro.kernel.task import PRIORITY_FOREGROUND, Task
 
 
 class Scheduler:
-    """Executes tasks on one :class:`~repro.device.cpu.CpuCore`."""
+    """Executes tasks on one :class:`~repro.device.cpu.CpuCore`.
+
+    The task lifecycle runs once per task — tens of thousands of times per
+    replay — so it keeps its state flat: one deque per band, the rate read
+    straight off the core, and one completion event re-armed for every
+    task instead of a fresh event per dispatch.
+    """
 
     def __init__(self, engine: Engine, core: CpuCore) -> None:
         self._engine = engine
         self._clock = engine.clock
         self._core = core
-        self._queues: dict[int, deque[Task]] = {
-            PRIORITY_FOREGROUND: deque(),
-            PRIORITY_BACKGROUND: deque(),
-        }
+        self._foreground: deque[Task] = deque()
+        self._background: deque[Task] = deque()
         self._current: Task | None = None
         self._current_started = 0
         # Rate (cycles/us) the current task has been running at since
         # ``_current_started``; kept separate from the core's live rate so
         # progress is charged at the frequency that was actually in force.
-        self._current_rate = core.cycles_per_micro()
+        self._current_rate = core._freq_khz / 1_000.0
+        # ``_completion`` is the pending completion event (None when no
+        # task runs).  Once it fires it becomes ``_spare`` and the next
+        # dispatch re-arms it; a cancelled one stays in the heap as a
+        # tombstone, so the next arm allocates afresh.
         self._completion: ScheduledEvent | None = None
+        self._spare: ScheduledEvent | None = None
         self._completed_tasks = 0
         self._completed_cycles = 0.0
         self._idle_listeners: list[Callable[[], None]] = []
@@ -57,7 +66,7 @@ class Scheduler:
 
     @property
     def queued_tasks(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return len(self._foreground) + len(self._background)
 
     @property
     def is_idle(self) -> bool:
@@ -71,29 +80,26 @@ class Scheduler:
 
     def submit(self, task: Task) -> None:
         """Enqueue a task; may preempt running lower-priority work."""
-        if task.done:
+        if task.completed_at is not None:
             raise SimulationError(f"cannot resubmit completed task {task!r}")
         task.submitted_at = self._clock._now
-        self._queues[task.priority].append(task)
-        if self._current is None:
+        if task.priority == PRIORITY_FOREGROUND:
+            self._foreground.append(task)
+        else:
+            self._background.append(task)
+        current = self._current
+        if current is None:
             self._dispatch()
-        elif task.priority < self._current.priority:
+        elif task.priority < current.priority:
             self._preempt_current()
             self._dispatch()
 
     def on_transition(self, _timestamp: int, _freq_khz: int) -> None:
-        """Transition-observer adapter for :meth:`notify_frequency_change`."""
-        if self._current is None:
-            return
-        self._charge_current_progress()
-        self._schedule_completion()
-
-    def notify_frequency_change(self) -> None:
-        """Recompute the running task's completion under the new frequency.
+        """cpufreq transition observer: re-derive the running task's finish.
 
         The core has already closed its cycle accounting for the old
-        frequency; we only need to re-derive the wall-time finish from the
-        cycles still owed.
+        frequency; only the wall-time completion of the cycles still owed
+        moves.
         """
         if self._current is None:
             return
@@ -103,8 +109,11 @@ class Scheduler:
     # --- internals ------------------------------------------------------------------
 
     def _dispatch(self) -> None:
-        task = self._pop_next()
-        if task is None:
+        if self._foreground:
+            task = self._foreground.popleft()
+        elif self._background:
+            task = self._background.popleft()
+        else:
             self._core.set_busy(False)
             for listener in self._idle_listeners:
                 listener()
@@ -112,18 +121,11 @@ class Scheduler:
         now = self._clock._now
         self._current = task
         self._current_started = now
-        self._current_rate = self._core.cycles_per_micro()
+        self._current_rate = self._core._freq_khz / 1_000.0
         if task.started_at is None:
             task.started_at = now
         self._core.set_busy(True)
         self._schedule_completion()
-
-    def _pop_next(self) -> Task | None:
-        for priority in (PRIORITY_FOREGROUND, PRIORITY_BACKGROUND):
-            queue = self._queues[priority]
-            if queue:
-                return queue.popleft()
-        return None
 
     def _schedule_completion(self) -> None:
         if self._completion is not None:
@@ -131,13 +133,19 @@ class Scheduler:
         task = self._current
         if task is None:
             return
-        rate = self._core.cycles_per_micro()
-        delay = ceil(task.remaining_cycles / rate)
+        delay = ceil(task.remaining_cycles / (self._core._freq_khz / 1_000.0))
         if delay < 1:
             delay = 1
-        self._completion = self._engine.schedule_at(
-            self._clock._now + delay, self._complete_current, priority=PRIORITY_TASK
-        )
+        time = self._clock._now + delay
+        event = self._spare
+        if event is None:
+            self._completion = self._engine.schedule_at(
+                time, self._complete_current, priority=PRIORITY_TASK
+            )
+        else:
+            self._spare = None
+            self._engine.rearm(event, time)
+            self._completion = event
 
     def _charge_current_progress(self) -> None:
         """Deduct cycles the running task retired since it (re)started."""
@@ -149,7 +157,7 @@ class Scheduler:
         retired = elapsed * self._current_rate
         task.remaining_cycles = max(0.0, task.remaining_cycles - retired)
         self._current_started = now
-        self._current_rate = self._core.cycles_per_micro()
+        self._current_rate = self._core._freq_khz / 1_000.0
 
     def _preempt_current(self) -> None:
         task = self._current
@@ -161,15 +169,19 @@ class Scheduler:
         self._charge_current_progress()
         self._current = None
         # Preempted task resumes ahead of everything else in its band.
-        self._queues[task.priority].appendleft(task)
+        if task.priority == PRIORITY_FOREGROUND:
+            self._foreground.appendleft(task)
+        else:
+            self._background.appendleft(task)
 
     def _complete_current(self) -> None:
         task = self._current
         if task is None:
             raise SimulationError("completion fired with no running task")
+        self._spare = self._completion
         self._completion = None
         task.remaining_cycles = 0.0
-        task.completed_at = self._engine.now
+        task.completed_at = self._clock._now
         self._current = None
         self._completed_tasks += 1
         self._completed_cycles += task.cycles

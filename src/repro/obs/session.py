@@ -345,6 +345,7 @@ class ObsSession:
         """
         metrics = self.metrics if self.metrics is not None else MetricsRegistry()
         metrics.inc("engine.events_dispatched", engine.events_fired)
+        metrics.inc("engine.events_scheduled", engine.events_scheduled)
         metrics.inc("engine.heap_compactions", engine.heap_compactions)
         if governor is not None:
             samples = getattr(governor, "samples_taken", None)

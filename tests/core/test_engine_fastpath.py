@@ -2,8 +2,8 @@
 
 The scheduling API contract (cancel, priority ordering, insertion order,
 reentrancy guard) is pinned by test_engine.py; these tests cover what the
-fast path added: slotted events, native periodic recurrence, and
-tombstone compaction.
+fast path added: slotted events, native periodic recurrence, tombstone
+compaction, and owner-driven re-arming of fired one-shot events.
 """
 
 import pytest
@@ -135,3 +135,85 @@ def test_reentrancy_guard_still_enforced():
     engine.schedule_at(1, reenter)
     engine.run_until(10)
     assert len(errors) == 1
+
+
+def _fired_event(engine, fired, name, priority=PRIORITY_TIMER):
+    event = engine.schedule_at(engine.now, lambda: fired.append(name), priority)
+    engine.run_until(engine.now)
+    assert fired[-1] == name
+    return event
+
+
+def test_rearm_draws_a_fresh_seq():
+    engine = Engine()
+    fired = []
+    event = _fired_event(engine, fired, "first")
+    scheduled = engine.events_scheduled
+    old_seq = event.seq
+    engine.rearm(event, 50)
+    assert event.seq == scheduled > old_seq
+    assert engine.events_scheduled == scheduled + 1
+    assert event.time == 50
+    engine.run_until(100)
+    assert fired == ["first", "first"]
+    assert engine.events_fired == 2
+
+
+def test_rearm_orders_same_time_events_by_priority_then_seq():
+    engine = Engine()
+    fired = []
+    event = _fired_event(engine, fired, "rearmed")
+    engine.schedule_at(40, lambda: fired.append("earlier-seq"), PRIORITY_TIMER)
+    engine.rearm(event, 40)
+    engine.schedule_at(40, lambda: fired.append("later-seq"), PRIORITY_TIMER)
+    engine.schedule_at(40, lambda: fired.append("input"), PRIORITY_INPUT)
+    engine.run_until(100)
+    assert fired[1:] == ["input", "earlier-seq", "rearmed", "later-seq"]
+
+
+def test_cancel_after_rearm_counts_one_tombstone():
+    engine = Engine()
+    fired = []
+    event = _fired_event(engine, fired, "once")
+    engine.rearm(event, 30)
+    event.cancel()
+    event.cancel()
+    assert engine._tombstones == 1
+    assert engine.pending == 0
+    engine.run_until(100)
+    assert fired == ["once"]
+    assert engine._tombstones == 0
+
+
+def test_rearm_rejects_a_queued_or_cancelled_event():
+    engine = Engine()
+    pending = engine.schedule_at(10, lambda: None)
+    with pytest.raises(SimulationError):
+        engine.rearm(pending, 20)
+    pending.cancel()
+    with pytest.raises(SimulationError):
+        engine.rearm(pending, 20)
+
+
+def test_rearm_rejects_the_past():
+    engine = Engine()
+    event = _fired_event(engine, [], "x")
+    engine.run_until(100)
+    with pytest.raises(SimulationError):
+        engine.rearm(event, 99)
+
+
+def test_rearm_from_inside_own_callback():
+    engine = Engine()
+    fired = []
+    holder = {}
+
+    def fire():
+        fired.append(engine.now)
+        if len(fired) < 3:
+            engine.rearm(holder["event"], engine.now + 10)
+
+    holder["event"] = engine.schedule_at(5, fire)
+    engine.run_until(100)
+    assert fired == [5, 15, 25]
+    assert engine.events_scheduled == 3

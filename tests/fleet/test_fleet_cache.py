@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.errors import ReproError
 from repro.fleet.cache import ResultCache, workload_fingerprint
 from repro.fleet.engine import FleetEngine, execute_spec
 from repro.fleet.spec import RunSpec, enumerate_sweep_specs
@@ -195,3 +196,20 @@ def test_differently_spelled_configs_share_a_sweep_cache_cell(
     # Every cell — including the re-spelled candidate — was already cached.
     assert cache.hits - hits_before == len(fixed_configs()) + 1
     assert rerun.runs[canonical] == spelled.runs[canonical]
+
+
+def test_row_planted_under_another_cells_key_is_refused(
+    tmp_path, artifacts_ds03, specs
+):
+    """A valid row for one cell stored under another's key fails loudly."""
+    cache = ResultCache(tmp_path)
+    engine = FleetEngine(cache=cache)
+    records = engine.run(artifacts_ds03, specs)
+    fingerprint = workload_fingerprint(artifacts_ds03)
+    victim_key = cache.key_for(specs[1], fingerprint)
+    cache.store(victim_key, records[0])
+    with pytest.raises(ReproError) as excinfo:
+        engine.run(artifacts_ds03, specs)
+    message = str(excinfo.value)
+    assert "\n" not in message
+    assert f"served {specs[0].label()} for cell {specs[1].label()}" in message

@@ -23,9 +23,7 @@ class GovernorRig:
         self.core = CpuCore(self.engine.clock, snapdragon_8074_table())
         self.policy = CpuFreqPolicy(self.engine.clock, self.core)
         self.scheduler = Scheduler(self.engine, self.core)
-        self.policy.add_transition_observer(
-            lambda _t, _khz: self.scheduler.notify_frequency_change()
-        )
+        self.policy.add_transition_observer(self.scheduler.on_transition)
         self.input_subsystem = InputSubsystem()
         self.touch_node = self.input_subsystem.register(
             "/dev/input/event1", "touch"

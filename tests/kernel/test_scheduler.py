@@ -19,9 +19,7 @@ def rig():
     core = CpuCore(engine.clock, snapdragon_8074_table())
     policy = CpuFreqPolicy(engine.clock, core)
     scheduler = Scheduler(engine, core)
-    policy.add_transition_observer(
-        lambda _t, _khz: scheduler.notify_frequency_change()
-    )
+    policy.add_transition_observer(scheduler.on_transition)
     return engine, core, policy, scheduler
 
 

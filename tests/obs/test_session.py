@@ -120,6 +120,7 @@ class TestEmitFanOut:
 class TestHarvest:
     class _FakeEngine:
         events_fired = 42
+        events_scheduled = 45
         heap_compactions = 2
 
     class _FakeGovernor:
@@ -130,6 +131,7 @@ class TestHarvest:
         session.freq_transition(0, 600_000)
         row = session.harvest_run(self._FakeEngine(), governor=self._FakeGovernor())
         assert row["counters"]["engine.events_dispatched"] == 42
+        assert row["counters"]["engine.events_scheduled"] == 45
         assert row["counters"]["engine.heap_compactions"] == 2
         assert row["counters"]["cpufreq.transitions"] == 1
         assert row["gauges"]["governor.samples_taken"] == 17
