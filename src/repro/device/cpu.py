@@ -15,9 +15,9 @@ from collections import defaultdict
 from typing import Callable
 
 from repro.core.errors import SimulationError
-from repro.core.simtime import MICROS_PER_SECOND, SimClock
+from repro.core.simtime import SimClock
 from repro.device.frequencies import FrequencyTable
-from repro.device.power import PowerModel
+from repro.device.power import EnergyMeter, PowerModel
 
 
 class CpuCore:
@@ -32,6 +32,7 @@ class CpuCore:
         self._clock = clock
         self._table = table
         self._power_model = power_model or PowerModel()
+        self._meter = EnergyMeter(self._power_model, table)
         self._freq_khz = table.min_khz
         self._busy = False
         self._busy_since: int | None = None
@@ -40,22 +41,6 @@ class CpuCore:
         self._time_in_state: dict[int, int] = defaultdict(int)
         self._transitions = 0
         self._cycles_retired = 0.0
-        # Energy integration.  Active power per OPP is computed once from
-        # the CMOS model: the busy edges and retunes that change the
-        # draw run tens of thousands of times per replay, and each only
-        # has to charge the elapsed interval at the previous draw.
-        self._opp_power_w = {
-            point.freq_khz: self._power_model.active_power(
-                point.freq_khz, point.volts
-            )
-            for point in table.points
-        }
-        self._idle_power_w = self._power_model.idle_power()
-        self._active_power_w = self._opp_power_w[self._freq_khz]
-        self._power_w = self._idle_power_w
-        self._energy_j = 0.0
-        self._busy_energy_j = 0.0
-        self._last_charge = 0
         # Busy intervals accumulate as two parallel int64 arrays (16 B per
         # interval): a day-long replay logs ~half a million of them, and
         # boxed (start, end) tuples would dominate the run's memory.
@@ -133,8 +118,7 @@ class CpuCore:
 
     def energy_joules(self) -> float:
         """Energy consumed up to the current simulation time."""
-        elapsed_s = (self._clock._now - self._last_charge) / MICROS_PER_SECOND
-        return self._energy_j + self._power_w * elapsed_s
+        return self._meter.energy_at(self._clock._now)
 
     def dynamic_energy_joules(self) -> float:
         """Energy above the idle floor — the paper's energy metric.
@@ -145,11 +129,8 @@ class CpuCore:
         interval would have cost anyway.
         """
         busy_s = self.busy_time_total() / 1e6
-        busy_energy = self._busy_energy_j
-        if self._busy:
-            elapsed_s = (self._clock._now - self._last_charge) / MICROS_PER_SECOND
-            busy_energy += self._power_w * elapsed_s
-        return busy_energy - self._idle_power_w * busy_s
+        busy_energy = self._meter.busy_energy_at(self._clock._now)
+        return busy_energy - self._power_model.idle_power() * busy_s
 
     def enable_busy_trace(self) -> None:
         """Record (start, end) busy intervals for oracle composition."""
@@ -186,18 +167,13 @@ class CpuCore:
         target against policy limits; the core only requires it to be a
         real OPP.
         """
-        active_w = self._opp_power_w.get(freq_khz)
-        if active_w is None:
+        if not self._table.contains(freq_khz):
             raise SimulationError(f"{freq_khz} kHz is not an operating point")
         if freq_khz == self._freq_khz:
             return
         now = self._clock._now
-        charge = self._power_w * ((now - self._last_charge) / MICROS_PER_SECOND)
-        self._energy_j += charge
-        self._last_charge = now
         if self._busy:
             # Close the open busy interval at the old frequency's rate.
-            self._busy_energy_j += charge
             since = self._busy_since
             elapsed = now - since
             self._busy_total += elapsed
@@ -206,35 +182,30 @@ class CpuCore:
                 self._busy_starts.append(since)
                 self._busy_ends.append(now)
             self._busy_since = now
-            self._power_w = active_w
         self._time_in_state[self._freq_khz] += now - self._state_since
         self._state_since = now
         self._freq_khz = freq_khz
         self._transitions += 1
-        self._active_power_w = active_w
+        self._meter.set_state(now, self._busy, freq_khz)
 
     def set_busy(self, busy: bool) -> None:
         """Mark the core as executing (True) or idle (False).
 
-        One busy edge in one call: close the open busy interval (retiring
-        its cycles), charge the energy drawn since the last state change,
-        then switch the draw.  Runs twice per task.
+        One busy edge: the meter charges the energy drawn since the last
+        state change and switches the draw, then the busy interval opens
+        or closes (retiring its cycles).  Runs twice per task.
         """
         if busy == self._busy:
             return
         now = self._clock._now
-        charge = self._power_w * ((now - self._last_charge) / MICROS_PER_SECOND)
-        self._energy_j += charge
-        self._last_charge = now
+        self._meter.set_state(now, busy, self._freq_khz)
         if busy:
             self._busy = True
             self._busy_since = now
-            self._power_w = self._active_power_w
             if self._busy_listeners:
                 for listener in self._busy_listeners:
                     listener()
         else:
-            self._busy_energy_j += charge
             since = self._busy_since
             elapsed = now - since
             self._busy_total += elapsed
@@ -244,7 +215,6 @@ class CpuCore:
                 self._busy_ends.append(now)
             self._busy = False
             self._busy_since = None
-            self._power_w = self._idle_power_w
             if self._idle_listeners:
                 for listener in self._idle_listeners:
                     listener()

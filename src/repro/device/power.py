@@ -100,22 +100,26 @@ class PowerModel:
 
 
 class EnergyMeter:
-    """Integrates power over time as a core changes state.
+    """Integrates a core's power draw over time as it changes state.
 
-    A standalone meter for callers that model their own state changes;
-    :class:`~repro.device.cpu.CpuCore` folds the same arithmetic into its
-    busy-edge and retune paths.  The meter is updated lazily: callers
-    invoke :meth:`sync` (directly or via the state-change helpers) with
-    the current timestamp, and the meter charges the elapsed interval at
-    the power of the *previous* state.
+    The meter is updated lazily: callers invoke :meth:`sync` (directly or
+    via :meth:`set_state`) with the current timestamp, and the meter
+    charges the elapsed interval at the power of the *previous* state.
+    Active power per operating point is computed once from the model:
+    busy edges and retunes run tens of thousands of times per replay,
+    always among the table's handful of OPPs.
     """
 
-    def __init__(self, model: PowerModel) -> None:
-        self._model = model
+    def __init__(self, model: PowerModel, table: FrequencyTable) -> None:
+        self._opp_power_w = {
+            point.freq_khz: model.active_power(point.freq_khz, point.volts)
+            for point in table.points
+        }
+        self._idle_power_w = model.idle_power()
         self._energy_j = 0.0
         self._busy_energy_j = 0.0
         self._last_sync = 0
-        self._power_w = model.idle_power()
+        self._power_w = self._idle_power_w
         self._busy = False
 
     @property
@@ -154,14 +158,21 @@ class EnergyMeter:
             self._busy_energy_j += charge
         self._last_sync = now
 
-    def set_state(self, now: int, busy: bool, freq_khz: int, volts: float) -> None:
+    def set_state(self, now: int, busy: bool, freq_khz: int) -> None:
         """Record a state change (busy/idle or frequency) at ``now``."""
-        self.sync(now)
+        # Inlined sync(): this runs twice per task and once per DVFS
+        # transition.
+        if now < self._last_sync:
+            raise SimulationError(
+                f"energy meter cannot rewind: {now} < {self._last_sync}"
+            )
+        charge = self._power_w * ((now - self._last_sync) / MICROS_PER_SECOND)
+        self._energy_j += charge
+        if self._busy:
+            self._busy_energy_j += charge
+        self._last_sync = now
         self._busy = busy
-        if busy:
-            self._power_w = self._model.active_power(freq_khz, volts)
-        else:
-            self._power_w = self._model.idle_power()
+        self._power_w = self._opp_power_w[freq_khz] if busy else self._idle_power_w
 
     def energy_at(self, now: int) -> float:
         """Total energy including the un-synced tail interval up to ``now``."""

@@ -58,46 +58,46 @@ class TestPowerModel:
 
 
 class TestEnergyMeter:
-    def test_idle_energy_accumulates(self, model):
-        meter = EnergyMeter(model)
+    def test_idle_energy_accumulates(self, model, table):
+        meter = EnergyMeter(model, table)
         meter.sync(1_000_000)
         assert meter.energy_joules == pytest.approx(model.idle_power())
 
     def test_busy_energy_at_frequency(self, model, table):
-        meter = EnergyMeter(model)
+        meter = EnergyMeter(model, table)
         point = table.point(960_000)
-        meter.set_state(0, True, point.freq_khz, point.volts)
+        meter.set_state(0, True, point.freq_khz)
         meter.sync(2_000_000)
         expected = 2 * model.active_power(point.freq_khz, point.volts)
         assert meter.energy_joules == pytest.approx(expected)
         assert meter.busy_energy_joules == pytest.approx(expected)
 
     def test_energy_at_includes_open_interval(self, model, table):
-        meter = EnergyMeter(model)
+        meter = EnergyMeter(model, table)
         point = table.point(300_000)
-        meter.set_state(0, True, point.freq_khz, point.volts)
+        meter.set_state(0, True, point.freq_khz)
         live = meter.energy_at(500_000)
         assert live == pytest.approx(
             0.5 * model.active_power(point.freq_khz, point.volts)
         )
 
-    def test_meter_cannot_rewind(self, model):
-        meter = EnergyMeter(model)
+    def test_meter_cannot_rewind(self, model, table):
+        meter = EnergyMeter(model, table)
         meter.sync(100)
         with pytest.raises(SimulationError):
             meter.sync(50)
 
     def test_mixed_busy_idle_split(self, model, table):
-        meter = EnergyMeter(model)
+        meter = EnergyMeter(model, table)
         point = table.point(960_000)
-        meter.set_state(0, True, point.freq_khz, point.volts)
-        meter.set_state(1_000_000, False, point.freq_khz, point.volts)
+        meter.set_state(0, True, point.freq_khz)
+        meter.set_state(1_000_000, False, point.freq_khz)
         meter.sync(2_000_000)
         active = model.active_power(point.freq_khz, point.volts)
         assert meter.busy_energy_joules == pytest.approx(active)
         assert meter.energy_joules == pytest.approx(active + model.idle_power())
 
-    def test_busy_energy_at_while_idle_is_static(self, model):
-        meter = EnergyMeter(model)
+    def test_busy_energy_at_while_idle_is_static(self, model, table):
+        meter = EnergyMeter(model, table)
         meter.sync(1_000_000)
         assert meter.busy_energy_at(2_000_000) == meter.busy_energy_joules
