@@ -19,12 +19,14 @@ design points keep it fast:
   by the run loop after each fire — one :class:`ScheduledEvent` for the
   lifetime of a sampling timer rather than one allocation per expiry.
   One-shot events that recur at irregular times (the scheduler's task
-  completion) are re-armed by their owner with :meth:`Engine.rearm`.
+  completion, the replay agent's input cursor) are re-armed by their owner
+  with :meth:`Engine.rearm`.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable
 
 from repro.core.errors import SimulationError
@@ -168,8 +170,13 @@ class Engine:
         Same ordering as :meth:`schedule_at` (a fresh ``seq`` is drawn
         here) without allocating a new event.  Only an event that is no
         longer in the heap — one that has fired — may be re-armed; a
-        pending or cancelled one still owns a heap entry.
+        pending or cancelled one still owns a heap entry.  A periodic event
+        never may: the run loop re-arms it after every fire.
         """
+        if event.period is not None:
+            raise SimulationError(
+                f"cannot re-arm periodic {event!r}: the run loop re-arms it"
+            )
         if time < self.clock._now:
             raise SimulationError(
                 f"cannot schedule event in the past: {time} < {self.clock._now}"
@@ -245,6 +252,21 @@ class Engine:
         earlier, so that end-of-run accounting (energy integration, final
         frame capture) sees the full interval.
         """
+        self._run(end_time)
+        self.clock.advance_to(max(self.clock._now, end_time))
+
+    def run_until_idle(self, limit: int | None = None) -> None:
+        """Fire events until the queue is empty (or ``limit`` is reached).
+
+        Unlike :meth:`run_until`, the clock stays at the last fired event.
+        """
+        self._run(math.inf if limit is None else limit)
+
+    def _run(self, end_time: int | float) -> None:
+        """Dispatch queued events in order while the next is <= ``end_time``.
+
+        Events later than ``end_time`` stay queued.
+        """
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
@@ -270,49 +292,6 @@ class Engine:
                 self._firing_priority = entry[1]
                 # A popped event is no longer in the heap: cancelling it
                 # mid-callback must not count a tombstone.
-                event._engine = None
-                event.callback()
-                period = event.period
-                if period is not None and not event.cancelled:
-                    next_time = time + period
-                    if next_time <= clock._now:
-                        next_time = clock._now + period
-                    seq = self._seq
-                    self._seq = seq + 1
-                    event.time = next_time
-                    event.seq = seq
-                    event._engine = self
-                    heappush(queue, (next_time, event.priority, seq, event))
-            self._firing_priority = None
-            self.clock.advance_to(max(self.clock._now, end_time))
-        finally:
-            self._running = False
-            self._firing_priority = None
-
-    def run_until_idle(self, limit: int | None = None) -> None:
-        """Fire events until the queue is empty (or ``limit`` is reached)."""
-        if self._running:
-            raise SimulationError("engine is not reentrant")
-        self._running = True
-        queue = self._queue
-        clock = self.clock
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        try:
-            while queue:
-                entry = queue[0]
-                time = entry[0]
-                if limit is not None and time > limit:
-                    # Leave it queued: caller only wanted progress to limit.
-                    break
-                heappop(queue)
-                event = entry[3]
-                if event.cancelled:
-                    self._tombstones -= 1
-                    continue
-                clock._now = time
-                self._fired += 1
-                self._firing_priority = entry[1]
                 event._engine = None
                 event.callback()
                 period = event.period

@@ -23,6 +23,7 @@ MICRO_BENCHES = (
     "policy_queries",
     "governor_sim",
     "demand_kernel",
+    "replay_inputs",
 )
 MACRO_BENCHES = (
     "macro_study",
@@ -238,6 +239,8 @@ def _runner_for(name: str, scenario: str | None = None):
         return lambda: _run_engine_bench(name, workloads.run_governor_sim)
     if name == "demand_kernel":
         return lambda: _run_engine_bench(name, workloads.run_demand_kernel)
+    if name == "replay_inputs":
+        return lambda: _run_engine_bench(name, workloads.run_replay_inputs)
     if name == "macro_study":
         return lambda: _replay_cells(
             name,

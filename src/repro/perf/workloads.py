@@ -2,9 +2,10 @@
 
 Micro workloads exercise one kernel subsystem in isolation (event heap,
 periodic timers, cancellation churn, the scheduler's task path, the
-cpufreq trace queries) so a regression pinpoints its layer.  Macro
-workloads replay full study cells through :func:`repro.harness.experiment.
-replay_run` — the quantity every sweep and exploration ultimately pays.
+cpufreq trace queries, the replay agent's input cursor) so a regression
+pinpoints its layer.  Macro workloads replay full study cells through
+:func:`repro.harness.experiment.replay_run` — the quantity every sweep
+and exploration ultimately pays.
 
 Every workload is seeded and deterministic: two runs execute the same
 event sequence, so wall-clock differences measure the implementation, not
@@ -13,6 +14,7 @@ the workload.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 from repro.core.engine import PRIORITY_TIMER, Engine
@@ -105,6 +107,45 @@ def run_engine_churn(rounds: int = 400, batch: int = 512) -> Engine:
 
 def _noop() -> None:
     return None
+
+
+_REPLAY_INPUTS = 50_000
+_REPLAY_SPACING_US = 250
+
+
+@lru_cache(maxsize=1)
+def _input_trace(n_inputs: int, path: str):
+    """The bench's synthetic trace, built once per process (like the
+    demand program below) so the timed region is the replay."""
+    from repro.core.events import EV_SYN, SYN_REPORT, InputEvent
+    from repro.replay.trace import EventTrace
+
+    return EventTrace(
+        [
+            InputEvent(1 + index * _REPLAY_SPACING_US, path, EV_SYN,
+                       SYN_REPORT, 0)
+            for index in range(n_inputs)
+        ]
+    )
+
+
+def run_replay_inputs(n_inputs: int = _REPLAY_INPUTS) -> Engine:
+    """A long input trace replayed into an idle device.
+
+    No governor, no UI stack and no reader on the input node: the cost is
+    the replay agent's own queue traffic.  With one re-armed cursor event
+    the heap stays one entry deep; pre-scheduling the whole trace would
+    make every dispatch sift through ~log2(n_inputs) levels, a >3x drop
+    the perf gate catches.
+    """
+    from repro.device.device import Device
+    from repro.replay import ReplayAgent
+
+    device = Device()
+    trace = _input_trace(n_inputs, device.touchscreen.node.path)
+    ReplayAgent(device.engine, device.input_subsystem).schedule(trace)
+    device.run_for(n_inputs * _REPLAY_SPACING_US)
+    return device.engine
 
 
 def run_scheduler_chunks(chains: int = 64, chain_cycles: float = 600e6) -> Engine:

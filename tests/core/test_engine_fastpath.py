@@ -217,3 +217,40 @@ def test_rearm_from_inside_own_callback():
     engine.run_until(100)
     assert fired == [5, 15, 25]
     assert engine.events_scheduled == 3
+
+
+def test_rearm_rejects_a_periodic_event_from_its_own_callback():
+    # The run loop re-arms a periodic event after every fire; an owner
+    # re-arm on top of that would queue the one event twice.
+    engine = Engine()
+    fired = []
+    errors = []
+    holder = {}
+
+    def fire():
+        fired.append(engine.now)
+        try:
+            engine.rearm(holder["event"], engine.now + 5)
+        except SimulationError as error:
+            errors.append(error)
+
+    holder["event"] = engine.schedule_periodic(10, 10, fire)
+    engine.run_until(40)
+    assert fired == [10, 20, 30, 40]
+    assert len(errors) == 4
+    assert "periodic" in str(errors[0])
+    assert len(engine._queue) == 1
+
+
+def test_run_until_idle_stops_at_its_limit_without_advancing_the_clock():
+    engine = Engine()
+    fired = []
+    for time in (10, 20, 30):
+        engine.schedule_at(time, lambda: fired.append(engine.now))
+    engine.run_until_idle(limit=25)
+    assert fired == [10, 20]
+    assert engine.now == 20
+    assert engine.pending == 1
+    engine.run_until(50)
+    assert fired == [10, 20, 30]
+    assert engine.now == 50

@@ -68,3 +68,37 @@ def test_invalid_parameters_rejected(rig):
         submit_chunked(engine, scheduler, "svc", 10e6, chunk_cycles=0)
     with pytest.raises(SimulationError):
         submit_chunked(engine, scheduler, "svc", 10e6, gap_us=-1)
+
+
+def _recording_submits(scheduler):
+    submitted = []
+    original = scheduler.submit
+
+    def submit(task):
+        submitted.append(task)
+        return original(task)
+
+    scheduler.submit = submit
+    return submitted
+
+
+def test_chunk_names_gaps_and_event_counts_are_pinned(rig):
+    engine, _core, scheduler = rig
+    submitted = _recording_submits(scheduler)
+    chunks = submit_chunked(
+        engine, scheduler, "svc", 90e6, chunk_cycles=30e6, gap_us=7_000
+    )
+    engine.run_until(10_000_000)
+    assert chunks == 3
+    assert [task.name for task in submitted] == [
+        "svc[0/3]", "svc[1/3]", "svc[2/3]"
+    ]
+    # 30e6 cycles at 0.3 GHz = 100 ms per chunk; each gap is measured
+    # from the previous chunk's completion.
+    assert [(task.started_at, task.completed_at) for task in submitted] == [
+        (0, 100_000), (107_000, 207_000), (214_000, 314_000)
+    ]
+    # One completion per chunk plus one gap timer between chunks.
+    assert engine.events_scheduled == 5
+    assert engine.events_fired == 5
+    assert scheduler.completed_tasks == 3

@@ -54,6 +54,13 @@ def test_governor_sim_deterministic_events():
     assert first.events_fired == second.events_fired
 
 
+def test_replay_inputs_fires_one_event_per_input():
+    engine = workloads.run_replay_inputs(n_inputs=2_000)
+    assert engine.events_fired == 2_000
+    assert engine.events_scheduled == 2_000
+    assert engine.pending == 0
+
+
 def test_run_suite_micro_produces_all_results(tmp_path):
     results = run_suite("micro", repeats=1)
     assert [result.name for result in results] == list(MICRO_BENCHES)
