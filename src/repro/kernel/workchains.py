@@ -51,62 +51,24 @@ def submit_chunked(
     if chunk_cycles <= 0 or gap_us < 0:
         raise SimulationError("invalid chunking parameters")
     chunk_count = max(1, round(total_cycles / chunk_cycles))
-    _ChunkChain(
-        engine, scheduler, name, chunk_count, total_cycles / chunk_count,
-        gap_us, priority,
-    )._next()
-    return chunk_count
+    per_chunk = total_cycles / chunk_count
 
+    def run(index: int) -> None:
+        def completed(_task: Task) -> None:
+            if index + 1 < chunk_count:
+                engine.schedule_after(gap_us, lambda: run(index + 1))
 
-class _ChunkChain:
-    """One chunked submission: a chunk's completion arms the gap timer and
-    the timer submits the next chunk, both as bound methods of this one
-    object.
-
-    The gap stays a fresh ``schedule_after`` per chunk rather than a
-    re-armed event: the demand recorder hooks ``schedule_at`` and records
-    each gap as its own timer node.
-    """
-
-    __slots__ = (
-        "_engine", "_scheduler", "_name", "_count", "_cycles", "_gap_us",
-        "_priority", "_index",
-    )
-
-    def __init__(
-        self,
-        engine: Engine,
-        scheduler: Scheduler,
-        name: str,
-        count: int,
-        cycles: float,
-        gap_us: int,
-        priority: int,
-    ) -> None:
-        self._engine = engine
-        self._scheduler = scheduler
-        self._name = name
-        self._count = count
-        self._cycles = cycles
-        self._gap_us = gap_us
-        self._priority = priority
-        self._index = 0
-
-    def _next(self) -> None:
-        index = self._index
-        self._index = index + 1
-        self._scheduler.submit(
+        scheduler.submit(
             Task(
-                f"{self._name}[{index}/{self._count}]",
-                self._cycles,
-                priority=self._priority,
-                on_complete=self._completed,
+                f"{name}[{index}/{chunk_count}]",
+                per_chunk,
+                priority=priority,
+                on_complete=completed,
             )
         )
 
-    def _completed(self, _task: Task) -> None:
-        if self._index < self._count:
-            self._engine.schedule_after(self._gap_us, self._next)
+    run(0)
+    return chunk_count
 
 
 # The demand recorder (repro.demand.capture) installs itself here for the

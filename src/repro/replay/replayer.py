@@ -50,32 +50,20 @@ class ReplayAgent:
         if self._cursor is not None:
             raise ReplayError("replay agent is already replaying a trace")
         engine = self._engine
-        events = list(trace)
-        if start_offset_us:
-            events = [
-                type(event)(
-                    event.timestamp + start_offset_us,
-                    event.device,
-                    event.type,
-                    event.code,
-                    event.value,
-                )
-                for event in events
-            ]
-        now = previous = engine.now
-        for event in events:
-            when = event.timestamp
-            if when < now:
-                raise ReplayError(
-                    f"event at {when - start_offset_us} would fire in the past"
-                )
-            if when < previous:
-                raise ReplayError(
-                    f"trace events out of order at {previous} -> {when}"
-                )
-            previous = when
-        if not events:
+        now = engine.now
+        if not trace.events:
             return now
+        # EventTrace keeps its events time-ordered, so only the first one
+        # can be in the past.  Copied, so later appends to ``trace`` do not
+        # leak into this replay.
+        if trace.events[0].timestamp + start_offset_us < now:
+            raise ReplayError(
+                f"event at {trace.events[0].timestamp} would fire in the past"
+            )
+        if start_offset_us:
+            events = trace.shifted(start_offset_us).events
+        else:
+            events = list(trace.events)
         self._events = events
         self._next = 0
         self._cursor = engine.schedule_at(
@@ -96,6 +84,7 @@ class ReplayAgent:
             self._engine.rearm(self._cursor, events[index].timestamp)
         else:
             self._cursor = None
+            self._events = []
 
     def _inject(self, event) -> None:
         self.events_injected += 1
