@@ -11,7 +11,6 @@ from repro.capture.stream import (
     FrameTap,
     SegmentStreamer,
     replay_segments,
-    stream_enabled,
 )
 from repro.capture.video import Frame, Video, VideoSegment
 
@@ -24,5 +23,4 @@ __all__ = [
     "Video",
     "VideoSegment",
     "replay_segments",
-    "stream_enabled",
 ]

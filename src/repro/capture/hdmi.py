@@ -13,7 +13,7 @@ Two delivery modes share one recording state machine:
 * **streaming** (``start(now, streaming=True)``): no video is kept;
   closed frame runs flow to subscribed :class:`~repro.capture.stream.
   FrameTap` objects as the replay executes and are then released —
-  O(active-window) memory, the default replay path.
+  O(active-window) memory, the path every replay takes.
 
 Taps registered via :meth:`add_tap` observe the identical segment
 sequence in both modes: live in streaming mode, replayed from the

@@ -17,10 +17,9 @@ holding exactly two pending runs makes emitted segments immutable.  The
 ``Video`` container records through this same state machine, which is what
 makes streamed segments bit-identical to ``video.segments()``.
 
-``REPRO_STREAM=0`` disables the streaming run pipeline (see
-:func:`stream_enabled`), preserving the materialise-then-analyze batch
-path for A/B comparison — the two paths must produce bit-identical study
-output.
+Every replay streams (see :func:`repro.harness.experiment.stream_lags`);
+the batch ``Video`` remains for recording and annotation, which need
+random access to the whole capture.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 import hashlib
 from typing import TYPE_CHECKING
 
-from repro.core.env import env_flag
 from repro.core.errors import CaptureError
 from repro.obs.session import active as _obs_active
 
@@ -36,25 +34,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.capture.video import Frame, VideoSegment
 
 
-def stream_enabled() -> bool:
-    """Whether the streaming run pipeline is on (default) or the batch
-    materialise-then-analyze path should be used.
-
-    Controlled by ``REPRO_STREAM`` (mirror of ``REPRO_FASTPATH``): any
-    value but ``0`` streams.  Output (lag profiles, energy, digests) is
-    bit-identical either way; ``REPRO_STREAM=0`` exists for A/B
-    verification and as a kill switch.
-    """
-    return env_flag("REPRO_STREAM", default=True)
-
-
 class FrameTap:
     """A subscriber to the capture card's segment stream.
 
     Taps receive every closed segment, in frame order, exactly once —
-    during replay on the streaming path, or replayed from the finished
-    video at ``stop()`` on the batch path, so a tap observes the same
-    sequence either way.  Subclasses override what they need; both
+    live on a streaming capture, or replayed from the finished video at
+    ``stop()`` on a batch capture, so a tap observes the same sequence
+    either way.  Subclasses override what they need; both
     methods are no-ops by default.
     """
 
@@ -219,9 +205,8 @@ class SegmentStreamer:
 def replay_segments(segments, end_frame: int, tap: FrameTap) -> None:
     """Feed an already-materialised segment list through a tap.
 
-    The batch path (``REPRO_STREAM=0``) uses this at capture stop so a
-    tap observes the identical segment sequence the streaming path would
-    have delivered live.
+    A batch capture uses this at stop so a tap observes the identical
+    segment sequence a streaming capture would have delivered live.
     """
     for segment in segments:
         tap.on_segment(segment)

@@ -62,8 +62,7 @@ class Video:
     Recording runs through the same :class:`~repro.capture.stream.
     SegmentStreamer` state machine the streaming pipeline uses, so the
     segments a materialised video exposes are bit-identical to the ones
-    streamed to frame taps — the property the ``REPRO_STREAM`` A/B
-    equivalence rests on.
+    streamed to frame taps.
     """
 
     def __init__(self, width: int, height: int, fps_period_us: int = VSYNC_PERIOD_US):

@@ -3,9 +3,10 @@
 Every environment kill switch in the simulator follows one convention:
 the variable set to ``"0"`` means *off*, any other value means *on*, and
 an unset variable takes the flag's default.  ``REPRO_FASTPATH`` and
-``REPRO_STREAM`` default on (they are opt-out A/B switches for
-semantics-preserving optimisations); ``REPRO_TRACE`` defaults off (it is
-an opt-in observability switch).
+``REPRO_DEMAND`` default on (they are opt-out A/B switches for
+semantics-preserving optimisations, each checked against an independent
+reference path); ``REPRO_TRACE`` defaults off (it is an opt-in
+observability switch).
 
 :func:`env_flag` is the one place that parsing lives.  The parsed value
 is cached per process keyed on the raw environment string, so repeated
@@ -27,10 +28,6 @@ KNOWN_FLAGS: dict[str, tuple[bool, str]] = {
         True,
         "governor tick-elision fast path (0 = A/B-verify the slow path)",
     ),
-    "REPRO_STREAM": (
-        True,
-        "streaming run pipeline (0 = batch materialise-then-analyze)",
-    ),
     "REPRO_TRACE": (
         False,
         "observability: per-run metrics + flight recorder (1 = on)",
@@ -39,11 +36,6 @@ KNOWN_FLAGS: dict[str, tuple[bool, str]] = {
         True,
         "kernel-only sweep evaluation over demand traces "
         "(0 = full replay per cell)",
-    ),
-    "REPRO_DEMAND_COMPILE": (
-        True,
-        "flat-array compiled demand walk "
-        "(0 = A/B-verify the node-object interpreter)",
     ),
 }
 

@@ -3,24 +3,18 @@ evaluate governor configurations with a kernel-only pass many times.
 
 See :mod:`repro.demand.trace` for the data model,
 :mod:`repro.demand.capture` for the instrumented capture replay,
-:mod:`repro.demand.compile` for the flat-array lowering pass,
+:mod:`repro.demand.compile` for the action-tuple lowering pass,
 :mod:`repro.demand.replayer` for the evaluation pass, and
 :mod:`repro.demand.store` for the fleet-side trace cache.  The fleet
 engine wires all of it together behind the ``REPRO_DEMAND`` kill
-switch; the compiled walk has its own ``REPRO_DEMAND_COMPILE`` switch.
+switch.
 """
 
 from repro.demand.capture import DemandCaptureError, DemandRecorder, capture_demand
-from repro.demand.compile import (
-    CompiledDemand,
-    compile_trace,
-    demand_compile_enabled,
-)
 from repro.demand.replayer import (
     DemandFallback,
     DemandProgram,
     demand_replay_run,
-    make_executor,
 )
 from repro.demand.store import DemandTraceStore, demand_trace_key
 from repro.demand.trace import (
@@ -32,7 +26,6 @@ from repro.demand.trace import (
 
 __all__ = [
     "DEMAND_TRACE_SCHEMA_VERSION",
-    "CompiledDemand",
     "DemandCaptureError",
     "DemandFallback",
     "DemandNode",
@@ -42,11 +35,8 @@ __all__ = [
     "DemandTraceError",
     "DemandTraceStore",
     "capture_demand",
-    "compile_trace",
-    "demand_compile_enabled",
     "demand_replay_run",
     "demand_trace_key",
-    "make_executor",
 ]
 
 

@@ -1,52 +1,30 @@
-"""Lowering a demand trace to its compiled, flat-array form.
+"""Lowering a demand trace to fused action tuples.
 
-The interpreted evaluation pass (:class:`~repro.demand.replayer.
-_DemandExecutor`) walks :class:`~repro.demand.trace.DemandNode` objects:
-every executed node costs attribute loads on a slotted dataclass, dict
-probes into the children index, and — for tasks and timers — a freshly
-allocated closure.  On a sweep that is pure overhead: the trace is
-immutable, so all of it can be resolved **once per worker** into parallel
-``array('q')`` int64 columns and walked by integer index.
+The trace is immutable, so everything the evaluation walk needs per node
+can be resolved **once per worker**: :func:`compile_trace` turns each
+:class:`~repro.demand.trace.DemandNode` into one tuple carrying an
+integer opcode, the node's verbatim payloads and its children resolved
+to a preallocated list of the child tuples.  The executor
+(:class:`~repro.demand.replayer.DemandExecutor`) iterates those lists
+directly: evaluating a node is tuple indexing off one iteration
+variable, with no per-walk dict probes, dataclass attribute loads or
+closure allocations.
 
-:func:`compile_trace` lowers a trace into a :class:`CompiledDemand`:
+A :class:`CompiledDemand` holds:
 
-* one column per payload field (``kind`` as an integer opcode,
-  ``priority``, ``delay_us``, ``state_id``, ``chain_key``, ``period_us``;
-  ``-1`` encodes an absent value), plus preallocated lists for the two
-  payloads that are not integers (``names``, interned; ``cycles``, kept
-  as the recorded numbers so task arithmetic is bit-identical to the
-  interpreter's),
-* a single flat ``walk`` array of node ids holding every execution list —
-  the setup phase, each input ordinal's roots, and each node's children —
-  addressed CSR-style: ``child_off[i]:child_off[i+1]`` are node *i*'s
-  children, ``input_off[k]:input_off[k+1]`` are ordinal *k*'s roots, and
-  ``setup_lo:setup_hi`` is the setup phase.  Within every range the
-  capture's callback order is preserved, exactly as
-  :meth:`~repro.demand.trace.DemandTrace.children_by_parent` returns it,
-* ``guards`` as a dense list indexed by input ordinal (the interpreter
-  probes a dict per input),
-* fused ``actions`` — one tuple per node carrying the opcode, its
-  verbatim payloads and its children resolved to a preallocated list of
-  action tuples — plus ``setup_actions``/``input_actions``, the root
-  execution lists in the same form.  The executor iterates those lists
-  directly: evaluating a node is tuple indexing off one iteration
-  variable, with no per-walk dict probes, dataclass attribute loads or
-  closure allocations.
-
-The compiled walk is gated behind ``REPRO_DEMAND_COMPILE`` (default on;
-``=0`` is the kill switch that A/B-verifies the interpreter), with the
-contract that the emitted :class:`~repro.results.RunRecord` is
-bit-identical either way — both executors issue the same scheduler
-submissions and engine timers in the same order, so the event heap's
-deterministic sequence numbers never diverge.
+* ``actions`` — one tuple per node, indexed by node id;
+* ``setup_actions``/``input_actions`` — the root execution lists (the
+  setup phase, and each input ordinal's roots or ``None``), in the
+  capture's callback order, exactly as
+  :meth:`~repro.demand.trace.DemandTrace.children_by_parent` returns it;
+* ``guards`` as a dense list indexed by input ordinal.
 """
 
 from __future__ import annotations
 
 import sys
-from array import array
+from typing import NamedTuple
 
-from repro.core.env import env_flag
 from repro.demand.trace import (
     KIND_CHAIN_START,
     KIND_CHAIN_STOP,
@@ -55,8 +33,6 @@ from repro.demand.trace import (
     KIND_TIMER,
     DemandTrace,
 )
-
-_TYPECODE = "q"  # signed 64-bit: node ids, delays, state ids all fit
 
 #: Integer opcodes of the compiled walk, one per node kind.
 OP_TASK = 0
@@ -74,267 +50,83 @@ _OPCODES: dict[str, int] = {
 }
 
 
-def demand_compile_enabled() -> bool:
-    """Whether the compiled flat-array walk is on (``REPRO_DEMAND_COMPILE``)."""
-    return env_flag("REPRO_DEMAND_COMPILE", default=True)
+class CompiledDemand(NamedTuple):
+    """The action-tuple form of one demand trace (see module docstring),
+    shared read-only by every cell a worker evaluates."""
 
-
-class CompiledDemand:
-    """The flat-array form of one demand trace (see module docstring).
-
-    All fields are read-only by convention; one instance is shared by
-    every cell a worker evaluates.
-    """
-
-    __slots__ = (
-        "node_count",
-        "input_events",
-        "kind",
-        "priority",
-        "delay_us",
-        "state_id",
-        "chain_key",
-        "period_us",
-        "cycles",
-        "names",
-        "walk",
-        "setup_lo",
-        "setup_hi",
-        "input_off",
-        "child_off",
-        "guards",
-        "actions",
-        "setup_actions",
-        "input_actions",
-        "_views",
-    )
-
-    def __init__(
-        self,
-        node_count: int,
-        input_events: int,
-        kind: array,
-        priority: array,
-        delay_us: array,
-        state_id: array,
-        chain_key: array,
-        period_us: array,
-        cycles: list,
-        names: list,
-        walk: array,
-        setup_lo: int,
-        setup_hi: int,
-        input_off: array,
-        child_off: array,
-        guards: list,
-        actions: list,
-        setup_actions: list,
-        input_actions: list,
-    ) -> None:
-        self.node_count = node_count
-        self.input_events = input_events
-        self.kind = kind
-        self.priority = priority
-        self.delay_us = delay_us
-        self.state_id = state_id
-        self.chain_key = chain_key
-        self.period_us = period_us
-        self.cycles = cycles
-        self.names = names
-        self.walk = walk
-        self.setup_lo = setup_lo
-        self.setup_hi = setup_hi
-        self.input_off = input_off
-        self.child_off = child_off
-        self.guards = guards
-        self.actions = actions
-        self.setup_actions = setup_actions
-        self.input_actions = input_actions
-        self._views = None
-
-    def views(self) -> dict[str, list]:
-        """Unboxed list views of the int64 columns, built once and shared.
-
-        Indexing an ``array('q')`` allocates a fresh int object per
-        access (node ids exceed CPython's small-int cache); a list hands
-        back its preallocated element.  The executor's inner loop reads
-        these views; the arrays stay the canonical compact form.
-        """
-        if self._views is None:
-            self._views = {
-                "kind": self.kind.tolist(),
-                "priority": self.priority.tolist(),
-                "delay_us": self.delay_us.tolist(),
-                "state_id": self.state_id.tolist(),
-                "chain_key": self.chain_key.tolist(),
-                "period_us": self.period_us.tolist(),
-                "walk": self.walk.tolist(),
-                "input_off": self.input_off.tolist(),
-                "child_off": self.child_off.tolist(),
-            }
-        return self._views
-
-    # --- introspection (tests, round-trip checks) ------------------------------
-
-    def setup_children(self) -> list[int]:
-        """Node ids of the setup phase, in callback order."""
-        return list(self.walk[self.setup_lo : self.setup_hi])
-
-    def input_children(self, ordinal: int) -> list[int]:
-        """Node ids rooted at input ``ordinal``, in callback order."""
-        if not 0 <= ordinal < self.input_events:
-            return []
-        return list(self.walk[self.input_off[ordinal] : self.input_off[ordinal + 1]])
-
-    def children_of(self, node_id: int) -> list[int]:
-        """Node ids of ``node_id``'s children, in callback order."""
-        return list(self.walk[self.child_off[node_id] : self.child_off[node_id + 1]])
+    guards: list
+    actions: list
+    setup_actions: list
+    input_actions: list
 
 
 def compile_trace(trace: DemandTrace) -> CompiledDemand:
-    """Lower ``trace`` into its flat-array form.
+    """Lower ``trace`` into its action-tuple form.
 
-    Pure data transformation — no validation beyond what the column
-    types force (a non-integer payload in an int64 column raises at
-    compile time rather than mis-rounding silently).  The input is
-    assumed to satisfy :meth:`DemandTrace.validate` (the capture and
-    load paths enforce it), which is what lets the compiled task path
-    skip ``Task.__init__``'s per-construction payload checks.
-    ``cycles`` and ``names`` keep the recorded values so the compiled
-    walk hands the scheduler bit-identical task parameters.
+    Pure data transformation: the input is assumed to satisfy
+    :meth:`DemandTrace.validate` (the capture and load paths enforce
+    it), which is what lets the executor's task path skip
+    ``Task.__init__``'s per-construction payload checks.  Payloads are
+    the recorded objects verbatim, so the walk hands the scheduler
+    bit-identical task parameters.
     """
     nodes = trace.nodes
-    count = len(nodes)
-    kind = array(_TYPECODE, (_OPCODES[node.kind] for node in nodes))
-    priority = array(
-        _TYPECODE,
-        (-1 if node.priority is None else node.priority for node in nodes),
-    )
-    delay_us = array(
-        _TYPECODE,
-        (-1 if node.delay_us is None else node.delay_us for node in nodes),
-    )
-    state_id = array(
-        _TYPECODE,
-        (-1 if node.state_id is None else node.state_id for node in nodes),
-    )
-    chain_key = array(
-        _TYPECODE,
-        (-1 if node.chain_key is None else node.chain_key for node in nodes),
-    )
-    period_us = array(
-        _TYPECODE,
-        (-1 if node.period_us is None else node.period_us for node in nodes),
-    )
-    cycles = [node.cycles for node in nodes]
-    names = [
-        None if node.name is None else sys.intern(node.name) for node in nodes
-    ]
+    setup, by_input, by_node = trace.children_by_parent()
 
-    # Partition into the three root/child families, preserving capture
-    # order (ids are dense and stored sorted, so append reconstructs it) —
-    # the same walk children_by_parent() does, kept as ids.
-    setup_ids: list[int] = []
-    by_input: dict[int, list[int]] = {}
-    by_node: dict[int, list[int]] = {}
-    for node in nodes:
-        if node.parent is not None:
-            by_node.setdefault(node.parent, []).append(node.node_id)
-        elif node.input_ordinal is not None:
-            by_input.setdefault(node.input_ordinal, []).append(node.node_id)
-        else:
-            setup_ids.append(node.node_id)
-
-    walk = array(_TYPECODE)
-    walk.extend(setup_ids)
-    setup_lo, setup_hi = 0, len(walk)
-    input_off = array(_TYPECODE, [len(walk)])
-    for ordinal in range(trace.input_events):
-        roots = by_input.get(ordinal)
-        if roots:
-            walk.extend(roots)
-        input_off.append(len(walk))
-    child_off = array(_TYPECODE, bytes(8 * (count + 1)))
-    for node_id in range(count):
-        child_off[node_id] = len(walk)
-        children = by_node.get(node_id)
-        if children:
-            walk.extend(children)
-    child_off[count] = len(walk)
-
-    guards = [trace.guards.get(ordinal, ()) for ordinal in range(trace.input_events)]
-
-    # Fused per-node action tuples: everything the executor's inner loop
-    # needs, gathered into one tuple so evaluating a node is tuple
-    # indexing off the iteration variable — no column fan-out, no dict
-    # probes, no per-walk closures.  Payloads are the recorded objects
-    # verbatim (``node.priority``, not the ``-1``-encoded column) so the
-    # scheduler sees bit-identical task parameters.  Children embed as
-    # preallocated lists of the child tuples (``None`` when childless;
-    # the lists are created empty first so parent tuples can reference
-    # them before the children's own tuples exist).
-    child_lists: list[list | None] = [None] * count
+    # Children embed as preallocated lists of the child tuples (``None``
+    # when childless); the lists are created empty first so parent
+    # tuples can reference them before the children's own tuples exist.
+    child_lists: list[list | None] = [None] * len(nodes)
     for node_id in by_node:
         child_lists[node_id] = []
-    actions: list[tuple | None] = [None] * count
+    actions: list[tuple] = []
     for node in nodes:
         node_id = node.node_id
-        op = kind[node_id]
+        op = _OPCODES[node.kind]
         if op == OP_TASK:
-            actions[node_id] = (
+            action = (
                 op,
                 node_id,
-                names[node_id],
+                sys.intern(node.name),
                 # Pre-floated: Task stores float(cycles), and float() of
                 # an exact float is the identity, so the scheduler sees
-                # the same value the interpreter's conversion produces.
+                # the value Task's own conversion produces.
                 float(node.cycles),
                 node.priority,
                 child_lists[node_id],
             )
         elif op == OP_INVALIDATE:
-            actions[node_id] = (op, node.state_id)
+            action = (op, node.state_id)
         elif op == OP_TIMER:
-            actions[node_id] = (op, node.delay_us, child_lists[node_id])
+            action = (op, node.delay_us, child_lists[node_id])
         elif op == OP_CHAIN_START:
-            actions[node_id] = (
+            action = (
                 op,
                 node.chain_key,
-                names[node_id],
+                sys.intern(node.name),
                 node.period_us,
                 node.cycles,
                 node.priority,
             )
         else:
-            actions[node_id] = (op, node.chain_key)
+            action = (op, node.chain_key)
+        actions.append(action)
     for node_id, children in by_node.items():
-        child_lists[node_id].extend(actions[child] for child in children)
-    setup_actions = [actions[node_id] for node_id in setup_ids]
-    input_actions = [
-        [actions[node_id] for node_id in by_input[ordinal]]
-        if ordinal in by_input
-        else None
-        for ordinal in range(trace.input_events)
-    ]
+        child_lists[node_id].extend(
+            actions[child.node_id] for child in children
+        )
 
     return CompiledDemand(
-        node_count=count,
-        input_events=trace.input_events,
-        kind=kind,
-        priority=priority,
-        delay_us=delay_us,
-        state_id=state_id,
-        chain_key=chain_key,
-        period_us=period_us,
-        cycles=cycles,
-        names=names,
-        walk=walk,
-        setup_lo=setup_lo,
-        setup_hi=setup_hi,
-        input_off=input_off,
-        child_off=child_off,
-        guards=guards,
+        guards=[
+            trace.guards.get(ordinal, ())
+            for ordinal in range(trace.input_events)
+        ],
         actions=actions,
-        setup_actions=setup_actions,
-        input_actions=input_actions,
+        setup_actions=[actions[node.node_id] for node in setup],
+        input_actions=[
+            [actions[node.node_id] for node in by_input[ordinal]]
+            if ordinal in by_input
+            else None
+            for ordinal in range(trace.input_events)
+        ],
     )

@@ -56,18 +56,10 @@ from repro.demand.compile import (
     OP_TIMER,
     CompiledDemand,
     compile_trace,
-    demand_compile_enabled,
 )
 from repro.demand.tablematch import BLANK_STATE, ShadowStreamer, TableMatcher
-from repro.demand.trace import (
-    KIND_CHAIN_START,
-    KIND_CHAIN_STOP,
-    KIND_INVALIDATE,
-    KIND_TASK,
-    KIND_TIMER,
-    DemandNode,
-    DemandTrace,
-)
+from repro.demand.trace import DemandTrace
+from repro.device.display import frame_index_at
 from repro.kernel.task import PRIORITY_FOREGROUND, Task, _task_ids
 from repro.kernel.workchains import PeriodicWorkChain
 
@@ -87,20 +79,15 @@ class DemandFallback(ReproError):
 class DemandProgram:
     """A demand trace preprocessed for repeated evaluation.
 
-    Sweeping N cells over one trace repeats per-cell setup work — child
-    indexing, match-set construction, state decompression — that depends
-    only on the trace.  A fleet worker builds one program per trace and
-    evaluates every assigned cell against it.
+    Sweeping N cells over one trace repeats per-cell setup work — the
+    lowering to action tuples, match-set construction, state
+    decompression — that depends only on the trace.  A fleet worker
+    builds one program per trace and evaluates every assigned cell
+    against it.
     """
 
     def __init__(self, trace: DemandTrace) -> None:
         self.trace = trace
-        setup, by_input, by_node = trace.children_by_parent()
-        self.setup = setup
-        self.by_input = by_input
-        self.children: list = [
-            by_node.get(node_id) for node_id in range(len(trace.nodes))
-        ]
         self.match_sets: list[frozenset[int]] | None = None
         if trace.match_states is not None:
             blank = frozenset(trace.blank_matches)
@@ -113,7 +100,7 @@ class DemandProgram:
         self._compiled: CompiledDemand | None = None
 
     def compiled(self) -> CompiledDemand:
-        """The trace's flat-array form (lowered once, shared by cells)."""
+        """The trace's action-tuple form (lowered once, shared by cells)."""
         if self._compiled is None:
             self._compiled = compile_trace(self.trace)
         return self._compiled
@@ -132,138 +119,16 @@ class DemandProgram:
         return self._states
 
 
-class _DemandExecutor:
-    """Walks a demand trace over a live device kernel.
-
-    With ``pixels=False`` (the default sweep path) invalidates only
-    track the current interned state id — no state is decompressed and
-    nothing is painted; the caller derives the lag profile from the
-    trace's match table.  With ``pixels=True`` the executor installs a
-    composer that repaints the interned states, so a capture card sees
-    real frames.
-    """
-
-    def __init__(self, device, program: DemandProgram, pixels: bool) -> None:
-        self._engine = device.engine
-        self._scheduler = device.scheduler
-        self._display = device.display
-        self._setup = program.setup
-        self._by_input = program.by_input
-        self._children = program.children
-        self._guards = program.trace.guards
-        self._pixels = pixels
-        self._states: list | None = None
-        self._frame = None
-        if pixels:
-            self._states = program.states()
-            device.display.set_composer(self._paint)
-        #: Interned state id the screen would show (BLANK_STATE at boot).
-        self.current_state = BLANK_STATE
-        self._chains: dict[int, PeriodicWorkChain] = {}
-        self._fg_inflight: set[int] = set()
-        self._next_ordinal = 0
-
-    # --- composition -------------------------------------------------------------
-
-    def _paint(self, framebuffer) -> None:
-        if self._frame is not None:
-            framebuffer[:] = self._frame
-
-    # --- trace walking -----------------------------------------------------------
-
-    def run_setup(self) -> None:
-        """Execute the app-installation phase (engine time 0)."""
-        self._run_children(self._setup)
-
-    def on_input(self, event) -> None:
-        """Input-node observer: check the guard, run the ordinal's demand."""
-        ordinal = self._next_ordinal
-        self._next_ordinal = ordinal + 1
-        expected = self._guards.get(ordinal, ())
-        actual = tuple(sorted(self._fg_inflight))
-        if actual != expected:
-            raise DemandFallback(
-                f"input {ordinal} at t={self._engine.now}: foreground tasks "
-                f"in flight {list(actual)} != recorded {list(expected)} — "
-                "this config perturbs recorded think-time boundaries",
-                reason="guard_mismatch",
-            )
-        children = self._by_input.get(ordinal)
-        if children:
-            self._run_children(children)
-
-    def _run_children(self, nodes: list[DemandNode]) -> None:
-        for node in nodes:
-            self._execute(node)
-
-    def _execute(self, node: DemandNode) -> None:
-        kind = node.kind
-        if kind == KIND_TASK:
-            node_id = node.node_id
-            foreground = node.priority == PRIORITY_FOREGROUND
-            if foreground:
-                self._fg_inflight.add(node_id)
-            children = self._children[node_id]
-
-            def completed(
-                _task, node_id=node_id, foreground=foreground, children=children
-            ) -> None:
-                if foreground:
-                    self._fg_inflight.discard(node_id)
-                if children:
-                    self._run_children(children)
-
-            self._scheduler.submit(
-                Task(
-                    node.name,
-                    node.cycles,
-                    priority=node.priority,
-                    on_complete=completed,
-                )
-            )
-        elif kind == KIND_INVALIDATE:
-            self.current_state = node.state_id
-            if self._pixels:
-                self._frame = self._states[node.state_id]
-            self._display.invalidate()
-        elif kind == KIND_TIMER:
-            children = self._children[node.node_id]
-            # A childless timer produced no recorded demand; skipping it
-            # is invisible to the kernel.
-            if children:
-                self._engine.schedule_after(
-                    node.delay_us,
-                    lambda children=children: self._run_children(children),
-                )
-        elif kind == KIND_CHAIN_START:
-            chain = self._chains.get(node.chain_key)
-            if chain is None:
-                chain = PeriodicWorkChain(
-                    self._engine,
-                    self._scheduler,
-                    node.name,
-                    node.period_us,
-                    node.cycles,
-                    priority=node.priority,
-                )
-                self._chains[node.chain_key] = chain
-            chain.start()
-        elif kind == KIND_CHAIN_STOP:
-            chain = self._chains.get(node.chain_key)
-            if chain is not None:
-                chain.stop()
-
-
 class _DemandTask(Task):
-    """A compiled task node's live submission.
+    """A task node's live submission.
 
-    Carries its compiled action tuple so one shared completion callback
-    can find the node id, priority and child list — the interpreter
-    allocates a fresh closure per task submission instead.  The direct
-    ``__init__`` skips ``Task.__init__``'s keyword parsing and payload
-    validation: compiled payloads are pre-floated and trace-validated
-    (see :func:`~repro.demand.compile.compile_trace`), and the shared
-    task-id counter keeps ids in step with the interpreter's.
+    Carries its action tuple so one shared completion callback can find
+    the node id, priority and child list without a closure per task.
+    The direct ``__init__`` skips ``Task.__init__``'s keyword parsing
+    and payload validation: action payloads are pre-floated and
+    trace-validated (see :func:`~repro.demand.compile.compile_trace`),
+    and the shared task-id counter keeps ids in step with a full
+    replay's.
     """
 
     __slots__ = ("action",)
@@ -283,20 +148,23 @@ class _DemandTask(Task):
         self.action = action
 
 
-class _CompiledExecutor:
-    """Walks the compiled flat-array form of a demand trace.
+class DemandExecutor:
+    """Walks a demand trace's action tuples over a live device kernel.
 
-    Semantically identical to :class:`_DemandExecutor` — both issue the
-    same scheduler submissions and engine timers in the same order, so
-    the engine's deterministic event sequence (and therefore the emitted
-    :class:`~repro.results.RunRecord`) is bit-identical.  The difference
-    is purely mechanical: every node resolves to a precomputed action
-    tuple carrying the opcode, the verbatim payloads and the node's
-    children as a preallocated list of the child tuples
-    (:class:`~repro.demand.compile.CompiledDemand`), task completions
-    share one bound method instead of a per-task closure, and timers
-    re-arm a :func:`functools.partial` over the prebuilt child list
-    instead of a fresh lambda.
+    Every node resolves to a precomputed action tuple carrying the
+    opcode, the verbatim payloads and the node's children as a
+    preallocated list of the child tuples
+    (:class:`~repro.demand.compile.CompiledDemand`).  Task completions
+    share one bound method and timers re-arm a
+    :func:`functools.partial` over the prebuilt child list, so the walk
+    allocates no closures.
+
+    With ``pixels=False`` (the default sweep path) invalidates only
+    track the current interned state id — no state is decompressed and
+    nothing is painted; the caller derives the lag profile from the
+    trace's match table.  With ``pixels=True`` the executor installs a
+    composer that repaints the interned states, so a capture card sees
+    real frames.
     """
 
     __slots__ = (
@@ -384,7 +252,7 @@ class _CompiledExecutor:
             self._run_list(children)
 
     def _run_list(self, actions: list) -> None:
-        """Execute one prebuilt action list — the compiled inner loop."""
+        """Execute one prebuilt action list — the walk's inner loop."""
         for action in actions:
             op = action[0]
             if op == OP_TASK:
@@ -430,15 +298,65 @@ class _CompiledExecutor:
                     chain.stop()
 
 
-def make_executor(device, program: DemandProgram, pixels: bool = False):
-    """The executor :func:`demand_replay_run` would use right now.
+class _DemandDriver:
+    """The kernel-only pass's two :func:`~repro.harness.experiment.run_cell`
+    steps: a :class:`DemandExecutor` stands in for the apps, and the lag
+    profile comes from the trace's match table (or, when a caller needs
+    real frames, from the capture card)."""
 
-    Selected per call from ``REPRO_DEMAND_COMPILE``: the compiled
-    flat-array walk by default, the node-object interpreter under the
-    ``=0`` kill switch.  Exposed for the perf harness and A/B tests.
-    """
-    cls = _CompiledExecutor if demand_compile_enabled() else _DemandExecutor
-    return cls(device, program, pixels)
+    def __init__(self, program: DemandProgram, database, frame_tap, cell: str):
+        self._program = program
+        self._database = database
+        self._frame_tap = frame_tap
+        self._cell = cell
+        # The pixel-free table path needs a precomputed match table; a
+        # frame tap needs real frames, so it forces the pixel path.
+        self._pixels = frame_tap is not None or program.match_sets is None
+        self._executor: DemandExecutor | None = None
+
+    def install(self, device) -> None:
+        executor = DemandExecutor(device, self._program, self._pixels)
+        # Same observer order as a full replay: the window manager's
+        # decoder registers before the governor's input boost; here the
+        # executor takes the decoder's slot.
+        device.touchscreen.node.add_observer(executor.on_input)
+        executor.run_setup()
+        self._executor = executor
+
+    def lag_source(self, device):
+        from repro.harness.experiment import stream_lags
+
+        database = self._database
+        if self._pixels:
+            finish = stream_lags(device, database, self._frame_tap)
+        else:
+            matcher = TableMatcher(database, self._program.match_sets)
+            shadow = ShadowStreamer(matcher)
+            executor = self._executor
+            device.display.add_frame_observer(
+                lambda index, _frame: shadow.record(
+                    index, executor.current_state
+                )
+            )
+            # The capture card's start seed: whatever is on screen right
+            # now — nothing has composed yet, so the blank boot frame.
+            shadow.record(frame_index_at(device.engine.now), BLANK_STATE)
+
+            def finish(now: int):
+                shadow.finalize(frame_index_at(now) + 1)
+                return matcher.profile()
+
+        def checked(now: int):
+            try:
+                return finish(now)
+            except MatchError as exc:
+                raise DemandFallback(
+                    f"cell {self._cell}: replayed frames no longer "
+                    f"match the annotation database: {exc}",
+                    reason="match_error",
+                ) from None
+
+        return checked
 
 
 def demand_replay_run(
@@ -453,126 +371,29 @@ def demand_replay_run(
 ):
     """Evaluate one (config, rep) cell over recorded demand.
 
-    Mirrors :func:`~repro.harness.experiment.replay_run` cell for cell:
-    same RNG forks, same capture/matcher pipeline, same
-    :class:`~repro.results.RunRecord` shape including the observability
-    harvest.  Raises :class:`DemandFallback` when the cell needs a full
-    replay.  ``trace`` may be a prebuilt :class:`DemandProgram` to share
-    preprocessing across a sweep's cells.  The trace walk itself runs
-    the compiled flat-array executor unless ``REPRO_DEMAND_COMPILE=0``
-    selects the node-object interpreter; the emitted record is
-    bit-identical either way.
+    Runs the same :func:`~repro.harness.experiment.run_cell` pipeline as
+    :func:`~repro.harness.experiment.replay_run` — same RNG forks,
+    services, governor and :class:`~repro.results.RunRecord` shape
+    including the observability harvest — with a demand walk in place
+    of the apps.  Raises :class:`DemandFallback` when the cell needs a
+    full replay.  ``trace`` may be a prebuilt :class:`DemandProgram` to
+    share preprocessing across a sweep's cells.
     """
-    from repro.analysis import Matcher, OnlineMatcher
-    from repro.apps.services import BackgroundServices
-    from repro.capture import CaptureCard, stream_enabled
-    from repro.core.rng import RngStreams
-    from repro.device.device import Device
-    from repro.device.display import frame_index_at
-    from repro.harness.experiment import DEFAULT_MASTER_SEED, RUN_TAIL_US
-    from repro.obs import session as obs_session
-    from repro.replay import ReplayAgent
-    from repro.results import RunRecord
-    from repro.scenarios.profiles import device_config_for
+    from repro.harness.experiment import DEFAULT_MASTER_SEED, run_cell
 
-    if master_seed is None:
-        master_seed = DEFAULT_MASTER_SEED
-    obs = obs_session.active()
-    owns_session = False
-    if obs is None and obs_session.trace_enabled():
-        obs = obs_session.ObsSession.for_run()
-        obs_session.install(obs)
-        owns_session = True
-    try:
-        streams = RngStreams(master_seed).fork(
-            f"replay:{artifacts.name}:{config}:{rep}"
-        )
-        if device_config is None:
-            device_config = device_config_for(artifacts.spec)
-        program = (
-            trace if isinstance(trace, DemandProgram) else DemandProgram(trace)
-        )
-        # The pixel-free table path needs a precomputed match table; a
-        # frame tap needs real frames, so it forces the pixel path.
-        pixels = frame_tap is not None or program.match_sets is None
-        device = Device(device_config)
-        executor = make_executor(device, program, pixels)
-        # Same observer order as a full replay: the window manager's
-        # decoder registers before the governor's input boost; here the
-        # executor takes the decoder's slot.
-        device.touchscreen.node.add_observer(executor.on_input)
-        executor.run_setup()
-        services = BackgroundServices(
-            device.engine, device.scheduler, streams.stream("services")
-        )
-        services.start()
-        device.set_governor(config, **governor_tunables)
-        device.cpu.enable_busy_trace()
-        agent = ReplayAgent(device.engine, device.input_subsystem)
-        agent.schedule(artifacts.trace)
-        card = online = shadow = None
-        streaming = stream_enabled()
-        if pixels:
-            card = CaptureCard(device.display)
-            if streaming:
-                online = OnlineMatcher(artifacts.database)
-                card.add_tap(online)
-            if frame_tap is not None:
-                card.add_tap(frame_tap)
-            card.start(device.engine.now, streaming=streaming)
-        else:
-            matcher = TableMatcher(artifacts.database, program.match_sets)
-            shadow = ShadowStreamer(matcher)
-            device.display.add_frame_observer(
-                lambda index, _frame: shadow.record(
-                    index, executor.current_state
-                )
-            )
-            # The capture card's start seed: whatever is on screen right
-            # now — nothing has composed yet, so the blank boot frame.
-            shadow.record(frame_index_at(device.engine.now), BLANK_STATE)
-
-        run_window = artifacts.duration_us + RUN_TAIL_US
-        device.run_for(run_window)
-
-        try:
-            if pixels:
-                video = card.stop(device.engine.now)
-                if streaming:
-                    profile = online.profile()
-                else:
-                    profile = Matcher(artifacts.database).match(video)
-            else:
-                shadow.finalize(frame_index_at(device.engine.now) + 1)
-                profile = matcher.profile()
-        except MatchError as exc:
-            raise DemandFallback(
-                f"cell ({config!r}, rep {rep}): replayed frames no longer "
-                f"match the annotation database: {exc}",
-                reason="match_error",
-            ) from None
-        record = RunRecord(
-            workload=artifacts.name,
-            config=config,
-            rep=rep,
-            duration_us=run_window,
-            energy_j=device.cpu.energy_joules(),
-            dynamic_energy_j=device.cpu.dynamic_energy_joules(),
-            busy_us=device.cpu.busy_time_total(),
-            transitions=device.policy.transition_points(),
-            busy_intervals=device.cpu.busy_pairs(),
-            lags=profile.lags,
-        )
-        if obs is not None:
-            snapshot = obs.harvest_run(device.engine, governor=device.governor)
-            if obs.decisions is not None:
-                from repro.obs.attribution import attribute_record
-
-                snapshot["attribution"] = attribute_record(
-                    record, boosts=obs.decisions.boosts
-                ).summary()
-            record.obs = snapshot
-        return record
-    finally:
-        if owns_session:
-            obs_session.uninstall()
+    program = (
+        trace if isinstance(trace, DemandProgram) else DemandProgram(trace)
+    )
+    driver = _DemandDriver(
+        program, artifacts.database, frame_tap, f"({config!r}, rep {rep})"
+    )
+    return run_cell(
+        artifacts,
+        config,
+        rep,
+        DEFAULT_MASTER_SEED if master_seed is None else master_seed,
+        device_config,
+        governor_tunables,
+        install=driver.install,
+        lag_source=driver.lag_source,
+    )

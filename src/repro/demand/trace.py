@@ -66,6 +66,9 @@ _KINDS = (KIND_TASK, KIND_TIMER, KIND_INVALIDATE, KIND_CHAIN_START,
 #: Kinds whose completion/expiry callbacks may record children.
 _PARENT_KINDS = (KIND_TASK, KIND_TIMER)
 
+#: Payload fields that must hold a plain ``int`` when present.
+_INT_FIELDS = ("priority", "delay_us", "state_id", "chain_key", "period_us")
+
 
 class DemandTraceError(ReproError):
     """A demand trace violates its schema contract."""
@@ -238,6 +241,13 @@ class DemandTrace:
                 )
             if node.kind not in _KINDS:
                 raise DemandTraceError(f"{where}: unknown kind {node.kind!r}")
+            for key in _INT_FIELDS:
+                value = getattr(node, key)
+                # bool is an int subclass; a stored true/false is corrupt.
+                if value is not None and type(value) is not int:
+                    raise DemandTraceError(
+                        f"{where}: {key} must be an integer, got {value!r}"
+                    )
             if node.parent is not None:
                 if node.input_ordinal is not None:
                     raise DemandTraceError(

@@ -65,10 +65,8 @@ def run_spec_cell(item: tuple[int, RunSpec]) -> CellResult:
 
     The fourth element is the worker's telemetry for this cell — its pid,
     wall and CPU seconds spent, and which evaluation pass produced the
-    record (demand cells also carry a ``compiled`` flag naming the walk:
-    the flat-array executor or the ``REPRO_DEMAND_COMPILE=0``
-    interpreter) — measured here so the numbers cover exactly the
-    replay, not pool scheduling or IPC.  A demand cell that raises
+    record — measured here so the numbers cover exactly the replay, not
+    pool scheduling or IPC.  A demand cell that raises
     :class:`~repro.demand.replayer.DemandFallback` re-runs as a full
     replay in place, tagged with the fallback reason; the wall clock then
     covers both attempts, which is the honest cost of that cell.
@@ -114,10 +112,6 @@ def run_spec_cell(item: tuple[int, RunSpec]) -> CellResult:
         "cpu_s": time.process_time() - cpu_start,
         "mode": mode,
     }
-    if mode == "demand":
-        from repro.demand import demand_compile_enabled
-
-        telemetry["compiled"] = demand_compile_enabled()
     if fallback_reason is not None:
         telemetry["fallback_reason"] = fallback_reason
     return index, row, failure, telemetry

@@ -102,10 +102,7 @@ class FleetStats:
 
     The demand fields describe the trace-once/replay-many split:
     ``demand_cells``/``full_cells`` partition the successfully executed
-    cells by evaluation pass (``compiled_cells`` counts the demand cells
-    that ran the compiled flat-array walk rather than the
-    ``REPRO_DEMAND_COMPILE=0`` interpreter), ``fallback_cells`` counts
-    demand cells
+    cells by evaluation pass, ``fallback_cells`` counts demand cells
     that had to re-run as full replays (every one is also a
     ``full_cells`` member), and ``demand_trace_source`` records where
     the trace came from (``"cache"``, ``"captured"``, or None when the
@@ -126,7 +123,6 @@ class FleetStats:
     run_telemetry: list[dict] = field(default_factory=list)
     failure_telemetry: list[dict] = field(default_factory=list)
     demand_cells: int = 0
-    compiled_cells: int = 0
     full_cells: int = 0
     fallback_cells: int = 0
     fallback_reasons: dict[str, int] = field(default_factory=dict)
@@ -283,8 +279,6 @@ class FleetEngine:
             stats.run_telemetry.append(telemetry)
             if telemetry.get("mode") == "demand":
                 stats.demand_cells += 1
-                if telemetry.get("compiled"):
-                    stats.compiled_cells += 1
             else:
                 stats.full_cells += 1
             if reason is not None:

@@ -18,9 +18,8 @@ second file: one ``grid_bound`` event when the spec list is learned, a
 CPU seconds when the run executed), rate-limited ``heartbeat`` events
 with per-worker aggregates, and one final ``fleet_summary`` with cache
 hit/miss counts, straggler statistics, and the demand-pass accounting
-(kernel-only vs full-replay cell counts, how many demand cells ran the
-compiled flat-array walk, fallback reasons, and where the demand trace
-came from).  Events carry a monotonically
+(kernel-only vs full-replay cell counts, fallback reasons, and where the
+demand trace came from).  Events carry a monotonically
 increasing ``seq`` so a consumer can detect truncation; everything is
 plain JSON, one object per line, append-only.
 
@@ -178,8 +177,6 @@ class ProgressReporter:
             event["cpu_s"] = telemetry["cpu_s"]
             if "mode" in telemetry:
                 event["mode"] = telemetry["mode"]
-            if "compiled" in telemetry:
-                event["compiled"] = telemetry["compiled"]
             if "fallback_reason" in telemetry:
                 event["fallback_reason"] = telemetry["fallback_reason"]
         self._emit_jsonl(event)
@@ -210,7 +207,6 @@ class ProgressReporter:
             "stragglers": stats.straggler_summary(),
             "demand": {
                 "demand_cells": getattr(stats, "demand_cells", 0),
-                "compiled_cells": getattr(stats, "compiled_cells", 0),
                 "full_cells": getattr(stats, "full_cells", 0),
                 "fallback_cells": getattr(stats, "fallback_cells", 0),
                 "fallback_reasons": getattr(stats, "fallback_reasons", {}),

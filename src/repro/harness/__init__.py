@@ -2,7 +2,6 @@
 
 from repro.harness.experiment import (
     RECORDING_FREQ_KHZ,
-    RunResult,
     WorkloadArtifacts,
     record_workload,
     replay_run,
@@ -13,7 +12,6 @@ from repro.results import RunRecord
 __all__ = [
     "RECORDING_FREQ_KHZ",
     "RunRecord",
-    "RunResult",
     "WorkloadArtifacts",
     "record_workload",
     "replay_run",

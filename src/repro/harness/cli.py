@@ -45,9 +45,8 @@ for every backend; ``explore`` keeps its stdout bit-identical across
 
 Kill switches (``REPRO_*`` environment flags, see
 :mod:`repro.core.env`): ``REPRO_DEMAND=0`` disables the kernel-only
-demand pass, ``REPRO_DEMAND_COMPILE=0`` swaps the compiled flat-array
-demand walk for the node-object interpreter — both A/B switches whose
-results are bit-identical either way.
+demand pass and ``REPRO_FASTPATH=0`` the governors' tick elision — both
+A/B switches whose results are bit-identical either way.
 """
 
 from __future__ import annotations

@@ -10,12 +10,12 @@ candidates.
 ``replay_run`` is part B, repeatable at will: replay the trace under any
 governor or fixed frequency, film the screen, and let the matcher produce
 the lag profile — plus the energy/frequency/busy traces the study needs.
-By default the run *streams*: frames flow through the online matcher and
-are released as annotation windows close, and the device accumulates its
+The run *streams*: frames flow through the online matcher and are
+released as annotation windows close, and the device accumulates its
 traces compactly, so a replay costs O(active-window) memory instead of
-O(session).  ``REPRO_STREAM=0`` restores the batch
-materialise-then-analyze path; output is bit-identical either way.  The
-result is a schema-versioned :class:`~repro.results.RunRecord` — the one
+O(session).  :func:`run_cell` is the one pipeline every replay cell
+runs, full or kernel-only (:mod:`repro.demand.replayer`).  The result
+is a schema-versioned :class:`~repro.results.RunRecord` — the one
 shape results take across fleet IPC and the result cache.
 """
 
@@ -23,12 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis import AnnotationDatabase, AutoAnnotator, Matcher, OnlineMatcher
+from repro.analysis import (
+    AnnotationDatabase,
+    AutoAnnotator,
+    LagProfile,
+    OnlineMatcher,
+)
 from repro.analysis.classify import InputClassification, classify_workload
 from repro.apps import install_standard_apps
 from repro.apps.services import BackgroundServices
-from repro.capture import CaptureCard, stream_enabled
-from repro.core.errors import ReproError, WorkloadError
+from repro.capture import CaptureCard
+from repro.core.errors import WorkloadError
 from repro.core.rng import RngStreams
 from repro.core.simtime import seconds
 from repro.device.device import Device, DeviceConfig
@@ -48,23 +53,6 @@ RECORDING_FREQ_KHZ = 300_000
 QUIESCENCE_LIMIT_US = seconds(120)
 RUN_TAIL_US = seconds(5)
 DEFAULT_MASTER_SEED = 2014
-
-
-def _build_device(
-    governor: str,
-    noise_streams: RngStreams,
-    device_config: DeviceConfig | None = None,
-    **governor_tunables,
-) -> tuple[Device, WindowManager, BackgroundServices]:
-    device = Device(device_config)
-    wm = WindowManager(device)
-    install_standard_apps(wm)
-    services = BackgroundServices(
-        device.engine, device.scheduler, noise_streams.stream("services")
-    )
-    services.start()
-    device.set_governor(governor, **governor_tunables)
-    return device, wm, services
 
 
 @dataclass(slots=True)
@@ -168,11 +156,6 @@ class WorkloadArtifacts:
         )
 
 
-# The typed run artifact now lives in repro.results; the old name stays
-# importable for callers written against the pre-streaming API.
-RunResult = RunRecord
-
-
 def record_workload(
     spec: DatasetSpec,
     master_seed: int = DEFAULT_MASTER_SEED,
@@ -183,11 +166,15 @@ def record_workload(
     streams = RngStreams(master_seed).fork(f"dataset:{spec.name}")
     if device_config is None:
         device_config = device_config_for(spec)
-    device, wm, _services = _build_device(
-        f"fixed:{device_config.frequency_table.min_khz}",
-        streams.fork("record-noise"),
-        device_config,
-    )
+    device = Device(device_config)
+    wm = WindowManager(device)
+    install_standard_apps(wm)
+    BackgroundServices(
+        device.engine,
+        device.scheduler,
+        streams.fork("record-noise").stream("services"),
+    ).start()
+    device.set_governor(f"fixed:{device_config.frequency_table.min_khz}")
     recorder = GeteventRecorder(device.input_subsystem)
     recorder.start()
     card = CaptureCard(device.display)
@@ -236,39 +223,50 @@ def record_workload(
     )
 
 
-def replay_run(
+def stream_lags(device: Device, database: AnnotationDatabase, frame_tap):
+    """Film the display through the online matcher from now on.
+
+    Frames flow to the matcher as the replay executes and are released
+    once their annotation windows close, so memory stays O(active-window)
+    instead of O(session).  Returns ``finish(now)``, which stops the
+    capture and yields the lag profile.
+    """
+    card = CaptureCard(device.display)
+    online = OnlineMatcher(database)
+    card.add_tap(online)
+    if frame_tap is not None:
+        card.add_tap(frame_tap)
+    card.start(device.engine.now, streaming=True)
+
+    def finish(now: int) -> LagProfile:
+        card.stop(now)
+        return online.profile()
+
+    return finish
+
+
+def run_cell(
     artifacts: WorkloadArtifacts,
     config: str,
-    rep: int = 0,
-    master_seed: int = DEFAULT_MASTER_SEED,
-    device_config: DeviceConfig | None = None,
-    frame_tap=None,
-    on_video=None,
-    **governor_tunables,
+    rep: int,
+    master_seed: int,
+    device_config: DeviceConfig | None,
+    governor_tunables: dict,
+    install,
+    lag_source,
 ) -> RunRecord:
-    """Replay a recorded workload under a configuration (part B).
+    """Replay one (config, rep) cell of a recorded workload (part B).
 
-    ``config`` is a governor name (``ondemand``, ``conservative``,
-    ``interactive``, …) or ``fixed:<khz>`` for one of the 14 operating
-    points.
-
-    By default the run streams: captured frames flow through the online
-    matcher as the replay executes and are released once their annotation
-    windows close, so memory stays O(active-window) instead of
-    O(session).  ``REPRO_STREAM=0`` restores the batch path (materialise
-    a full video, match post-hoc); output is bit-identical either way.
-
-    ``frame_tap``, if given, is a :class:`~repro.capture.stream.FrameTap`
-    subscribed to the capture — the golden-equivalence tests digest the
-    frame journal through one without forcing video materialisation.
+    The one pipeline behind :func:`replay_run` and
+    :func:`~repro.demand.replayer.demand_replay_run`, which differ only
+    in the two steps they pass: ``install(device)`` puts the workload on
+    the device before anything else runs, and ``lag_source(device)``
+    starts observing the screen and returns ``finish(now)``, which yields
+    the lag profile once the run is over.  Everything else — the RNG
+    fork, the background services, the governor, the replay agent, the
+    record and the observability harvest — happens here, in one order,
+    so every cell's event sequence numbers line up.
     """
-    if on_video is not None:
-        raise ReproError(
-            "replay_run(on_video=...) was removed by the streaming run "
-            "pipeline: no Video is materialised on the default path. "
-            "Pass frame_tap=<FrameTap> to observe the capture's segment "
-            "stream instead (identical in streaming and batch modes)."
-        )
     # Observability: an externally installed session (the ``trace``
     # command, tests) is used as-is; otherwise REPRO_TRACE=1 installs a
     # per-run metrics + flight-recorder session for this replay only.
@@ -286,30 +284,22 @@ def replay_run(
         )
         if device_config is None:
             device_config = device_config_for(artifacts.spec)
-        device, wm, _services = _build_device(
-            config, streams, device_config, **governor_tunables
-        )
+        device = Device(device_config)
+        install(device)
+        BackgroundServices(
+            device.engine, device.scheduler, streams.stream("services")
+        ).start()
+        device.set_governor(config, **governor_tunables)
         device.cpu.enable_busy_trace()
-        agent = ReplayAgent(device.engine, device.input_subsystem)
-        agent.schedule(artifacts.trace)
-        card = CaptureCard(device.display)
-        streaming = stream_enabled()
-        online: OnlineMatcher | None = None
-        if streaming:
-            online = OnlineMatcher(artifacts.database)
-            card.add_tap(online)
-        if frame_tap is not None:
-            card.add_tap(frame_tap)
-        card.start(device.engine.now, streaming=streaming)
+        ReplayAgent(device.engine, device.input_subsystem).schedule(
+            artifacts.trace
+        )
+        finish = lag_source(device)
 
         run_window = artifacts.duration_us + RUN_TAIL_US
         device.run_for(run_window)
 
-        video = card.stop(device.engine.now)
-        if streaming:
-            profile = online.profile()
-        else:
-            profile = Matcher(artifacts.database).match(video)
+        profile = finish(device.engine.now)
         record = RunRecord(
             workload=artifacts.name,
             config=config,
@@ -327,7 +317,7 @@ def replay_run(
             if obs.decisions is not None:
                 # The attribution engine consumes only mode-invariant
                 # record state + boost timestamps, so the harvested cause
-                # profile is identical across fastpath/streaming modes.
+                # profile is identical across fastpath on and off.
                 from repro.obs.attribution import attribute_record
 
                 snapshot["attribution"] = attribute_record(
@@ -338,3 +328,36 @@ def replay_run(
     finally:
         if owns_session:
             obs_session.uninstall()
+
+
+def replay_run(
+    artifacts: WorkloadArtifacts,
+    config: str,
+    rep: int = 0,
+    master_seed: int = DEFAULT_MASTER_SEED,
+    device_config: DeviceConfig | None = None,
+    frame_tap=None,
+    **governor_tunables,
+) -> RunRecord:
+    """Replay a recorded workload under a configuration (part B).
+
+    ``config`` is a governor name (``ondemand``, ``conservative``,
+    ``interactive``, …) or ``fixed:<khz>`` for one of the 14 operating
+    points.
+
+    ``frame_tap``, if given, is a :class:`~repro.capture.stream.FrameTap`
+    subscribed to the capture — the golden-equivalence tests digest the
+    frame journal through one without materialising a video.
+    """
+    return run_cell(
+        artifacts,
+        config,
+        rep,
+        master_seed,
+        device_config,
+        governor_tunables,
+        install=lambda device: install_standard_apps(WindowManager(device)),
+        lag_source=lambda device: stream_lags(
+            device, artifacts.database, frame_tap
+        ),
+    )

@@ -12,7 +12,7 @@ Mode invariance
 ---------------
 
 Everything the engine consumes is invariant across the fastpath
-(``REPRO_FASTPATH``) and streaming (``REPRO_STREAM``) kill switches:
+(``REPRO_FASTPATH``) kill switch:
 frequency transitions and busy intervals are stored whole on the record
 and proven bit-identical by the golden A/B tests, input boosts fire from
 the input path at identical simulation times, and lag windows are the

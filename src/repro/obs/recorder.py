@@ -3,7 +3,7 @@
 A :class:`FlightRecorder` is a bounded ring buffer of *semantic* kernel
 events — cpufreq OPP transitions, frame compositions, matched gesture
 windows — the events that are guaranteed bit-identical between the fast
-and slow paths (``REPRO_FASTPATH``/``REPRO_STREAM`` A/B).  Mode-specific
+and slow paths (``REPRO_FASTPATH`` A/B).  Mode-specific
 bookkeeping (timer parking, tick elision) is deliberately *not*
 recorded: the recorder's entire purpose is to compare two runs that
 should agree, so it only records what must agree.

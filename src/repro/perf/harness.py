@@ -164,15 +164,12 @@ def _run_demand_trace(name: str, dataset_name: str, configs) -> BenchResult:
 
     Times one demand capture, then the full config grid through the
     kernel-only pass (warm: the trace and its preprocessed program are in
-    hand, as on every fleet run after the first), through the
-    node-object interpreter (the ``REPRO_DEMAND_COMPILE=0`` reference for
-    the compiled flat-array walk) and through full replays (the
-    ``REPRO_DEMAND=0`` reference).  ``wall_s`` is the warm demand sweep;
-    the cold rate amortises the capture over this one grid, which is the
-    worst case — the fleet store reuses the trace across reruns.
+    hand, as on every fleet run after the first) and through full
+    replays (the ``REPRO_DEMAND=0`` reference).  ``wall_s`` is the warm
+    demand sweep; the cold rate amortises the capture over this one grid,
+    which is the worst case — the fleet store reuses the trace across
+    reruns.
     """
-    import os
-
     from repro.demand import DemandProgram, capture_demand, demand_replay_run
     from repro.harness.experiment import record_workload, replay_run
     from repro.workloads.datasets import dataset
@@ -186,18 +183,6 @@ def _run_demand_trace(name: str, dataset_name: str, configs) -> BenchResult:
     for config in configs:
         sim_us += demand_replay_run(artifacts, program, config).duration_us
     warm_s = time.perf_counter() - start
-    saved = os.environ.get("REPRO_DEMAND_COMPILE")
-    os.environ["REPRO_DEMAND_COMPILE"] = "0"
-    try:
-        start = time.perf_counter()
-        for config in configs:
-            demand_replay_run(artifacts, program, config)
-        interp_s = time.perf_counter() - start
-    finally:
-        if saved is None:
-            del os.environ["REPRO_DEMAND_COMPILE"]
-        else:
-            os.environ["REPRO_DEMAND_COMPILE"] = saved
     start = time.perf_counter()
     for config in configs:
         replay_run(artifacts, config)
@@ -212,14 +197,12 @@ def _run_demand_trace(name: str, dataset_name: str, configs) -> BenchResult:
             "configs": float(count),
             "capture_s": capture_s,
             "warm_wall_s": warm_s,
-            "interp_wall_s": interp_s,
             "full_wall_s": full_s,
             "warm_configs_per_s": count / warm_s,
             "cold_configs_per_s": count / (capture_s + warm_s),
             "full_configs_per_s": count / full_s,
             "speedup_warm": full_s / warm_s,
             "speedup_cold": full_s / (capture_s + warm_s),
-            "speedup_compiled": interp_s / warm_s,
         },
     )
 

@@ -293,18 +293,16 @@ def _demand_kernel_program(windows: int):
 def run_demand_kernel(windows: int = _DEMAND_KERNEL_WINDOWS) -> Engine:
     """The demand executor's walk over a live kernel at one fixed OPP.
 
-    Isolates what the compiled flat-array walk optimises: node dispatch,
-    task submission, timer re-arm and child fan-out — with the governor
+    Isolates what the action-tuple walk optimises: node dispatch, task
+    submission, timer re-arm and child fan-out — with the governor
     pinned (``fixed:960000``) so sampling cost does not drown the walk.
-    The executor is chosen exactly as a sweep cell would choose it
-    (``REPRO_DEMAND_COMPILE``), so the same bench A/Bs the interpreter.
     """
-    from repro.demand.replayer import make_executor
+    from repro.demand.replayer import DemandExecutor
     from repro.device.device import Device
 
     program = _demand_kernel_program(windows)
     device = Device()
-    executor = make_executor(device, program, pixels=False)
+    executor = DemandExecutor(device, program, pixels=False)
     executor.run_setup()
     device.set_governor("fixed:960000")
     spacing = 20_000

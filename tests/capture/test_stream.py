@@ -15,7 +15,6 @@ from repro.capture import (
     SegmentStreamer,
     Video,
     replay_segments,
-    stream_enabled,
 )
 from repro.device.display import VSYNC_PERIOD_US, Display
 
@@ -133,15 +132,6 @@ def test_streamer_rejects_bad_input_like_video():
         streamer.record_frame(7, frame(1))  # after finalize
     with pytest.raises(CaptureError):
         streamer.finalize(9)  # double finalize
-
-
-def test_stream_enabled_env_gate(monkeypatch):
-    monkeypatch.delenv("REPRO_STREAM", raising=False)
-    assert stream_enabled()  # streaming is the default
-    monkeypatch.setenv("REPRO_STREAM", "0")
-    assert not stream_enabled()
-    monkeypatch.setenv("REPRO_STREAM", "1")
-    assert stream_enabled()
 
 
 # --- capture card tap delivery --------------------------------------------------

@@ -1,5 +1,8 @@
 """Unit tests for the centralised REPRO_* kill-switch parsing."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.core.env import KNOWN_FLAGS, env_flag, reset_env_flag_cache
@@ -61,41 +64,45 @@ class TestEnvFlag:
 class TestKnownFlags:
     def test_documented_defaults(self):
         assert KNOWN_FLAGS["REPRO_FASTPATH"][0] is True
-        assert KNOWN_FLAGS["REPRO_STREAM"][0] is True
         assert KNOWN_FLAGS["REPRO_TRACE"][0] is False
         assert KNOWN_FLAGS["REPRO_DEMAND"][0] is True
-        assert KNOWN_FLAGS["REPRO_DEMAND_COMPILE"][0] is True
 
     def test_module_call_sites_agree_with_documented_defaults(self, monkeypatch):
         """The one call site per flag uses the KNOWN_FLAGS default."""
-        from repro.capture.stream import stream_enabled
-        from repro.demand import demand_compile_enabled
+        from repro.demand import demand_enabled
         from repro.governors.base import idle_fastpath_enabled
         from repro.obs.session import trace_enabled
 
-        for name in (
-            "REPRO_FASTPATH",
-            "REPRO_STREAM",
-            "REPRO_TRACE",
-            "REPRO_DEMAND_COMPILE",
-        ):
+        for name in KNOWN_FLAGS:
             monkeypatch.delenv(name, raising=False)
         reset_env_flag_cache()
         assert idle_fastpath_enabled() is KNOWN_FLAGS["REPRO_FASTPATH"][0]
-        assert stream_enabled() is KNOWN_FLAGS["REPRO_STREAM"][0]
         assert trace_enabled() is KNOWN_FLAGS["REPRO_TRACE"][0]
-        assert (
-            demand_compile_enabled() is KNOWN_FLAGS["REPRO_DEMAND_COMPILE"][0]
-        )
+        assert demand_enabled() is KNOWN_FLAGS["REPRO_DEMAND"][0]
 
     def test_kill_switches_disarm_their_modules(self, monkeypatch):
-        from repro.capture.stream import stream_enabled
+        from repro.demand import demand_enabled
         from repro.governors.base import idle_fastpath_enabled
         from repro.obs.session import trace_enabled
 
         monkeypatch.setenv("REPRO_FASTPATH", "0")
-        monkeypatch.setenv("REPRO_STREAM", "0")
+        monkeypatch.setenv("REPRO_DEMAND", "0")
         monkeypatch.setenv("REPRO_TRACE", "1")
         assert idle_fastpath_enabled() is False
-        assert stream_enabled() is False
+        assert demand_enabled() is False
         assert trace_enabled() is True
+
+    def test_readme_table_lists_exactly_the_known_flags(self):
+        """README's environment-variable table documents every flag in
+        KNOWN_FLAGS, no other, with the same defaults."""
+        readme = Path(__file__).resolve().parents[2] / "README.md"
+        rows = re.findall(
+            r"^\| `(REPRO_\w+)` \| (on|off) \|",
+            readme.read_text(encoding="utf-8"),
+            flags=re.MULTILINE,
+        )
+        documented = {name: default == "on" for name, default in rows}
+        assert len(rows) == len(documented), rows
+        assert documented == {
+            name: default for name, (default, _meaning) in KNOWN_FLAGS.items()
+        }

@@ -1,5 +1,7 @@
-"""The demand compiler: lowering round-trip, CSR layout, A/B equivalence."""
+"""The demand compiler: action-tuple lowering and its walk, checked
+against a node-object interpreter kept here as the reference."""
 
+import json
 import zlib
 
 import pytest
@@ -13,15 +15,9 @@ from repro.demand.compile import (
     OP_TASK,
     OP_TIMER,
     compile_trace,
-    demand_compile_enabled,
 )
-from repro.demand.replayer import (
-    DemandFallback,
-    DemandProgram,
-    _CompiledExecutor,
-    _DemandExecutor,
-    make_executor,
-)
+from repro.demand.replayer import DemandExecutor, DemandFallback, DemandProgram
+from repro.demand.tablematch import BLANK_STATE
 from repro.demand.trace import (
     KIND_CHAIN_START,
     KIND_CHAIN_STOP,
@@ -30,8 +26,11 @@ from repro.demand.trace import (
     KIND_TIMER,
     DemandNode,
     DemandTrace,
+    DemandTraceError,
 )
 from repro.device.device import Device
+from repro.kernel.task import PRIORITY_FOREGROUND, Task
+from repro.kernel.workchains import PeriodicWorkChain
 
 WIDTH = HEIGHT = 4
 STATE = zlib.compress(bytes(WIDTH * HEIGHT))
@@ -101,57 +100,6 @@ def _rich_trace():
     return _trace(nodes, input_events=2, guards={1: ()})
 
 
-def test_columns_round_trip_node_fields():
-    trace = _rich_trace()
-    compiled = compile_trace(trace)
-    ops = {
-        KIND_TASK: OP_TASK,
-        KIND_TIMER: OP_TIMER,
-        KIND_INVALIDATE: OP_INVALIDATE,
-        KIND_CHAIN_START: OP_CHAIN_START,
-        KIND_CHAIN_STOP: OP_CHAIN_STOP,
-    }
-    assert compiled.node_count == len(trace.nodes)
-    assert compiled.input_events == trace.input_events
-    for node in trace.nodes:
-        i = node.node_id
-        assert compiled.kind[i] == ops[node.kind]
-        assert compiled.priority[i] == (
-            -1 if node.priority is None else node.priority
-        )
-        assert compiled.delay_us[i] == (
-            -1 if node.delay_us is None else node.delay_us
-        )
-        assert compiled.state_id[i] == (
-            -1 if node.state_id is None else node.state_id
-        )
-        assert compiled.chain_key[i] == (
-            -1 if node.chain_key is None else node.chain_key
-        )
-        assert compiled.period_us[i] == (
-            -1 if node.period_us is None else node.period_us
-        )
-        assert compiled.cycles[i] == node.cycles
-        assert compiled.names[i] == node.name
-
-
-def test_csr_walk_matches_children_by_parent():
-    trace = _rich_trace()
-    compiled = compile_trace(trace)
-    setup, by_input, by_node = trace.children_by_parent()
-    assert compiled.setup_children() == [n.node_id for n in setup]
-    for ordinal in range(trace.input_events):
-        assert compiled.input_children(ordinal) == [
-            n.node_id for n in by_input.get(ordinal, [])
-        ]
-    for node_id in range(len(trace.nodes)):
-        assert compiled.children_of(node_id) == [
-            n.node_id for n in by_node.get(node_id, [])
-        ]
-    # The walk is one flat array: every range indexes into it.
-    assert compiled.input_children(trace.input_events) == []
-
-
 def test_actions_fuse_payloads_and_children():
     trace = _rich_trace()
     compiled = compile_trace(trace)
@@ -182,19 +130,6 @@ def test_actions_fuse_payloads_and_children():
 def test_program_memoizes_compiled_form():
     program = DemandProgram(_rich_trace())
     assert program.compiled() is program.compiled()
-
-
-def test_make_executor_honours_kill_switch(monkeypatch):
-    program = DemandProgram(_rich_trace())
-    assert demand_compile_enabled()
-    assert isinstance(
-        make_executor(Device(), program), _CompiledExecutor
-    )
-    monkeypatch.setenv("REPRO_DEMAND_COMPILE", "0")
-    assert not demand_compile_enabled()
-    assert isinstance(
-        make_executor(Device(), program), _DemandExecutor
-    )
 
 
 def _random_trace(rng):
@@ -257,14 +192,120 @@ def _random_trace(rng):
     return _trace(nodes, input_events=inputs)
 
 
+class InterpretedExecutor:
+    """The reference walk: interprets :class:`DemandNode` objects directly.
+
+    Issues the same scheduler submissions and engine timers in the same
+    order as :class:`DemandExecutor` walking the lowered action tuples,
+    so both must leave the engine in the same state.  Pixel-free only.
+    """
+
+    def __init__(self, device, program: DemandProgram, pixels: bool) -> None:
+        assert not pixels
+        self._engine = device.engine
+        self._scheduler = device.scheduler
+        self._display = device.display
+        self._setup, self._by_input, by_node = program.trace.children_by_parent()
+        self._children = [
+            by_node.get(node_id) for node_id in range(len(program.trace.nodes))
+        ]
+        self._guards = program.trace.guards
+        self.current_state = BLANK_STATE
+        self._chains: dict[int, PeriodicWorkChain] = {}
+        self._fg_inflight: set[int] = set()
+        self._next_ordinal = 0
+
+    def run_setup(self) -> None:
+        self._run_children(self._setup)
+
+    def on_input(self, event) -> None:
+        ordinal = self._next_ordinal
+        self._next_ordinal = ordinal + 1
+        expected = self._guards.get(ordinal, ())
+        actual = tuple(sorted(self._fg_inflight))
+        if actual != expected:
+            raise DemandFallback(
+                f"input {ordinal} at t={self._engine.now}: foreground tasks "
+                f"in flight {list(actual)} != recorded {list(expected)} — "
+                "this config perturbs recorded think-time boundaries",
+                reason="guard_mismatch",
+            )
+        children = self._by_input.get(ordinal)
+        if children:
+            self._run_children(children)
+
+    def _run_children(self, nodes) -> None:
+        for node in nodes:
+            self._execute(node)
+
+    def _execute(self, node: DemandNode) -> None:
+        kind = node.kind
+        if kind == KIND_TASK:
+            node_id = node.node_id
+            foreground = node.priority == PRIORITY_FOREGROUND
+            if foreground:
+                self._fg_inflight.add(node_id)
+            children = self._children[node_id]
+
+            def completed(_task) -> None:
+                if foreground:
+                    self._fg_inflight.discard(node_id)
+                if children:
+                    self._run_children(children)
+
+            self._scheduler.submit(
+                Task(
+                    node.name,
+                    node.cycles,
+                    priority=node.priority,
+                    on_complete=completed,
+                )
+            )
+        elif kind == KIND_INVALIDATE:
+            self.current_state = node.state_id
+            self._display.invalidate()
+        elif kind == KIND_TIMER:
+            children = self._children[node.node_id]
+            if children:
+                self._engine.schedule_after(
+                    node.delay_us, lambda: self._run_children(children)
+                )
+        elif kind == KIND_CHAIN_START:
+            chain = self._chains.get(node.chain_key)
+            if chain is None:
+                chain = PeriodicWorkChain(
+                    self._engine,
+                    self._scheduler,
+                    node.name,
+                    node.period_us,
+                    node.cycles,
+                    priority=node.priority,
+                )
+                self._chains[node.chain_key] = chain
+            chain.start()
+        elif kind == KIND_CHAIN_STOP:
+            chain = self._chains.get(node.chain_key)
+            if chain is not None:
+                chain.stop()
+
+
 def _evaluate(cls, program, inputs):
     """Run one executor over a real device with scripted input delivery.
 
     Returns everything engine-observable: final sim time, events fired,
-    the screen state — or the fallback it raised, so a guard mismatch is
-    itself compared across the two executors.
+    the screen state, every task submission in order — and the fallback
+    it raised, so a guard mismatch is itself compared across the two
+    executors.
     """
     device = Device()
+    submitted = []
+    submit = device.scheduler.submit
+
+    def recording_submit(task):
+        submitted.append((device.engine.now, task.name, task.priority))
+        submit(task)
+
+    device.scheduler.submit = recording_submit
     executor = cls(device, program, False)
     executor.run_setup()
     device.set_governor("fixed:960000")
@@ -283,6 +324,7 @@ def _evaluate(cls, program, inputs):
         device.engine.now,
         device.engine.events_fired,
         executor.current_state,
+        submitted,
         outcome,
     )
 
@@ -295,16 +337,19 @@ def test_compiled_walk_equals_interpreted_walk(seed):
     rng = random.Random(seed)
     trace = _random_trace(rng)
     program = DemandProgram(trace)
-    compiled = _evaluate(_CompiledExecutor, program, trace.input_events)
-    interpreted = _evaluate(_DemandExecutor, program, trace.input_events)
+    compiled = _evaluate(DemandExecutor, program, trace.input_events)
+    interpreted = _evaluate(InterpretedExecutor, program, trace.input_events)
     assert compiled == interpreted
 
 
 def test_compile_rejects_non_integer_payload():
-    nodes = [
-        DemandNode(node_id=0, kind=KIND_TIMER, delay_us=1_500),
-    ]
-    trace = _trace(nodes)
-    trace.nodes[0].delay_us = 1_500.5  # corrupt after validate
-    with pytest.raises(TypeError):
-        compile_trace(trace)
+    """A stored trace whose integer payloads are not ints fails validation
+    by name instead of reaching the walk."""
+    payload = _trace(
+        [DemandNode(node_id=0, kind=KIND_TIMER, delay_us=1_500)]
+    ).to_json_dict()
+    for bad in (1_500.5, True):
+        payload["nodes"][0]["delay_us"] = bad
+        trace = DemandTrace.loads(json.dumps(payload))
+        with pytest.raises(DemandTraceError, match="node 0: delay_us"):
+            trace.validate()

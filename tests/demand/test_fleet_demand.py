@@ -43,22 +43,18 @@ def test_demand_cells_counted_and_tagged_in_jsonl(artifacts_ds03, tmp_path):
     reporter.fleet_summary(engine.last_stats, engine.cache)
     stats = engine.last_stats
     assert stats.demand_cells == len(specs)
-    assert stats.compiled_cells == len(specs)
     assert stats.full_cells == 0
     assert stats.fallback_cells == 0
     assert stats.demand_trace_source == "captured"
     assert stats.demand_capture_s is not None
     assert all(t["mode"] == "demand" for t in stats.run_telemetry)
-    assert all(t["compiled"] is True for t in stats.run_telemetry)
 
     events = [json.loads(line) for line in jsonl.getvalue().splitlines()]
     completed = [e for e in events if e["event"] == "run_completed"]
     assert [e["mode"] for e in completed] == ["demand"] * len(specs)
-    assert [e["compiled"] for e in completed] == [True] * len(specs)
     summary = [e for e in events if e["event"] == "fleet_summary"][0]
     assert summary["demand"] == {
         "demand_cells": len(specs),
-        "compiled_cells": len(specs),
         "full_cells": 0,
         "fallback_cells": 0,
         "fallback_reasons": {},

@@ -4,9 +4,7 @@ The kernel-only evaluation pass (demand trace → DemandProgram →
 demand_replay_run) must produce bit-identical RunRecords to a full
 replay, across personas, device profiles, the fleet engine at any job
 count, and warm demand-store re-runs — with zero fallbacks on healthy
-workloads.  The compiled flat-array walk (REPRO_DEMAND_COMPILE, default
-on) carries the same contract against the node-object interpreter: the
-``=0`` kill switch must change nothing but wall time.
+workloads.
 """
 
 import pytest
@@ -109,45 +107,6 @@ def test_kill_switch_runs_full_replays(scenario_artifacts, monkeypatch):
     assert off.last_stats.demand_cells == 0
     assert off.last_stats.full_cells == len(specs)
     assert on.last_stats.demand_cells == len(specs)
-
-
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_compiled_walk_is_bit_identical_to_interpreter(
-    scenario_artifacts, scenario_programs, scenario, monkeypatch
-):
-    """Per persona/profile/config: REPRO_DEMAND_COMPILE=0 changes nothing."""
-    artifacts = scenario_artifacts[scenario]
-    program = scenario_programs[scenario]
-    for config in CONFIGS:
-        monkeypatch.setenv("REPRO_DEMAND_COMPILE", "1")
-        compiled = demand_replay_run(artifacts, program, config)
-        monkeypatch.setenv("REPRO_DEMAND_COMPILE", "0")
-        interpreted = demand_replay_run(artifacts, program, config)
-        assert compiled.to_json_dict() == interpreted.to_json_dict(), (
-            scenario,
-            config,
-        )
-
-
-def test_fleet_jobs2_compile_kill_switch_is_bit_identical(
-    scenario_artifacts, monkeypatch
-):
-    """The fleet at jobs=2 emits the same records either way, and the
-    compiled-cell accounting tracks the flag."""
-    monkeypatch.setenv("REPRO_DEMAND", "1")
-    artifacts = scenario_artifacts[SCENARIOS[0]]
-    specs = _specs(artifacts)
-    monkeypatch.setenv("REPRO_DEMAND_COMPILE", "1")
-    on = FleetEngine(jobs=2)
-    compiled_results = on.run(artifacts, specs)
-    assert on.last_stats.demand_cells == len(specs)
-    assert on.last_stats.compiled_cells == len(specs)
-    monkeypatch.setenv("REPRO_DEMAND_COMPILE", "0")
-    off = FleetEngine(jobs=2)
-    interpreted_results = off.run(artifacts, specs)
-    assert off.last_stats.demand_cells == len(specs)
-    assert off.last_stats.compiled_cells == 0
-    assert compiled_results == interpreted_results
 
 
 def test_warm_demand_store_rerun_executes_zero_full_replays(

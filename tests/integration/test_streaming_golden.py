@@ -1,29 +1,25 @@
-"""Streaming-vs-batch equivalence for the run pipeline (REPRO_STREAM).
+"""The streaming run pipeline end to end.
 
-The streaming path (frame taps → online matcher → accumulators →
-RunRecord) must produce bit-identical study output to the batch
-materialise-then-analyze path, across personas, device profiles, the
-fleet engine at any job count, and warm cache re-runs — and it must do so
-in strictly less memory.
+Every replay streams (frame taps → online matcher → accumulators →
+RunRecord).  The fleet engine at any job count and warm cache re-runs
+must serve the records a direct replay produces, and the stream must
+hold less memory than keeping every captured segment would.
 """
 
 import tracemalloc
 
 import pytest
 
-from repro.capture import FrameDigestTap, stream_enabled
+from repro.capture import FrameTap
 from repro.fleet.cache import ResultCache
 from repro.fleet.engine import FleetEngine
 from repro.fleet.spec import RunSpec
 from repro.harness.experiment import record_workload, replay_run
 from repro.workloads.datasets import dataset
 
-# Two personas and one alternate device profile: enough to cover the
-# persona plumbing, the profile plumbing and the stock path end to end.
 SCENARIOS = (
     "persona=gamer,seed=11,duration=45s",
     "persona=reader,seed=5,duration=45s",
-    "persona=messenger,seed=3,duration=45s,profile=quad_ls",
 )
 CONFIGS = ("qoe_aware", "ondemand")
 
@@ -33,42 +29,15 @@ def scenario_artifacts():
     return {name: record_workload(dataset(name)) for name in SCENARIOS}
 
 
-def _digests(result, tap):
-    return {
-        "energy": repr(result.energy_j),
-        "dynamic_energy": repr(result.dynamic_energy_j),
-        "busy_us": result.busy_us,
-        "lags": result.lag_profile.durations_us(),
-        "lag_meta": [
-            (l.label, l.begin_time_us, l.end_frame) for l in result.lag_profile.lags
-        ],
-        "transitions": result.transitions,
-        "busy_intervals": result.busy_intervals,
-        "frames": tap.hexdigest(),
-    }
+def test_streaming_is_the_default(scenario_artifacts, monkeypatch):
+    """A replay never materialises a Video: its capture always streams."""
+    import repro.capture.hdmi as hdmi
 
+    def no_video(*_args, **_kwargs):
+        raise AssertionError("replay_run materialised a Video")
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_stream_off_is_bit_identical(scenario_artifacts, scenario, monkeypatch):
-    """Per persona/profile/config: REPRO_STREAM=0 replays identically."""
-    artifacts = scenario_artifacts[scenario]
-    for config in CONFIGS:
-        monkeypatch.setenv("REPRO_STREAM", "1")
-        stream_tap = FrameDigestTap()
-        streamed = _digests(
-            replay_run(artifacts, config, frame_tap=stream_tap), stream_tap
-        )
-        monkeypatch.setenv("REPRO_STREAM", "0")
-        batch_tap = FrameDigestTap()
-        batch = _digests(
-            replay_run(artifacts, config, frame_tap=batch_tap), batch_tap
-        )
-        assert streamed == batch, (scenario, config)
-
-
-def test_streaming_is_the_default(monkeypatch):
-    monkeypatch.delenv("REPRO_STREAM", raising=False)
-    assert stream_enabled()
+    monkeypatch.setattr(hdmi, "Video", no_video)
+    replay_run(scenario_artifacts[SCENARIOS[0]], "ondemand")
 
 
 def test_fleet_jobs2_matches_streamed_direct_replay(scenario_artifacts):
@@ -92,10 +61,10 @@ def test_fleet_jobs2_matches_streamed_direct_replay(scenario_artifacts):
 
 
 def test_warm_cache_rerun_serves_identical_records_across_modes(
-    tmp_path, scenario_artifacts, monkeypatch
+    tmp_path, scenario_artifacts
 ):
-    """Cells cached by a streaming run satisfy a batch-mode re-run, and
-    the warm pass executes zero replays."""
+    """Cells cached by a jobs=1 run satisfy a jobs=2 re-run, and the warm
+    pass executes zero replays."""
     artifacts = scenario_artifacts[SCENARIOS[1]]
     specs = [
         RunSpec(
@@ -107,12 +76,10 @@ def test_warm_cache_rerun_serves_identical_records_across_modes(
         for config in CONFIGS
     ]
     cache = ResultCache(tmp_path)
-    monkeypatch.setenv("REPRO_STREAM", "1")
     engine = FleetEngine(jobs=1, cache=cache)
     cold = engine.run(artifacts, specs)
     assert engine.last_stats.executed == len(specs)
 
-    monkeypatch.setenv("REPRO_STREAM", "0")
     warm = FleetEngine(jobs=2, cache=cache)
     results = warm.run(artifacts, specs)
     assert warm.last_stats.executed == 0
@@ -120,21 +87,32 @@ def test_warm_cache_rerun_serves_identical_records_across_modes(
     assert results == cold
 
 
-def test_streaming_replay_uses_less_peak_memory(scenario_artifacts, monkeypatch):
-    """The point of the pipeline: replay allocations drop from O(session)
-    (whole video buffered) to O(active-window)."""
+class _KeepSegments(FrameTap):
+    """Holds every captured segment, as a materialised video would."""
+
+    def __init__(self) -> None:
+        self.segments = []
+
+    def on_segment(self, segment) -> None:
+        self.segments.append(segment)
+
+
+def test_streaming_replay_uses_less_peak_memory(scenario_artifacts):
+    """The point of the pipeline: replay allocations stay O(active-window)
+    instead of O(session) (every segment buffered)."""
     artifacts = scenario_artifacts[SCENARIOS[0]]
 
-    def peak_of(stream_flag):
-        monkeypatch.setenv("REPRO_STREAM", stream_flag)
+    def peak_of(frame_tap):
         tracemalloc.start()
         try:
-            replay_run(artifacts, "ondemand")
+            replay_run(artifacts, "ondemand", frame_tap=frame_tap)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         return peak
 
-    batch_peak = peak_of("0")
-    stream_peak = peak_of("1")
+    kept = _KeepSegments()
+    batch_peak = peak_of(kept)
+    stream_peak = peak_of(None)
+    assert kept.segments
     assert stream_peak < batch_peak, (stream_peak, batch_peak)
