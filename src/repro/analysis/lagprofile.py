@@ -52,12 +52,6 @@ class CauseBreakdown:
     window_by_cause: tuple[tuple[str, int], ...]
     penalty_by_cause: tuple[tuple[str, int], ...]
 
-    def window_map(self) -> dict[str, int]:
-        return dict(self.window_by_cause)
-
-    def penalty_map(self) -> dict[str, int]:
-        return dict(self.penalty_by_cause)
-
     @property
     def penalty_us(self) -> int:
         return sum(us for _, us in self.penalty_by_cause)

@@ -148,9 +148,6 @@ class Video:
         segment = self._segment_for(frame_index)
         return segment.content
 
-    def digest_at(self, frame_index: int) -> bytes:
-        return self._segment_for(frame_index).digest
-
     def _segment_for(self, frame_index: int) -> VideoSegment:
         segments = self._all_segments()
         lo, hi = 0, len(segments) - 1
@@ -173,7 +170,3 @@ class Video:
         for segment in self.segments_between(start, end):
             for index in range(segment.start, segment.end):
                 yield index, segment.content
-
-    def frame_time_us(self, frame_index: int) -> int:
-        """Timestamp of a frame's vsync boundary."""
-        return frame_timestamp(frame_index)

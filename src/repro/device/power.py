@@ -141,10 +141,6 @@ class EnergyMeter:
             raise SimulationError("cannot query energy in the past")
         return self._busy_energy_j + self._power_w * elapsed_s
 
-    @property
-    def current_power_w(self) -> float:
-        return self._power_w
-
     def sync(self, now: int) -> None:
         """Charge the interval since the last sync at the current power."""
         if now < self._last_sync:

@@ -14,9 +14,8 @@ Examples::
     repro-qoe explore --dataset 02 --governor qoe_aware \\
         --strategy random --budget 16 --jobs 4
     repro-qoe explore --scenario persona=mixed,seed=3,duration=2m --budget 8
-    repro-qoe perf --suite micro --check
-    repro-qoe perf --suite all --profile perf.prof
-    repro-qoe perf --suite study --scenario persona=creator,seed=2,duration=2m
+    repro-qoe perf --check
+    repro-qoe perf --repeats 1 --profile perf.prof
     repro-qoe trace persona=gamer,seed=7,duration=45s -o trace.json
     repro-qoe demand persona=creator,seed=2,duration=2m -o demand.json
     repro-qoe attribute persona=gamer,seed=7,duration=45s -o annotated.json
@@ -470,7 +469,6 @@ def cmd_explore(args) -> int:
 
 def cmd_perf(args) -> int:
     from repro.perf import (
-        append_entry,
         check_regression,
         load_baseline,
         run_suite,
@@ -479,48 +477,10 @@ def cmd_perf(args) -> int:
     from repro.perf.gate import DEFAULT_TOLERANCE
     from repro.perf.harness import render_results
 
-    scenario = None
-    if args.scenario:
-        from repro.perf.harness import SUITES
-        from repro.scenarios.config import canonical_scenario
-
-        scenario = canonical_scenario(args.scenario)
-        if "macro_study" not in SUITES.get(args.suite, ()):
-            raise ReproError(
-                f"--scenario only applies to suites that run the "
-                f"study-cell macro benchmark (study, macro, all), not "
-                f"{args.suite!r}"
-            )
-        if args.update_baseline:
-            raise ReproError(
-                "--update-baseline measures the stock macro workloads; "
-                "it cannot be written from a --scenario run"
-            )
-    results = run_suite(
-        suite=args.suite,
-        repeats=args.repeats,
-        profile_path=args.profile,
-        scenario=scenario,
-    )
+    results = run_suite(repeats=args.repeats, profile_path=args.profile)
     print(render_results(results))
     if args.profile:
         print(f"# profile written to {args.profile}", file=sys.stderr)
-    if scenario is not None and not args.no_trajectory:
-        # Scenario throughput is not comparable with the stock macro
-        # entries the trajectory tracks; never mix them.
-        args.no_trajectory = True
-        print(
-            "# trajectory append skipped: scenario runs are diagnostics, "
-            "not stock trajectory points",
-            file=sys.stderr,
-        )
-    if not args.no_trajectory:
-        entry = append_entry(args.trajectory, results, label=args.label)
-        print(
-            f"# trajectory entry {entry['recorded_at']} appended to "
-            f"{args.trajectory}",
-            file=sys.stderr,
-        )
     if args.update_baseline:
         write_baseline(args.baseline, results)
         print(f"# baseline updated: {args.baseline}", file=sys.stderr)
@@ -532,30 +492,11 @@ def cmd_perf(args) -> int:
             )
         return 0
     if args.check:
-        from repro.perf.harness import MACRO_BENCHES, MICRO_BENCHES
-
-        if scenario is not None:
-            # The committed macro_study floor measures the stock dataset;
-            # gate everything else this run produced.
-            results = [r for r in results if r.name != "macro_study"]
-            print(
-                "# macro_study excluded from the gate: measured on "
-                f"{scenario}, not the stock workload",
-                file=sys.stderr,
-            )
-        if not results:
-            print("# --check skipped: no gateable benchmarks in this run",
-                  file=sys.stderr)
-            return 0
-
         tolerance = (
             args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
         )
         failures = check_regression(
-            results,
-            load_baseline(args.baseline),
-            tolerance,
-            known_benchmarks=set(MICRO_BENCHES) | set(MACRO_BENCHES),
+            results, load_baseline(args.baseline), tolerance
         )
         if failures:
             print()
@@ -819,32 +760,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_perf = sub.add_parser(
         "perf",
-        help="replay-throughput benchmarks, trajectory and regression gate",
-    )
-    p_perf.add_argument(
-        "--suite", default="micro", metavar="SUITE",
-        help="micro (engine/kernel-only, seconds), study (one study-cell "
-             "macro), macro (study + day-long), all (default: micro)",
+        help="kernel micro benchmarks and their regression gate",
     )
     p_perf.add_argument(
         "--repeats", type=_positive_int, default=3, metavar="N",
-        help="best-of-N timing for micro benchmarks (default: 3)",
+        help="best-of-N timing per benchmark (default: 3)",
     )
     p_perf.add_argument(
         "--profile", metavar="PATH",
         help="also run the suite once under cProfile, dump stats to PATH",
-    )
-    p_perf.add_argument(
-        "--trajectory", default="BENCH_replay.json", metavar="PATH",
-        help="perf trajectory file to append to (default: BENCH_replay.json)",
-    )
-    p_perf.add_argument(
-        "--no-trajectory", action="store_true",
-        help="do not append this run to the trajectory file",
-    )
-    p_perf.add_argument(
-        "--label", default=None, metavar="TEXT",
-        help="label recorded with the trajectory entry",
     )
     p_perf.add_argument(
         "--check", action="store_true",
@@ -862,13 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.add_argument(
         "--update-baseline", action="store_true",
         help="write this run's throughput as the new committed baseline",
-    )
-    p_perf.add_argument(
-        "--scenario", default=None, metavar="SPEC",
-        help=(
-            "run the study-cell macro benchmark on a synthesized scenario "
-            "instead of the stock dataset (disables --check)"
-        ),
     )
     p_perf.set_defaults(func=cmd_perf)
 

@@ -144,11 +144,6 @@ class SweepResult:
         results = self._results(config)
         return sum(r.dynamic_energy_j for r in results) / len(results)
 
-    def mean_total_energy_j(self, config: str) -> float:
-        """Mean total energy including the idle floor (extra diagnostic)."""
-        results = self._results(config)
-        return sum(r.energy_j for r in results) / len(results)
-
     def mean_irritation_s(self, config: str, model: HciModel | None = None) -> float:
         results = self._results(config)
         return sum(r.irritation_seconds(model) for r in results) / len(results)

@@ -126,9 +126,6 @@ class OracleResult:
             [(lag.label, lag.duration_us, lag.threshold_us) for lag in self.lags]
         )
 
-    def lag_durations_ms(self) -> list[float]:
-        return [lag.duration_us / 1e3 for lag in self.lags]
-
 
 def build_oracle(
     fixed_profiles: dict[int, LagProfile],

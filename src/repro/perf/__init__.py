@@ -1,20 +1,20 @@
-"""Performance subsystem: benchmarks, trajectory, and regression gate.
+"""Performance subsystem: micro benchmarks and their regression gate.
 
 The replay simulator is the unit of cost for everything this repository
 does — every sweep, study and design-space exploration bottoms out in
-single-replay throughput.  This package makes that throughput a
-first-class, defended quantity:
+single-replay throughput.  This package defends the kernel layers under
+it one at a time:
 
 * :mod:`repro.perf.workloads` — deterministic micro (engine/kernel-only)
-  and macro (full study-cell replay) benchmark workloads;
+  benchmark workloads;
 * :mod:`repro.perf.harness` — the runner: best-of-N timing, optional
-  cProfile capture, machine-readable results;
-* :mod:`repro.perf.trajectory` — the ``BENCH_replay.json`` perf
-  trajectory: one appended entry per recorded run;
+  cProfile capture, a fixed-width report;
 * :mod:`repro.perf.gate` — the CI regression gate comparing measured
   throughput against a committed baseline with a tolerance band.
 
 Run via the CLI: ``repro-qoe perf`` (see ``repro-qoe perf --help``).
+End-to-end throughput is measured by ``perfbench/`` instead, and a
+change is compared with its parent by ``benchmarks/ab_pairs.py``.
 """
 
 from repro.perf.gate import (
@@ -22,16 +22,12 @@ from repro.perf.gate import (
     load_baseline,
     write_baseline,
 )
-from repro.perf.harness import BenchResult, run_suite, suite_names
-from repro.perf.trajectory import append_entry, load_trajectory
+from repro.perf.harness import BenchResult, run_suite
 
 __all__ = [
     "BenchResult",
-    "append_entry",
     "check_regression",
     "load_baseline",
-    "load_trajectory",
     "run_suite",
-    "suite_names",
     "write_baseline",
 ]

@@ -39,31 +39,17 @@ def load_baseline(path) -> dict[str, float]:
 
 
 def write_baseline(path, results: list[BenchResult], note: str = "") -> None:
-    """Write ``results`` into the committed baseline.
-
-    Merges over any existing baseline: updating from a partial suite
-    (the default ``perf`` invocation runs micro only) refreshes the
-    benchmarks that ran and keeps the other floors, so a micro-only
-    update cannot silently delete the macro gate.
-    """
-    path = Path(path)
-    throughput: dict[str, float] = {}
-    if path.exists():
-        try:
-            throughput.update(load_baseline(path))
-        except ReproError:
-            pass  # rewriting a corrupt baseline is the recovery path
-    throughput.update(
-        {result.name: round(result.throughput(), 1) for result in results}
-    )
+    """Write ``results`` as the committed baseline, replacing it whole."""
     document = {
         "schema": 1,
         "note": note
         or "Throughput floors for the perf regression gate; update via "
         "`repro-qoe perf --update-baseline`.",
-        "throughput": {name: throughput[name] for name in sorted(throughput)},
+        "throughput": {
+            result.name: round(result.throughput(), 1) for result in results
+        },
     }
-    path.write_text(
+    Path(path).write_text(
         json.dumps(document, indent=2) + "\n", encoding="utf-8"
     )
 
@@ -72,17 +58,13 @@ def check_regression(
     results: list[BenchResult],
     baseline: dict[str, float],
     tolerance: float = DEFAULT_TOLERANCE,
-    known_benchmarks: set[str] | None = None,
 ) -> list[str]:
     """Return one failure message per benchmark below its floor.
 
     Benchmarks without a baseline entry are skipped (a new benchmark
     lands first, its baseline follows).  Baseline entries without a
-    measured result fail — unless ``known_benchmarks`` names them as real
-    benchmarks that simply were not part of the suite that ran (CI gates
-    the micro suite while the baseline also records macro numbers); a
-    baseline name unknown to the harness always fails, so a renamed
-    benchmark cannot silently hollow the gate out.
+    measured result fail, so a renamed benchmark cannot silently hollow
+    the gate out.
     """
     if not 0 < tolerance <= 1:
         raise ReproError(f"gate tolerance must be in (0, 1], got {tolerance}")
@@ -91,8 +73,6 @@ def check_regression(
     for name, floor in sorted(baseline.items()):
         result = measured.get(name)
         if result is None:
-            if known_benchmarks is not None and name in known_benchmarks:
-                continue
             failures.append(
                 f"{name}: baseline present but benchmark did not run"
             )

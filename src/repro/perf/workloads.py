@@ -1,11 +1,10 @@
 """Deterministic benchmark workloads.
 
-Micro workloads exercise one kernel subsystem in isolation (event heap,
+Each workload exercises one kernel subsystem in isolation (event heap,
 periodic timers, cancellation churn, the scheduler's task path, the
-cpufreq trace queries, the replay agent's input cursor) so a regression
-pinpoints its layer.  Macro workloads replay full study cells through
-:func:`repro.harness.experiment.replay_run` — the quantity every sweep
-and exploration ultimately pays.
+cpufreq trace queries, the demand walk, the replay agent's input cursor)
+so a regression pinpoints its layer.  Full study cells are
+``perfbench/``'s to measure.
 
 Every workload is seeded and deterministic: two runs execute the same
 event sequence, so wall-clock differences measure the implementation, not
@@ -17,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable
 
-from repro.core.engine import PRIORITY_TIMER, Engine
+from repro.core.engine import Engine
 from repro.core.simtime import seconds
 from repro.device.cpu import CpuCore
 from repro.device.cpufreq import CpuFreqPolicy
@@ -25,24 +24,6 @@ from repro.device.frequencies import snapdragon_8074_table
 from repro.kernel.scheduler import Scheduler
 from repro.kernel.timers import PeriodicTimer
 from repro.kernel.workchains import submit_chunked
-
-# Study cells replayed by the macro benchmarks: the paper's three stock
-# governors, the proposed QoE-aware governor, and one fixed OPP as the
-# userspace-path representative (the remaining 13 fixed cells behave
-# identically perf-wise).
-MACRO_STUDY_CONFIGS: tuple[str, ...] = (
-    "interactive",
-    "ondemand",
-    "conservative",
-    "qoe_aware",
-    "fixed:960000",
-)
-MACRO_STUDY_DATASET = "02"
-
-# The day-long mixed-use workload (long idle periods, the paper's ambient
-# scenario): where governor-tick cost dominates a replay.
-MACRO_DAYLONG_CONFIGS: tuple[str, ...] = ("interactive", "ondemand")
-MACRO_DAYLONG_DATASET = "24hour"
 
 
 def run_engine_events(n_events: int = 200_000, chains: int = 64) -> Engine:

@@ -143,9 +143,6 @@ class GroundTruthJournal:
 
     # --- queries -------------------------------------------------------------------
 
-    def completed_interactions(self) -> list[InteractionRecord]:
-        return [r for r in self.interactions if r.complete]
-
     def spurious_gesture_indices(self) -> list[int]:
         """Gestures that triggered no interaction (the paper's spurious lags)."""
         with_interaction = {r.gesture_index for r in self.interactions}

@@ -130,11 +130,6 @@ class WindowManager:
         self._foreground = app
         self.invalidate()
 
-    def go_home(self) -> None:
-        if self._home_app is None:
-            raise SimulationError("no home app installed")
-        self.switch_to(self._home_app)
-
     # --- composition ---------------------------------------------------------------
 
     def invalidate(self) -> None:

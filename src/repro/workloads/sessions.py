@@ -143,22 +143,3 @@ class ScriptedUser:
         self._finished = True
         if self._on_finished is not None:
             self._on_finished()
-
-
-def wait_for_quiescence(wm: WindowManager, callback, poll_us: int = POLL_PERIOD_US):
-    """Fire ``callback`` once all interactions completed and FG work drained.
-
-    Used by the harness to trim the recording after the user's last input.
-    """
-
-    def check() -> None:
-        journal = wm.journal
-        pending = any(not r.complete for r in journal.interactions)
-        current = wm.device.scheduler.current_task
-        foreground_busy = current is not None and current.priority == 0
-        if pending or foreground_busy:
-            wm.engine.schedule_after(poll_us, check)
-        else:
-            callback()
-
-    check()

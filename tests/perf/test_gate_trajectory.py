@@ -1,4 +1,4 @@
-"""Tests for the perf regression gate and the BENCH_replay.json trajectory."""
+"""Tests for the perf regression gate and the committed BENCH_replay.json."""
 
 import json
 
@@ -11,8 +11,7 @@ from repro.perf.gate import (
     load_baseline,
     write_baseline,
 )
-from repro.perf.harness import BenchResult
-from repro.perf.trajectory import append_entry, load_trajectory
+from repro.perf.harness import MICRO_BENCHES, BenchResult
 
 
 def result(name, throughput):
@@ -37,23 +36,6 @@ def test_gate_fails_below_tolerance_band():
 def test_gate_reports_missing_benchmark():
     failures = check_regression([], {"engine_churn": 10_000.0})
     assert failures and "did not run" in failures[0]
-
-
-def test_gate_tolerates_known_benchmark_not_in_suite():
-    baseline = {"macro_daylong": 10_000.0, "engine_events": 100.0}
-    failures = check_regression(
-        [result("engine_events", 100)],
-        baseline,
-        known_benchmarks={"macro_daylong", "engine_events"},
-    )
-    assert failures == []
-    # A stale (renamed) baseline entry still fails even with known set.
-    failures = check_regression(
-        [result("engine_events", 100)],
-        baseline | {"engine_evnts_old": 5.0},
-        known_benchmarks={"macro_daylong", "engine_events"},
-    )
-    assert len(failures) == 1 and "engine_evnts_old" in failures[0]
 
 
 def test_gate_skips_benchmarks_without_baseline():
@@ -82,19 +64,6 @@ def test_baseline_round_trip(tmp_path):
     assert baseline == {"engine_events": pytest.approx(123_456.0, abs=0.01)}
 
 
-def test_partial_update_preserves_other_floors(tmp_path):
-    """A micro-only --update-baseline must not delete the macro floors."""
-    path = tmp_path / "perf_baseline.json"
-    write_baseline(
-        path,
-        [result("engine_events", 100.0), result("macro_daylong", 9_999.0)],
-    )
-    write_baseline(path, [result("engine_events", 200.0)])
-    baseline = load_baseline(path)
-    assert baseline["engine_events"] == pytest.approx(200.0)
-    assert baseline["macro_daylong"] == pytest.approx(9_999.0)
-
-
 def test_load_baseline_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{}", encoding="utf-8")
@@ -104,47 +73,24 @@ def test_load_baseline_rejects_garbage(tmp_path):
         load_baseline(tmp_path / "missing.json")
 
 
-def test_trajectory_appends_entries(tmp_path):
-    path = tmp_path / "BENCH_replay.json"
-    append_entry(path, [result("engine_events", 10.0)], label="first")
-    append_entry(path, [result("engine_events", 20.0)], label="second")
-    document = load_trajectory(path)
-    assert document["schema"] == 1
-    assert [entry["label"] for entry in document["entries"]] == [
-        "first",
-        "second",
-    ]
-    recorded = document["entries"][-1]["results"]["engine_events"]
-    assert recorded["events_per_s"] == pytest.approx(20.0)
-    # Entries carry provenance for cross-machine comparisons.
-    assert document["entries"][0]["python"]
-    assert document["entries"][0]["recorded_at"].endswith("Z")
-
-
-def test_trajectory_rejects_malformed_file(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("[1, 2, 3]", encoding="utf-8")
-    with pytest.raises(ReproError):
-        load_trajectory(path)
-
-
 def test_committed_trajectory_and_baseline_are_valid():
     """The files committed at the repo root must parse and stay coherent."""
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[2]
-    document = load_trajectory(root / "BENCH_replay.json")
+    document = json.loads((root / "BENCH_replay.json").read_text("utf-8"))
     assert document["entries"], "BENCH_replay.json must record the trajectory"
     baseline = load_baseline(root / "benchmarks" / "perf_baseline.json")
     assert "engine_events" in baseline
-    assert "macro_study" in baseline
-    # The recorded fast-path entry must beat the seed entry by the
-    # tentpole's headline factor on the macro replay benchmarks.
+    # A floor for a benchmark that no longer runs fails here, not only in CI.
+    assert set(baseline) <= set(MICRO_BENCHES)
+    # The recorded fast-path entry must beat the seed entry by 3x on the
+    # (since retired) macro replay benchmarks.
     macro_entries = [
         entry
         for entry in document["entries"]
-        if "macro_study" in entry["results"]
-        and "macro_daylong" in entry["results"]
+        if "macro_study" in entry.get("results", {})
+        and "macro_daylong" in entry.get("results", {})
     ]
     assert len(macro_entries) >= 2, "need seed + fast-path macro entries"
     seed = macro_entries[0]["results"]

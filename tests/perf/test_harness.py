@@ -1,16 +1,11 @@
 """Tests for the perf harness: workloads are deterministic, results sane."""
 
-import pytest
-
-from repro.core.errors import ReproError
 from repro.perf import workloads
 from repro.perf.harness import (
-    MACRO_BENCHES,
     MICRO_BENCHES,
     BenchResult,
     render_results,
     run_suite,
-    suite_names,
 )
 
 
@@ -62,42 +57,31 @@ def test_replay_inputs_fires_one_event_per_input():
 
 
 def test_run_suite_micro_produces_all_results(tmp_path):
-    results = run_suite("micro", repeats=1)
+    results = run_suite(repeats=1)
     assert [result.name for result in results] == list(MICRO_BENCHES)
     for result in results:
         assert result.wall_s > 0
         assert result.throughput() > 0
 
 
-def test_run_suite_rejects_unknown_suite():
-    with pytest.raises(ReproError):
-        run_suite("warp-speed")
-
-
-def test_suite_names_cover_micro_and_macro():
-    names = suite_names()
-    assert "micro" in names and "macro" in names and "all" in names
-    assert set(MACRO_BENCHES) == {"macro_study", "macro_daylong",
-                                  "demand_trace"}
-
-
 def test_render_results_is_tabular():
     results = [
         BenchResult(name="engine_events", wall_s=0.5, sim_us=1_000_000,
                     events=10_000),
-        BenchResult(name="macro_study", wall_s=1.0, sim_us=2_000_000,
-                    events=0, metrics={"interactive": 2_000_000.0}),
+        BenchResult(name="policy_queries", wall_s=1.0, sim_us=0,
+                    events=20_000),
     ]
     text = render_results(results)
     lines = text.splitlines()
     assert lines[0].startswith("benchmark")
     assert any("engine_events" in line for line in lines)
-    assert any("interactive" in line for line in lines)
+    assert any("policy_queries" in line for line in lines)
+    assert len(lines) == 3
 
 
 def test_profile_hook_writes_stats(tmp_path):
     profile_path = tmp_path / "perf.prof"
-    run_suite("micro", repeats=1, profile_path=str(profile_path))
+    run_suite(repeats=1, profile_path=str(profile_path))
     assert profile_path.exists() and profile_path.stat().st_size > 0
 
     import pstats
