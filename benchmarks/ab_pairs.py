@@ -25,7 +25,8 @@ range and the first verdict that applies:
   better than the base's by more than the base's IQR;
 * ``regression``: the head's median is worse by more than the bound;
 * ``unresolved``: either side's IQR, relative to its median, is wider
-  than the bound, so "within bound" would be a guess;
+  than the bound, so "within bound" would be a guess, unless every
+  head run reads better than every base run;
 * ``within bound``: otherwise.
 
 Every report appends one entry, with every run's raw values, to
@@ -158,11 +159,12 @@ def summarise(
         _relative(base_iqr, base_median), _relative(_iqr(head), head_median)
     )
     wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    dominates = min(sign * h for h in head) > max(sign * b for b in base)
     if wins >= GAIN_WINS and improvement > base_iqr:
         verdict = "gain"
     elif _relative(-improvement, base_median) > bound:
         verdict = "regression"
-    elif spread > bound:
+    elif spread > bound and not dominates:
         verdict = "unresolved"
     else:
         verdict = "within bound"
@@ -195,7 +197,9 @@ def compare(base_rev: str, workload: str) -> tuple[dict, str]:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     known = [entry["name"] for entry in spec["workloads"]]
     if workload not in known:
-        raise Refused(f"unknown workload {workload!r} (known: {', '.join(known)})")
+        raise Refused(
+            f"unknown workload {workload!r} (known: {', '.join(known)})"
+        )
     load_trajectory()  # refuse a malformed trajectory before spending runs
     base_sha = _git("rev-parse", "--verify", f"{base_rev}^{{commit}}")
     head_sha = _git("rev-parse", "HEAD")
@@ -210,7 +214,8 @@ def compare(base_rev: str, workload: str) -> tuple[dict, str]:
     scratch = ROOT / ".bench_tmp"
     scratch.mkdir(exist_ok=True)
     base_checkout = scratch / f"ab-base-{base_sha[:12]}-{os.getpid()}"
-    _git("worktree", "add", "--detach", "--quiet", str(base_checkout), base_sha)
+    _git("worktree", "add", "--detach", "--quiet", str(base_checkout),
+         base_sha)
     checkouts = {"base": base_checkout, "head": ROOT}
     runs: list[dict] = []
     try:
@@ -238,9 +243,13 @@ def compare(base_rev: str, workload: str) -> tuple[dict, str]:
             )
         except KeyError:
             raise Refused(f"a run printed no {name!r} metric") from None
-        summary[name] = summarise(base, head, metric["better"], metric["bound"])
+        summary[name] = summarise(
+            base, head, metric["better"], metric["bound"]
+        )
     entry = {
-        "recorded_at": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "recorded_at": datetime.now(timezone.utc).strftime(
+            "%Y-%m-%dT%H:%M:%SZ"
+        ),
         "label": label,
         "base": base_sha,
         "head": head_sha,
@@ -252,10 +261,7 @@ def compare(base_rev: str, workload: str) -> tuple[dict, str]:
         "run_seconds": spec["run_seconds"],
         "digests": runs[0]["digests"],
         "runs": [
-            {key: run[key] for key in (
-                "pair", "side", "correct", "attempted", "failed", "passes",
-                "metrics",
-            )}
+            {key: value for key, value in run.items() if key != "digests"}
             for run in runs
         ],
         "summary": summary,
@@ -280,7 +286,9 @@ def main(argv=None) -> int:
         print(f"ab_pairs: refused: {refusal}", file=sys.stderr)
         return 1
     document["entries"].append(entry)
-    TRAJECTORY.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    TRAJECTORY.write_text(
+        json.dumps(document, indent=2) + "\n", encoding="utf-8"
+    )
     print(report)
     print(f"# entry appended to {TRAJECTORY.name}", file=sys.stderr)
     return 0

@@ -164,6 +164,11 @@ def test_summarise_verdict_order():
     assert runner.summarise(flat, [7.0] * 10, "higher", 0.25)["verdict"] == (
         "regression"
     )
+    # A spread wider than the bound is unresolved unless every head run
+    # reads better than every base run.
+    wide = [5.0, 15.0] * 5
+    assert runner.summarise(wide, [16.0, 17.0] * 5, "higher", 0.25)[
+        "verdict"] == "within bound"
     # Eight wins and two ties is not enough for a gain.
     head = [11.0] * 8 + [10.0] * 2
     row = runner.summarise(flat, head, "higher", 0.25)
