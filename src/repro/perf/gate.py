@@ -38,12 +38,11 @@ def load_baseline(path) -> dict[str, float]:
     return {name: float(value) for name, value in recorded.items()}
 
 
-def write_baseline(path, results: list[BenchResult], note: str = "") -> None:
+def write_baseline(path, results: list[BenchResult]) -> None:
     """Write ``results`` as the committed baseline, replacing it whole."""
     document = {
         "schema": 1,
-        "note": note
-        or "Throughput floors for the perf regression gate; update via "
+        "note": "Throughput floors for the perf regression gate; update via "
         "`repro-qoe perf --update-baseline`.",
         "throughput": {
             result.name: round(result.throughput(), 1) for result in results
