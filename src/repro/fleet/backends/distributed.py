@@ -2,10 +2,14 @@
 
 Workers *pull* :class:`~repro.fleet.spec.RunSpec` batches from a shared
 sqlite work queue and *publish* schema-versioned
-:class:`~repro.results.RunRecord` rows to the shared content-addressed
-record store (the same :class:`~repro.fleet.cache.ResultCache` format,
-on a filesystem every worker can reach) — the work-pulling worker
-topology, sized for sweeps that outgrow one machine's pool.
+:class:`~repro.results.RunRecord` wire rows to the shared
+content-addressed record store (the same
+:class:`~repro.fleet.cache.ResultCache` format, on a filesystem every
+worker can reach) — the work-pulling worker topology, sized for sweeps
+that outgrow one machine's pool.  A worker encodes each record it
+executed once (:meth:`~repro.results.RunRecord.to_wire`) and both
+publishes and acks that same row; the coordinator decodes the acked row
+before yielding it to the engine.
 
 Lease/ack semantics make the queue crash-safe:
 
@@ -59,6 +63,7 @@ from repro.fleet.backends.registry import (
     reject_unknown_opts,
 )
 from repro.fleet.spec import RunSpec
+from repro.results import RunRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.experiment import WorkloadArtifacts
@@ -350,7 +355,6 @@ def _work_cells(
     publish is an idempotent identical-bytes write.
     """
     from repro.fleet.backends.local import run_spec_cell
-    from repro.results import RunRecord
 
     acked = 0
     while True:
@@ -367,9 +371,10 @@ def _work_cells(
         chaos_now = False
         for index, wire, key in cells:
             spec = RunSpec.from_wire(wire)
-            _, row, failure, telemetry = run_spec_cell((index, spec))
+            _, record, failure, telemetry = run_spec_cell((index, spec))
+            row = None if record is None else record.to_wire()
             if row is not None and store is not None:
-                store.store(key, RunRecord.from_json_dict(row))
+                store.store_wire(key, row)
             acks.append(
                 (
                     index,
@@ -557,7 +562,8 @@ class DistributedBackend(FleetBackend):
                         if failure_wire is None
                         else _failure_from_wire(failure_wire)
                     )
-                    yield index, row, failure, telemetry
+                    record = None if row is None else RunRecord.from_wire(row)
+                    yield index, record, failure, telemetry
                 if len(consumed) >= len(pending):
                     break
                 if not any(process.is_alive() for process in workers):

@@ -9,7 +9,9 @@ shipped with from day one, extracted behind the backend contract:
 * ``jobs > 1`` chunks cells across a :mod:`multiprocessing` pool whose
   workers receive the recorded artifacts (and, when the demand pass is
   on, the preprocessed :class:`~repro.demand.replayer.DemandProgram`)
-  once at pool initialisation.
+  once at pool initialisation.  A pool worker ships each record home as
+  its compact wire row (:meth:`~repro.results.RunRecord.to_wire`); the
+  parent decodes it before yielding, so the engine only sees records.
 
 The worker-side functions (:func:`init_worker`, :func:`run_spec_cell`)
 live here so other process-spanning backends — the distributed worker
@@ -33,6 +35,7 @@ from repro.fleet.backends.registry import (
     reject_unknown_opts,
 )
 from repro.fleet.spec import RunSpec
+from repro.results import RunRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.experiment import WorkloadArtifacts
@@ -59,9 +62,8 @@ def init_worker(artifacts, demand_trace=None) -> None:
 
 
 def run_spec_cell(item: tuple[int, RunSpec]) -> CellResult:
-    """Execute one cell; the result crosses the process boundary as the
-    schema-versioned :class:`~repro.results.RunRecord` JSON row, not a
-    pickled object.
+    """Execute one cell and return the :class:`~repro.results.RunRecord`
+    it produced (or the captured failure).
 
     The fourth element is the worker's telemetry for this cell — its pid,
     wall and CPU seconds spent, and which evaluation pass produced the
@@ -97,9 +99,9 @@ def run_spec_cell(item: tuple[int, RunSpec]) -> CellResult:
                 record = execute_spec(_WORKER_ARTIFACTS, spec)
         else:
             record = execute_spec(_WORKER_ARTIFACTS, spec)
-        row, failure = record.to_json_dict(), None
+        failure = None
     except Exception as exc:  # shipped home; the pool must not die
-        row = None
+        record = None
         failure = WorkerFailure(
             spec=spec,
             exc_type=type(exc).__name__,
@@ -114,7 +116,14 @@ def run_spec_cell(item: tuple[int, RunSpec]) -> CellResult:
     }
     if fallback_reason is not None:
         telemetry["fallback_reason"] = fallback_reason
-    return index, row, failure, telemetry
+    return index, record, failure, telemetry
+
+
+def _run_spec_cell_wire(item: tuple[int, RunSpec]):
+    """:func:`run_spec_cell` for a pool worker: the record crosses the
+    process boundary as its wire row, not a pickled object graph."""
+    index, record, failure, telemetry = run_spec_cell(item)
+    return index, None if record is None else record.to_wire(), failure, telemetry
 
 
 # --- parent side ------------------------------------------------------------------
@@ -167,9 +176,11 @@ class LocalBackend(FleetBackend):
             initializer=init_worker,
             initargs=(artifacts, demand_trace),
         ) as pool:
-            yield from pool.imap_unordered(
-                run_spec_cell, pending, chunksize=chunksize
-            )
+            for index, row, failure, telemetry in pool.imap_unordered(
+                _run_spec_cell_wire, pending, chunksize=chunksize
+            ):
+                record = None if row is None else RunRecord.from_wire(row)
+                yield index, record, failure, telemetry
 
 
 register_backend(LocalBackend.name, LocalBackend.from_opts)

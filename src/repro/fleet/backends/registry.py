@@ -13,8 +13,10 @@ CLI — ``--backend NAME[:key=value,...]`` — through the same
     distributed:dir=/shared,workers=4,lease=30,batch=2
 
 Every backend honours the engine's contract: it receives the pending
-``(index, spec)`` cells and yields ``(index, row, failure, telemetry)``
-in completion order; the engine's ordered merge then makes output
+``(index, spec)`` cells and yields ``(index, record, failure,
+telemetry)`` in completion order — a backend that ships a cell across a
+process boundary encodes its record as the wire row there and decodes it
+again before yielding; the engine's ordered merge then makes output
 bit-identical to the serial path regardless of backend, worker count or
 completion order.
 
@@ -33,11 +35,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.engine import WorkerFailure
     from repro.fleet.spec import RunSpec
     from repro.harness.experiment import WorkloadArtifacts
+    from repro.results import RunRecord
 
 #: One executed cell crossing the backend boundary: the spec's index,
-#: the RunRecord JSON row (or None), the captured failure (or None) and
-#: the worker's telemetry dict.
-CellResult = tuple[int, "dict | None", "WorkerFailure | None", dict]
+#: the RunRecord (or None), the captured failure (or None) and the
+#: worker's telemetry dict.
+CellResult = tuple[int, "RunRecord | None", "WorkerFailure | None", dict]
 
 
 class FleetBackend:

@@ -9,20 +9,29 @@ all invalidate exactly the affected cells and nothing else.  Entries are
 immutable once written: a warm re-run of a study loads every completed
 cell and executes only invalidated ones.
 
-Values are stored as canonical :class:`~repro.results.RunRecord` JSON
-rows under ``<root>/<aa>/<key>.json`` (two-level fan-out keeps
-directories small) — the same schema-versioned wire format fleet workers
-ship over IPC, not pickles, so a cache entry is inspectable with any JSON
-tool and can never execute code on load.  Rows are written atomically via
-a temp file and :func:`os.replace`, so a crashed or concurrent writer can
-never leave a truncated entry a later reader would trust.  Unreadable
-rows — including rows carrying an older ``schema_version`` — are treated
-as misses and re-executed.
+Values are stored as :class:`~repro.results.RunRecord` wire rows
+(:meth:`~repro.results.RunRecord.to_wire`: the canonical row with each
+trace packed into one base64 string) under ``<root>/<aa>/<key>.json``
+(two-level fan-out keeps directories small) — the same format fleet
+workers ship over IPC, not pickles, so a cache entry is a JSON document
+any JSON tool can inspect, and can never execute code on load.
+``CACHE_VERSION`` guards that packing: a change to it bumps the version,
+which moves every key, while the canonical row and its digests stay put.
+Rows are written atomically via a temp file and :func:`os.replace`, so a
+crashed or concurrent writer can never leave a truncated entry a later
+reader would trust.
+
+A row that cannot be served is a miss, counted by reason in
+``miss_reasons``: *absent* (no file), *stale* (another RunRecord schema
+version) or *corrupt* (not a well-formed wire row).  Any other exception
+while loading is a bug and propagates, so it can never quietly turn every
+hit into a miss.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import pickle
 import tempfile
@@ -30,12 +39,17 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.fleet.spec import RunSpec
-from repro.results import RUN_RECORD_SCHEMA_VERSION, RunRecord
+from repro.results import (
+    RUN_RECORD_SCHEMA_VERSION,
+    RunRecord,
+    RunRecordSchemaError,
+    RunRecordWireError,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.harness.experiment import WorkloadArtifacts
 
-CACHE_VERSION = 2  # v2: RunRecord JSON rows replaced RunResult pickles
+CACHE_VERSION = 3  # v3: packed wire rows replaced canonical JSON rows
 _PICKLE_PROTOCOL = 4  # fixed so fingerprints are stable across interpreters
 
 _CODE_FINGERPRINT: str | None = None
@@ -87,15 +101,16 @@ class RecordStore:
     folds the cache format, the record schema, the code and workload
     fingerprints and the spec identity — so any store implementation
     (filesystem, a future network store) addresses the identical cells.
-    Implementations supply :meth:`load` / :meth:`store` /
+    Implementations supply :meth:`load` / :meth:`store_wire` /
     :meth:`contains`; both must tolerate concurrent writers racing the
     same key (rows are immutable values: last write wins with identical
-    bytes) and treat truncated, corrupt or schema-stale rows as misses,
-    never as errors.
+    bytes) and count absent, corrupt or schema-stale rows as misses by
+    reason in ``miss_reasons``, never as errors.
     """
 
     hits: int
     misses: int
+    miss_reasons: dict[str, int]
 
     def key_for(self, spec: RunSpec, fingerprint: str) -> str:
         payload = (
@@ -108,7 +123,15 @@ class RecordStore:
         raise NotImplementedError
 
     def store(self, key: str, record: "RunRecord") -> None:
+        self.store_wire(key, record.to_wire())
+
+    def store_wire(self, key: str, row: dict) -> None:
+        """Publish an already-encoded :meth:`RunRecord.to_wire` row."""
         raise NotImplementedError
+
+    def _miss(self, reason: str) -> None:
+        self.misses += 1
+        self.miss_reasons[reason] = self.miss_reasons.get(reason, 0) + 1
 
     def contains(self, key: str) -> bool:
         raise NotImplementedError
@@ -121,25 +144,30 @@ class ResultCache(RecordStore):
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
+        self.miss_reasons = {}
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
     def load(self, key: str) -> "RunRecord | None":
         """The cached record for ``key``, or None (counting a miss)."""
-        path = self.path_for(key)
         try:
-            record = RunRecord.loads(path.read_text(encoding="utf-8"))
-        except Exception:
-            # Missing, truncated, not JSON, or a row written under a
-            # different RunRecord schema version: a miss either way — the
-            # cell re-executes.
-            self.misses += 1
+            data = self.path_for(key).read_bytes()
+        except FileNotFoundError:
+            self._miss("absent")
+            return None
+        try:
+            record = RunRecord.wire_loads(data)
+        except RunRecordSchemaError:
+            self._miss("stale")
+            return None
+        except RunRecordWireError:
+            self._miss("corrupt")
             return None
         self.hits += 1
         return record
 
-    def store(self, key: str, record: "RunRecord") -> None:
+    def store_wire(self, key: str, row: dict) -> None:
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
@@ -147,7 +175,7 @@ class ResultCache(RecordStore):
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(record.dumps())
+                handle.write(json.dumps(row, separators=(",", ":")))
             os.replace(tmp_name, path)
         except BaseException:
             try:

@@ -18,10 +18,10 @@ produced, but
   bit-identical to the serial path regardless of backend, worker count
   or completion order,
 * **typed IPC** — a worker ships its result home as the schema-versioned
-  :class:`RunRecord` JSON row (the same wire format the cache stores),
-  never as a pickled object graph, so the inline path, the pool path,
-  the shared work queue and the cache all carry the identical compact
-  shape,
+  :class:`RunRecord` wire row (the same compact format the cache
+  stores), never as a pickled object graph; the backend that encoded a
+  row decodes it, so the engine only ever handles records, and the
+  inline path crosses no boundary and encodes nothing,
 * **cache-aware** — with a :class:`~repro.fleet.cache.ResultCache`, cells
   whose content address (spec + workload fingerprint) is already stored
   are served without executing, and fresh results are stored on the way
@@ -253,7 +253,7 @@ class FleetEngine:
         demand_trace = self._demand_trace(artifacts, stats) if pending else None
 
         failures: list[WorkerFailure] = []
-        for index, row, failure, telemetry in self.backend.execute(
+        for index, record, failure, telemetry in self.backend.execute(
             artifacts,
             pending,
             demand_trace=demand_trace,
@@ -283,7 +283,6 @@ class FleetEngine:
                 stats.full_cells += 1
             if reason is not None:
                 stats.fallback_cells += 1
-            record = RunRecord.from_json_dict(row)
             results[index] = record
             stats.executed += 1
             if self.cache is not None:

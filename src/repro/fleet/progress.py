@@ -186,7 +186,8 @@ class ProgressReporter:
         """Emit the end-of-run telemetry summary (JSONL only).
 
         ``stats`` is the engine's :class:`~repro.fleet.engine.FleetStats`;
-        ``cache``, when given, contributes its session hit/miss counters.
+        ``cache``, when given, contributes its session hit/miss counters
+        and the misses by reason (absent, stale, corrupt).
         """
         if self._jsonl is None:
             return
@@ -218,7 +219,11 @@ class ProgressReporter:
         if self._started_at is not None:
             event["elapsed_s"] = self._clock() - self._started_at
         if cache is not None:
-            event["cache"] = {"hits": cache.hits, "misses": cache.misses}
+            event["cache"] = {
+                "hits": cache.hits,
+                "misses": cache.misses,
+                "miss_reasons": dict(cache.miss_reasons),
+            }
         self._emit_jsonl(event)
 
     def note_capture_seconds(self, seconds: float | None) -> None:

@@ -243,11 +243,17 @@ def _workload_name(args) -> str:
 
 
 def _print_cache_summary(cache: ResultCache | None, stream=None) -> None:
-    """Cache telemetry; defaults to stderr — stdout belongs to study
-    results and is pinned byte-identical by the integration tests."""
+    """Cache telemetry, with misses by reason when there are any;
+    defaults to stderr — stdout belongs to study results and is pinned
+    byte-identical by the integration tests."""
     if cache is not None:
-        print(f"# cache: {cache.hits} hits, {cache.misses} misses "
-              f"({cache.root})", file=stream or sys.stderr)
+        reasons = ", ".join(
+            f"{count} {reason}"
+            for reason, count in sorted(cache.miss_reasons.items())
+        )
+        print(f"# cache: {cache.hits} hits, {cache.misses} misses"
+              f"{': ' + reasons if reasons else ''} ({cache.root})",
+              file=stream or sys.stderr)
 
 
 def cmd_table1(_args) -> int:

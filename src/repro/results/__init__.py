@@ -11,6 +11,7 @@ from repro.results.record import (
     RUN_RECORD_SCHEMA_VERSION,
     RunRecord,
     RunRecordSchemaError,
+    RunRecordWireError,
 )
 
 __all__ = [
@@ -18,4 +19,5 @@ __all__ = [
     "RUN_RECORD_SCHEMA_VERSION",
     "RunRecord",
     "RunRecordSchemaError",
+    "RunRecordWireError",
 ]

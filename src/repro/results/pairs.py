@@ -14,36 +14,36 @@ result over as ``IntPairs`` without ever boxing a pair; the
 :class:`~repro.results.RunRecord` holds them in this form for its whole
 lifetime.
 
-Wire rows decode lazily: :meth:`IntPairs.from_lists` adopts the
-``[[a, b], ...]`` lists straight out of ``json.loads`` and defers the
-element-wise conversion until a consumer actually reads the pairs.
-Profiling the warm-cache scan showed that conversion dominating a fully
-cached sweep — and most cached records' traces are never read at all
-(sweep aggregation touches energy scalars and lag profiles; only the
-oracle's reference rows walk their busy intervals).  A record that *is*
-read converts once and frees the raw rows; one that is not never pays.
+Two text forms exist.  :meth:`IntPairs.to_lists` is the canonical JSON
+form ``[[a, b], ...]`` that record digests hash.  :meth:`IntPairs.pack`
+is the compact wire form that stores and worker IPC carry: both columns
+delta-encoded, laid out as little-endian int64 (``a`` deltas, then ``b``
+deltas), compressed with zlib level 1 and base64-encoded — about a fifth
+of the canonical text, and decoded with a few vectorised numpy calls.
+Deltas and their prefix sums wrap modulo 2**64 identically, so the round
+trip is exact over the whole int64 range.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
+import zlib
 from array import array
 from typing import Iterable, Iterator
 
+import numpy as np
+
 _TYPECODE = "q"  # signed 64-bit: microsecond timestamps and kHz both fit
+_WIRE_DTYPE = np.dtype("<i8")  # fixed byte order: a shared store is portable
 
 
 class IntPairs:
     """An immutable-by-convention sequence of integer pairs."""
 
-    __slots__ = ("_a", "_b", "_rows")
+    __slots__ = ("_a", "_b")
 
-    def __init__(self, pairs: "Iterable[tuple[int, int]] | IntPairs" = ()) -> None:
-        self._rows = None
-        if isinstance(pairs, IntPairs):
-            pairs._materialise()
-            self._a = array(_TYPECODE, pairs._a)
-            self._b = array(_TYPECODE, pairs._b)
-            return
+    def __init__(self, pairs: Iterable[tuple[int, int]] = ()) -> None:
         a = array(_TYPECODE)
         b = array(_TYPECODE)
         for first, second in pairs:
@@ -51,27 +51,6 @@ class IntPairs:
             b.append(second)
         self._a = a
         self._b = b
-
-    @classmethod
-    def from_lists(cls, rows: list) -> "IntPairs":
-        """Adopt the JSON wire form ``[[a, b], ...]`` without decoding it.
-
-        The rows are kept as-is and converted to the packed arrays on
-        first read access (then freed); :meth:`to_lists` round-trips
-        straight from the adopted rows.  Malformed rows therefore raise
-        at first access rather than here — callers that need eager
-        validation (there are none on the wire path: the rows come from
-        this class's own canonical serialization) should use the strict
-        constructor.  Anything that is not a list falls back to the
-        strict constructor immediately.
-        """
-        if type(rows) is not list:
-            return cls(rows)
-        pairs = cls.__new__(cls)
-        pairs._a = None
-        pairs._b = None
-        pairs._rows = rows
-        return pairs
 
     @classmethod
     def from_arrays(cls, a: array, b: array) -> "IntPairs":
@@ -83,44 +62,23 @@ class IntPairs:
         pairs = cls.__new__(cls)
         pairs._a = a
         pairs._b = b
-        pairs._rows = None
         return pairs
-
-    def _materialise(self) -> None:
-        """Convert adopted wire rows into the packed arrays (idempotent)."""
-        rows = self._rows
-        if rows is None:
-            return
-        a = array(_TYPECODE)
-        b = array(_TYPECODE)
-        for first, second in rows:
-            a.append(first)
-            b.append(second)
-        self._a = a
-        self._b = b
-        self._rows = None
 
     # --- sequence protocol ------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._rows is not None:
-            return len(self._rows)
         return len(self._a)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        self._materialise()
         return zip(self._a, self._b)
 
     def __getitem__(self, index):
-        self._materialise()
         if isinstance(index, slice):
             return list(zip(self._a[index], self._b[index]))
         return (self._a[index], self._b[index])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPairs):
-            self._materialise()
-            other._materialise()
             return self._a == other._a and self._b == other._b
         if isinstance(other, (list, tuple)):
             return len(other) == len(self) and all(
@@ -137,20 +95,45 @@ class IntPairs:
 
     def firsts(self) -> array:
         """The first elements as a live ``array('q')`` (do not mutate)."""
-        self._materialise()
         return self._a
 
     def seconds(self) -> array:
-        self._materialise()
         return self._b
 
     def to_lists(self) -> list[list[int]]:
         """JSON form: ``[[a, b], ...]``."""
-        if self._rows is not None:
-            # Adopted wire rows round-trip without converting; fresh
-            # outer/inner lists so a caller cannot alias our state.
-            return [list(row) for row in self._rows]
         return [[first, second] for first, second in self]
 
     def tolist(self) -> list[tuple[int, int]]:
         return list(self)
+
+    # --- wire form --------------------------------------------------------------
+
+    def pack(self) -> str:
+        """The compact wire form: one ASCII string (see module docstring)."""
+        deltas = np.diff(
+            np.frombuffer(self._a + self._b, dtype=np.int64).reshape(2, -1),
+            axis=1,
+            prepend=0,
+        )
+        raw = zlib.compress(deltas.astype(_WIRE_DTYPE, copy=False).tobytes(), 1)
+        return base64.b64encode(raw).decode("ascii")
+
+    @classmethod
+    def unpack(cls, text: str) -> "IntPairs":
+        """Decode :meth:`pack` output; ``ValueError`` on any malformed text."""
+        try:
+            raw = zlib.decompress(base64.b64decode(text, validate=True))
+        except (binascii.Error, zlib.error) as exc:
+            raise ValueError(f"bad packed pairs: {exc}") from None
+        if len(raw) % (2 * _WIRE_DTYPE.itemsize):
+            raise ValueError(
+                f"packed pairs hold {len(raw)} bytes, not a whole number "
+                f"of int64 pairs"
+            )
+        deltas = np.frombuffer(raw, dtype=_WIRE_DTYPE).reshape(2, -1)
+        a, b = (
+            array(_TYPECODE, np.cumsum(column, dtype=np.int64).tobytes())
+            for column in deltas
+        )
+        return cls.from_arrays(a, b)

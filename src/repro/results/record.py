@@ -4,18 +4,35 @@ A :class:`RunRecord` is the one typed result of a replay: everything a
 consumer downstream of the run loop needs (sweep aggregation, oracle
 composition, figure regeneration, design-space scoring, perf accounting)
 in a compact, JSON-safe row.  It is the *only* shape a run result takes
-when it crosses a process or storage boundary — fleet worker IPC ships
-these rows, and the content-addressed result cache stores them as JSON
-documents instead of pickles.
+when it crosses a process or storage boundary — never a pickled object
+graph.
+
+Two rows
+--------
+
+* The **canonical row** (:meth:`RunRecord.to_json_dict`,
+  :meth:`RunRecord.dumps`) is the record's identity: sorted-key JSON with
+  the traces as ``[[a, b], ...]`` lists.  Record digests and the golden
+  tests hash it, so it never changes without a schema bump.
+* The **wire row** (:meth:`RunRecord.to_wire`, :meth:`RunRecord.from_wire`)
+  is what every boundary carries: the result cache's files, the local
+  pool's IPC, and the distributed backend's store publish and queue ack.
+  It is the canonical row with each trace packed into one ASCII string
+  (:meth:`~repro.results.pairs.IntPairs.pack`), about a fifth of the
+  size.  It decodes eagerly and validates as it goes: any malformed row
+  raises :class:`RunRecordWireError`.
 
 Schema rules
 ------------
 
-* ``RUN_RECORD_SCHEMA_VERSION`` names the row layout.  Any change to the
-  field set, field meaning, or encoding MUST bump it.
-* The version is embedded in every serialized row and folded into every
-  fleet cache key, so old cache entries become misses (and re-execute)
-  instead of deserializing wrongly.
+* ``RUN_RECORD_SCHEMA_VERSION`` names the canonical row layout.  Any
+  change to the field set, field meaning, or canonical encoding MUST
+  bump it.  Both rows embed it, and the fleet cache folds it into every
+  key, so old entries become misses (and re-execute) instead of
+  deserializing wrongly.
+* The wire row's packing is guarded by the fleet cache's
+  ``CACHE_VERSION``, not by this version: changing it moves every cache
+  key but leaves the canonical row, and so every digest, untouched.
 * Rows are pure JSON: ints, floats, strings, lists.  Floats round-trip
   exactly (``json`` emits ``repr``-precision), which the bit-identical
   A/B guarantees rely on.
@@ -40,14 +57,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metrics.hci import HciModel
     from repro.oracle.builder import BusyTimeline
 
-#: Version of the serialized row layout.  Bump on ANY change to the
-#: fields below or their encoding; the fleet cache folds this into its
-#: content address, so a bump invalidates every cached row at once.
+#: Version of the canonical row layout.  Bump on ANY change to the
+#: fields below or their canonical encoding; the fleet cache folds this
+#: into its content address, so a bump invalidates every cached row.
 RUN_RECORD_SCHEMA_VERSION = 2
 
 
 class RunRecordSchemaError(ReproError):
     """A serialized row does not carry the supported schema version."""
+
+
+class RunRecordWireError(ReproError):
+    """A wire row is malformed: not JSON, a missing key, or a packed trace
+    column that does not decode."""
+
+
+def _check_version(row: dict) -> None:
+    version = row.get("schema_version")
+    if version != RUN_RECORD_SCHEMA_VERSION:
+        raise RunRecordSchemaError(
+            f"RunRecord schema version {version!r} is not the "
+            f"supported version {RUN_RECORD_SCHEMA_VERSION}"
+        )
 
 
 @dataclass(slots=True)
@@ -113,8 +144,8 @@ class RunRecord:
 
     # --- serialization ----------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        """The row as a pure-JSON dict (the IPC and cache wire format).
+    def _row(self, transitions, busy_intervals) -> dict:
+        """The row around the two trace columns, in their given form.
 
         ``obs`` is emitted only when present, so unobserved rows (the
         default, and everything the A/B digest tests compare) serialize
@@ -129,8 +160,8 @@ class RunRecord:
             "energy_j": self.energy_j,
             "dynamic_energy_j": self.dynamic_energy_j,
             "busy_us": self.busy_us,
-            "transitions": self.transitions.to_lists(),
-            "busy_intervals": self.busy_intervals.to_lists(),
+            "transitions": transitions,
+            "busy_intervals": busy_intervals,
             "lags": [
                 {
                     "lag_index": lag.lag_index,
@@ -150,18 +181,8 @@ class RunRecord:
         return row
 
     @classmethod
-    def from_json_dict(cls, row: dict) -> "RunRecord":
-        """Rebuild a record from :meth:`to_json_dict` output.
-
-        Raises :class:`RunRecordSchemaError` on a version mismatch — the
-        cache treats that as a miss and re-executes the cell.
-        """
-        version = row.get("schema_version")
-        if version != RUN_RECORD_SCHEMA_VERSION:
-            raise RunRecordSchemaError(
-                f"RunRecord schema version {version!r} is not the "
-                f"supported version {RUN_RECORD_SCHEMA_VERSION}"
-            )
+    def _from_row(cls, row: dict, transitions, busy_intervals) -> "RunRecord":
+        """Rebuild a record from a row whose traces are already decoded."""
         return cls(
             workload=row["workload"],
             config=row["config"],
@@ -170,11 +191,8 @@ class RunRecord:
             energy_j=row["energy_j"],
             dynamic_energy_j=row["dynamic_energy_j"],
             busy_us=row["busy_us"],
-            # Wire rows adopt lazily: the warm-cache scan loads hundreds
-            # of rows whose traces are mostly never read, so the
-            # element-wise decode is deferred to first access.
-            transitions=IntPairs.from_lists(row["transitions"]),
-            busy_intervals=IntPairs.from_lists(row["busy_intervals"]),
+            transitions=transitions,
+            busy_intervals=busy_intervals,
             lags=tuple(
                 LagMeasurement(
                     lag_index=lag["lag_index"],
@@ -191,6 +209,25 @@ class RunRecord:
             obs=row.get("obs"),
         )
 
+    # --- canonical row ----------------------------------------------------------
+
+    def to_json_dict(self) -> dict:
+        """The canonical row as a pure-JSON dict (what :meth:`dumps` hashes)."""
+        return self._row(
+            self.transitions.to_lists(), self.busy_intervals.to_lists()
+        )
+
+    @classmethod
+    def from_json_dict(cls, row: dict) -> "RunRecord":
+        """Rebuild a record from :meth:`to_json_dict` output.
+
+        Raises :class:`RunRecordSchemaError` on a version mismatch.
+        """
+        _check_version(row)
+        return cls._from_row(
+            row, IntPairs(row["transitions"]), IntPairs(row["busy_intervals"])
+        )
+
     def dumps(self) -> str:
         """Canonical JSON text of the row (stable key order, no spaces)."""
         return json.dumps(
@@ -200,3 +237,54 @@ class RunRecord:
     @classmethod
     def loads(cls, text: str) -> "RunRecord":
         return cls.from_json_dict(json.loads(text))
+
+    # --- wire row ---------------------------------------------------------------
+
+    def to_wire(self) -> dict:
+        """The compact wire row: the canonical row with each trace packed
+        into one ASCII string (:meth:`IntPairs.pack`)."""
+        return self._row(self.transitions.pack(), self.busy_intervals.pack())
+
+    @classmethod
+    def from_wire(cls, row: dict) -> "RunRecord":
+        """Rebuild a record from :meth:`to_wire` output, decoding eagerly.
+
+        Raises :class:`RunRecordSchemaError` when the row carries another
+        schema version, and :class:`RunRecordWireError` when it is
+        malformed in any other way.
+        """
+        if not isinstance(row, dict):
+            raise RunRecordWireError(
+                f"wire row is a {type(row).__name__}, not a JSON object"
+            )
+        if "schema_version" not in row:
+            raise RunRecordWireError("wire row has no 'schema_version'")
+        _check_version(row)
+        columns = []
+        for name in ("transitions", "busy_intervals"):
+            packed = row.get(name)
+            if not isinstance(packed, str):
+                raise RunRecordWireError(
+                    f"wire column {name!r} is a {type(packed).__name__}, "
+                    "not a packed string"
+                )
+            try:
+                columns.append(IntPairs.unpack(packed))
+            except ValueError as exc:
+                raise RunRecordWireError(f"wire column {name!r}: {exc}") from None
+        try:
+            return cls._from_row(row, *columns)
+        except (KeyError, TypeError) as exc:
+            raise RunRecordWireError(
+                f"malformed wire row: {type(exc).__name__}: {exc}"
+            ) from None
+
+    @classmethod
+    def wire_loads(cls, data: str | bytes) -> "RunRecord":
+        """:meth:`from_wire` over JSON text; text that is not JSON raises
+        :class:`RunRecordWireError`."""
+        try:
+            row = json.loads(data)
+        except ValueError as exc:
+            raise RunRecordWireError(f"wire row is not JSON: {exc}") from None
+        return cls.from_wire(row)

@@ -62,6 +62,11 @@ def test_demand_cells_counted_and_tagged_in_jsonl(artifacts_ds03, tmp_path):
         "capture_s": stats.demand_capture_s,
         "capture_error": None,
     }
+    assert summary["cache"] == {
+        "hits": 0,
+        "misses": len(specs),
+        "miss_reasons": {"absent": len(specs)},
+    }
 
 
 def test_fallback_reruns_cell_as_full_replay(artifacts_ds03, monkeypatch):

@@ -220,20 +220,61 @@ def test_concurrent_writers_racing_one_key_never_corrupt_it(
     assert cache.entry_count() == 1
 
 
+def _flip_base64_char(text: str, column: str) -> str:
+    """The wire row text with one character of a packed column changed."""
+    row = json.loads(text)
+    packed = row[column]
+    middle = len(packed) // 2
+    row[column] = (
+        packed[:middle] + ("A" if packed[middle] != "A" else "B")
+        + packed[middle + 1:]
+    )
+    return json.dumps(row)
+
+
 def test_truncated_and_corrupt_rows_are_misses(tmp_path, serial_results):
     cache = ResultCache(tmp_path)
     record = serial_results[0]
-    whole = record.dumps()
-    for i, payload in enumerate(
-        [whole[: len(whole) // 2], "", "{}", "not json at all"]
-    ):
+    whole = json.dumps(record.to_wire())
+    stale = record.to_wire()
+    stale["schema_version"] -= 1
+    planted = [
+        (whole[: len(whole) // 2], "corrupt"),
+        ("", "corrupt"),
+        ("{}", "corrupt"),
+        ("not json at all", "corrupt"),
+        (record.dumps(), "corrupt"),  # a canonical row: unpacked columns
+        (_flip_base64_char(whole, "busy_intervals"), "corrupt"),
+        (json.dumps(stale), "stale"),
+    ]
+    for i, (payload, reason) in enumerate(planted):
         key = f"{i:02d}" + "0" * 62
         path = cache.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(payload, encoding="utf-8")
+        before = dict(cache.miss_reasons)
         assert cache.load(key) is None
-    assert cache.misses == 4
+        assert cache.miss_reasons[reason] == before.get(reason, 0) + 1, payload
+    assert cache.load("ff" + "0" * 62) is None
+    assert cache.miss_reasons == {"corrupt": 6, "stale": 1, "absent": 1}
+    assert cache.misses == 8
     assert cache.hits == 0
+
+
+def test_a_decoding_bug_propagates_out_of_load(tmp_path, serial_results, monkeypatch):
+    """Only absent, stale and corrupt rows are misses: any other exception
+    while decoding is a bug and must fail the run, not read as a miss."""
+    cache = ResultCache(tmp_path)
+    key = "ab" + "0" * 62
+    cache.store(key, serial_results[0])
+
+    def broken(row):
+        raise AttributeError("decoder bug")
+
+    monkeypatch.setattr(RunRecord, "from_wire", broken)
+    with pytest.raises(AttributeError, match="decoder bug"):
+        cache.load(key)
+    assert (cache.hits, cache.misses) == (0, 0)
 
 
 # --- the distributed backend end to end ---------------------------------------------

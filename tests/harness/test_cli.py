@@ -58,7 +58,7 @@ def test_sweep_parallel_then_warm_cache(tmp_path, capsys):
     out = captured.out
     # Timing and cache telemetry live on stderr so stdout stays
     # bit-identical across --jobs values and warm re-runs.
-    assert "cache: 0 hits, 17 misses" in captured.err
+    assert "cache: 0 hits, 17 misses: 17 absent (" in captured.err
     assert "cache:" not in out
     assert "s wall" not in out
 
@@ -66,7 +66,7 @@ def test_sweep_parallel_then_warm_cache(tmp_path, capsys):
     # stdout is bit-identical to the cold run.
     assert main(argv) == 0
     captured = capsys.readouterr()
-    assert "cache: 17 hits, 0 misses" in captured.err
+    assert f"cache: 17 hits, 0 misses ({cache_dir})" in captured.err
     assert captured.out == out
 
 

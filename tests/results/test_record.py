@@ -1,11 +1,17 @@
-"""Tests for the schema-versioned RunRecord and its wire/cache format."""
+"""Tests for the schema-versioned RunRecord: its canonical row and its
+wire/cache row."""
 
 import json
 
 import pytest
 
 from repro.analysis.lagprofile import LagMeasurement
-from repro.results import RUN_RECORD_SCHEMA_VERSION, RunRecord, RunRecordSchemaError
+from repro.results import (
+    RUN_RECORD_SCHEMA_VERSION,
+    RunRecord,
+    RunRecordSchemaError,
+    RunRecordWireError,
+)
 
 
 def make_record(**overrides):
@@ -86,6 +92,7 @@ def test_cache_stores_json_rows_not_pickles(tmp_path):
     assert path.suffix == ".json"
     row = json.loads(path.read_text(encoding="utf-8"))
     assert row["schema_version"] == RUN_RECORD_SCHEMA_VERSION
+    assert isinstance(row["busy_intervals"], str)  # the packed wire row
     assert cache.load("ab" + "0" * 62) == record
 
 
@@ -119,3 +126,87 @@ def test_cache_key_depends_on_record_schema_version(tmp_path, monkeypatch):
         cache_mod, "RUN_RECORD_SCHEMA_VERSION", RUN_RECORD_SCHEMA_VERSION + 1
     )
     assert cache.key_for(spec, fingerprint) != key
+
+
+# --- the wire row -------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fleet_records(artifacts_ds03):
+    """Records as the fleet engine returns them, one per evaluation path."""
+    from repro.fleet.engine import FleetEngine
+    from repro.fleet.spec import enumerate_sweep_specs
+
+    specs = enumerate_sweep_specs(
+        artifacts_ds03.name,
+        ["fixed:300000", "fixed:2150400", "ondemand", "interactive"],
+        1,
+        artifacts_ds03.recording_master_seed,
+    )
+    return FleetEngine(jobs=1).run(artifacts_ds03, specs)
+
+
+def test_wire_round_trip_keeps_the_canonical_row(fleet_records):
+    for record in [make_record(), make_record(obs={"counters": {"x": 1}})] + list(
+        fleet_records
+    ):
+        wire = json.loads(json.dumps(record.to_wire()))
+        again = RunRecord.from_wire(wire)
+        assert again == record
+        assert again.dumps() == record.dumps()
+        assert again.obs == record.obs
+
+
+def test_wire_row_is_a_quarter_of_the_canonical_row_on_ds02():
+    from repro.harness.experiment import record_workload, replay_run
+    from repro.workloads.datasets import dataset
+
+    record = replay_run(record_workload(dataset("02")), "ondemand")
+    assert len(json.dumps(record.to_wire())) <= len(record.dumps()) / 4
+
+
+def test_wire_row_with_another_schema_version_is_stale():
+    row = make_record().to_wire()
+    row["schema_version"] = RUN_RECORD_SCHEMA_VERSION - 1
+    with pytest.raises(RunRecordSchemaError):
+        RunRecord.from_wire(row)
+
+
+def _without(key):
+    row = make_record().to_wire()
+    del row[key]
+    return row
+
+
+def _with(key, value):
+    row = make_record().to_wire()
+    row[key] = value
+    return row
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [],
+        "a string",
+        {},
+        _without("schema_version"),
+        _without("energy_j"),
+        _without("busy_intervals"),
+        _with("lags", [{"lag_index": 0}]),
+        _with("lags", 3),
+        make_record().to_json_dict(),  # the canonical row: list columns
+        _with("transitions", 17),
+        _with("transitions", "@@@@"),  # not base64
+        _with("busy_intervals", "bm90IHpsaWI="),  # base64, not zlib
+    ],
+)
+def test_malformed_wire_rows_raise_one_error(row):
+    with pytest.raises(RunRecordWireError):
+        RunRecord.from_wire(row)
+
+
+@pytest.mark.parametrize("text", ["", "{", "not json", b"\xff\xfe"])
+def test_wire_text_that_is_not_json_is_a_wire_error(text):
+    with pytest.raises(RunRecordWireError):
+        RunRecord.wire_loads(text)
