@@ -15,7 +15,7 @@ trace packed into one base64 string) under ``<root>/<aa>/<key>.json``
 (two-level fan-out keeps directories small) — the same format fleet
 workers ship over IPC, not pickles, so a cache entry is a JSON document
 any JSON tool can inspect, and can never execute code on load.
-``CACHE_VERSION`` guards that packing: a change to it bumps the version,
+``CACHE_VERSION`` guards that packing: changing the packing bumps it,
 which moves every key, while the canonical row and its digests stay put.
 Rows are written atomically via a temp file and :func:`os.replace`, so a
 crashed or concurrent writer can never leave a truncated entry a later
