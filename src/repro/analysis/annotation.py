@@ -11,7 +11,9 @@ whose ending looks like their beginning) and the irritation threshold.
 from __future__ import annotations
 
 import json
+from bisect import insort_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +66,7 @@ class AnnotationDatabase:
         self.screen_height = screen_height
         self.gestures: list[GestureInfo] = []
         self.annotations: list[LagAnnotation] = []
+        self._annotated: set[int] = set()
 
     def add_gesture(self, info: GestureInfo) -> None:
         self.gestures.append(info)
@@ -73,14 +76,14 @@ class AnnotationDatabase:
             raise AnnotationError(
                 "annotation image shape does not match the workload screen"
             )
-        if any(
-            a.gesture_index == annotation.gesture_index for a in self.annotations
-        ):
+        if annotation.gesture_index in self._annotated:
             raise AnnotationError(
                 f"gesture {annotation.gesture_index} already annotated"
             )
-        self.annotations.append(annotation)
-        self.annotations.sort(key=lambda a: a.begin_time_us)
+        self._annotated.add(annotation.gesture_index)
+        # insort_right keeps equal begin times in insertion order, exactly
+        # as a stable re-sort after each append would.
+        insort_right(self.annotations, annotation, key=attrgetter("begin_time_us"))
 
     @property
     def lag_count(self) -> int:
@@ -88,8 +91,7 @@ class AnnotationDatabase:
 
     @property
     def spurious_count(self) -> int:
-        annotated = {a.gesture_index for a in self.annotations}
-        return sum(1 for g in self.gestures if g.index not in annotated)
+        return sum(1 for g in self.gestures if g.index not in self._annotated)
 
     def annotation_for_gesture(self, gesture_index: int) -> LagAnnotation | None:
         for annotation in self.annotations:

@@ -7,7 +7,9 @@ in for that human: it knows from the device's ground-truth journal when
 each interaction semantically completed, and picks the suggester candidate
 showing that completion.  Crucially it only *selects among the
 suggester's candidates* — the pipeline shape is the paper's, with the one
-human click automated.  A manual path (:meth:`AutoAnnotator.pick`) exists
+human click automated.  The candidates are streamed from the lag's begin
+frame and the pick stops at the first one at or after the completion, so
+annotating a session costs time linear in its length.  A manual path (:meth:`AutoAnnotator.pick`) exists
 for tests and custom workloads.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 from repro.core.errors import AnnotationError
 from repro.analysis.annotation import AnnotationDatabase, GestureInfo, LagAnnotation
 from repro.analysis.diff import build_mask, frames_equal
-from repro.analysis.suggester import SuggesterConfig, Suggestion, suggest
+from repro.analysis.suggester import SuggesterConfig, Suggestion, iter_suggestions
 from repro.capture.video import Video
 from repro.device.display import VSYNC_PERIOD_US
 from repro.metrics.hci import SHNEIDERMAN_MODEL, HciModel
@@ -65,12 +67,7 @@ class AutoAnnotator:
             tolerance_px=self.default_tolerance_px,
             min_still_frames=1,
         )
-        candidates = suggest(video, begin_frame, video.end_frame, config)
-        if not candidates:
-            raise AnnotationError(
-                f"suggester found no candidates for {record.label!r}"
-            )
-        chosen = self._pick_candidate(candidates, record)
+        chosen = self._pick_candidate(video, begin_frame, record, config)
         image = video.frame_at(chosen.frame_index).copy()
         occurrence = self._count_occurrences(
             video, begin_frame, chosen.frame_index, image, config
@@ -90,23 +87,37 @@ class AutoAnnotator:
     # --- the "human" decisions --------------------------------------------------------
 
     def _pick_candidate(
-        self, candidates: list[Suggestion], record: InteractionRecord
+        self,
+        video: Video,
+        begin_frame: int,
+        record: InteractionRecord,
+        config: SuggesterConfig,
     ) -> Suggestion:
         """Pick the candidate showing the semantic completion.
 
         The completion renders on the first vsync after ``end_time``, so
         the right candidate is the earliest one at or past that frame.
+        Suggestions stream in frame order, so the walk stops at the first
+        such candidate and never reads the video beyond the lag.
         """
         assert record.end_time is not None
         completion_frame = record.end_time // VSYNC_PERIOD_US + 1
-        at_or_after = [c for c in candidates if c.frame_index >= completion_frame]
-        if not at_or_after:
+        seen_any = False
+        for candidate in iter_suggestions(
+            video, begin_frame, video.end_frame, config
+        ):
+            if candidate.frame_index >= completion_frame:
+                return candidate
+            seen_any = True
+        if not seen_any:
             raise AnnotationError(
-                f"no suggester candidate at or after the completion of "
-                f"{record.label!r} (frame {completion_frame}); the "
-                "interaction produced no visual change when it finished"
+                f"suggester found no candidates for {record.label!r}"
             )
-        return min(at_or_after, key=lambda c: c.frame_index)
+        raise AnnotationError(
+            f"no suggester candidate at or after the completion of "
+            f"{record.label!r} (frame {completion_frame}); the "
+            "interaction produced no visual change when it finished"
+        )
 
     def _count_occurrences(
         self,

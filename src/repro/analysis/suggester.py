@@ -6,11 +6,18 @@ different.  The algorithm then suggests each one preceding a zero" — the
 first frame of every still period.  The minimum still length, an allowed
 pixel difference and image masks are configurable per lag, exactly the
 knobs the paper's GUI exposes.
+
+The window is walked lazily, one RLE segment at a time:
+:func:`iter_suggestions` yields each candidate as soon as its still period
+is closed, and :func:`suggest` is simply its list.  A caller that only
+needs the first candidate past some frame (the annotator) stops there,
+so its cost is the lag's length, not the rest of the session's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 from repro.core.errors import AnnotationError
 from repro.core.geometry import Rect
@@ -43,31 +50,58 @@ class Suggestion:
 
 def _boundary_runs(
     video: Video, start: int, end: int, config: SuggesterConfig
-) -> list[tuple[int, int]]:
+) -> Iterator[tuple[int, int]]:
     """Collapse the window into runs of effectively-equal frames.
 
-    Returns ``[(run_start_frame, run_length), …]``.  Consecutive RLE
-    segments whose contents are equal under the mask/tolerance merge into
-    one run, preserving exact frame-by-frame semantics.
+    Yields ``(run_start_frame, run_length)`` pairs lazily: a run is
+    yielded as soon as the next unequal segment closes it (the last one
+    when the window ends), so a caller that stops early reads and compares
+    only the segments up to that point.  Consecutive RLE segments whose
+    contents are equal under the mask/tolerance merge into one run,
+    preserving exact frame-by-frame semantics.
     """
-    segments = list(video.segments_between(start, end))
-    if not segments:
-        return []
-    mask = build_mask(segments[0].content.shape, list(config.mask_rects))
-    runs: list[tuple[int, int]] = []
-    run_start = segments[0].start
-    run_len = segments[0].length
-    prev = segments[0]
-    for segment in segments[1:]:
+    segments = video.segments_between(start, end)
+    prev = next(segments, None)
+    if prev is None:
+        return
+    mask = build_mask(prev.content.shape, list(config.mask_rects))
+    run_start = prev.start
+    run_len = prev.length
+    for segment in segments:
         if frames_equal(prev.content, segment.content, mask, config.tolerance_px):
             run_len += segment.length
         else:
-            runs.append((run_start, run_len))
+            yield run_start, run_len
             run_start = segment.start
             run_len = segment.length
         prev = segment
-    runs.append((run_start, run_len))
-    return runs
+    yield run_start, run_len
+
+
+def iter_suggestions(
+    video: Video,
+    start_frame: int,
+    end_frame: int,
+    config: SuggesterConfig | None = None,
+) -> Iterator[Suggestion]:
+    """Candidate lag endings in ``[start_frame, end_frame)``, in frame order.
+
+    A frame is suggested when it differs from its predecessor (a "one")
+    and is followed by at least ``min_still_frames`` unchanged frames
+    ("zeros") — i.e. it starts a still period.  Each candidate is yielded
+    once the segment ending its still period has been compared, so a
+    consumer that stops at the first suitable candidate never scans the
+    rest of the window.
+    """
+    config = config or SuggesterConfig()
+    runs = _boundary_runs(video, start_frame, end_frame, config)
+    # The window's first run is the pre-existing screen content, not a
+    # change; the paper scans frames *after* the input.
+    next(runs, None)
+    for run_start, run_len in runs:
+        zeros = run_len - 1
+        if zeros >= config.min_still_frames:
+            yield Suggestion(run_start, zeros)
 
 
 def suggest(
@@ -76,24 +110,8 @@ def suggest(
     end_frame: int,
     config: SuggesterConfig | None = None,
 ) -> list[Suggestion]:
-    """Candidate lag endings in the window ``[start_frame, end_frame)``.
-
-    A frame is suggested when it differs from its predecessor (a "one")
-    and is followed by at least ``min_still_frames`` unchanged frames
-    ("zeros") — i.e. it starts a still period.
-    """
-    config = config or SuggesterConfig()
-    runs = _boundary_runs(video, start_frame, end_frame, config)
-    suggestions = []
-    for index, (run_start, run_len) in enumerate(runs):
-        if index == 0:
-            # The window's first run is the pre-existing screen content,
-            # not a change; the paper scans frames *after* the input.
-            continue
-        zeros = run_len - 1
-        if zeros >= config.min_still_frames:
-            suggestions.append(Suggestion(run_start, zeros))
-    return suggestions
+    """Every candidate lag ending in ``[start_frame, end_frame)``."""
+    return list(iter_suggestions(video, start_frame, end_frame, config))
 
 
 def change_string(

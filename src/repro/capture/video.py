@@ -11,7 +11,9 @@ short-circuit over still periods.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
@@ -130,10 +132,15 @@ class Video:
         return list(self._all_segments())
 
     def segments_between(self, start: int, end: int) -> Iterator[VideoSegment]:
-        """Segments overlapping frame range ``[start, end)``, clipped."""
-        for segment in self._all_segments():
-            if segment.end <= start:
-                continue
+        """Segments overlapping frame range ``[start, end)``, clipped.
+
+        Seeks to the first overlapping segment by bisection, so the cost
+        is the number of segments yielded, not the window's offset.
+        """
+        segments = self._all_segments()
+        first = bisect_right(segments, start, key=attrgetter("end"))
+        for index in range(first, len(segments)):
+            segment = segments[index]
             if segment.start >= end:
                 break
             yield VideoSegment(

@@ -190,8 +190,9 @@ def record_workload(
     # lifts, so the wait must cover in-flight contacts too or the video
     # gets cut before the final interaction has even begun.
     def _recording_pending() -> bool:
-        return device.touchscreen.contact_active or any(
-            not r.complete for r in wm.journal.interactions
+        return (
+            device.touchscreen.contact_active
+            or wm.journal.open_interactions > 0
         )
 
     waited = 0

@@ -24,6 +24,7 @@ MICRO_BENCHES = (
     "governor_sim",
     "demand_kernel",
     "replay_inputs",
+    "annotate_session",
 )
 
 
@@ -87,6 +88,15 @@ def _run_policy_queries() -> BenchResult:
     )
 
 
+def _run_annotate_session() -> BenchResult:
+    start = time.perf_counter()
+    lags = workloads.run_annotate_session()
+    wall = time.perf_counter() - start
+    return BenchResult(
+        name="annotate_session", wall_s=wall, sim_us=0, events=lags
+    )
+
+
 def _runner_for(name: str):
     if name == "engine_events":
         return lambda: _run_engine_bench(name, workloads.run_engine_events)
@@ -104,6 +114,8 @@ def _runner_for(name: str):
         return lambda: _run_engine_bench(name, workloads.run_demand_kernel)
     if name == "replay_inputs":
         return lambda: _run_engine_bench(name, workloads.run_replay_inputs)
+    if name == "annotate_session":
+        return _run_annotate_session
     raise ReproError(f"unknown benchmark {name!r}")
 
 

@@ -2,8 +2,8 @@
 
 Each workload exercises one kernel subsystem in isolation (event heap,
 periodic timers, cancellation churn, the scheduler's task path, the
-cpufreq trace queries, the demand walk, the replay agent's input cursor)
-so a regression pinpoints its layer.  Full study cells are
+cpufreq trace queries, the demand walk, the replay agent's input cursor,
+the annotation of a long recording) so a regression pinpoints its layer.  Full study cells are
 ``perfbench/``'s to measure.
 
 Every workload is seeded and deterministic: two runs execute the same
@@ -321,3 +321,63 @@ def run_governor_sim(
         )
     device.run_for(seconds(sim_s))
     return device.engine
+
+
+_ANNOTATE_LAGS = 600
+_ANNOTATE_SPACING_FRAMES = 60  # one lag every 2 s of 30 fps video
+
+
+@lru_cache(maxsize=1)
+def _annotation_session(lags: int):
+    """A synthetic recording: ``lags`` taps, one every two seconds.
+
+    Each lag shows a pressed state for two frames (a candidate *before*
+    the completion, which the pick must skip), one loading frame, then its
+    result, held until the next tap.  A status-bar mask is snapshotted at
+    every completion, as on the real device.  Built once per process so
+    the timed region is the annotation.
+    """
+    import numpy as np
+
+    from repro.capture.video import Video
+    from repro.core.geometry import Rect
+    from repro.device.display import VSYNC_PERIOD_US
+    from repro.uifw.journal import GroundTruthJournal
+
+    width, height = 16, 16
+    video = Video(width, height)
+    journal = GroundTruthJournal()
+    journal.mask_provider = lambda: [Rect(0, 0, width, 2)]
+    pressed = np.full((height, width), 200, dtype=np.uint8)
+    loading = np.full((height, width), 201, dtype=np.uint8)
+    video.record_frame(0, np.zeros((height, width), dtype=np.uint8))
+    for lag in range(lags):
+        begin = 1 + lag * _ANNOTATE_SPACING_FRAMES
+        video.record_frame(begin + 1, pressed)
+        video.record_frame(begin + 3, loading)
+        video.record_frame(
+            begin + 4, np.full((height, width), lag % 100, dtype=np.uint8)
+        )
+        journal.note_gesture("tap", begin * VSYNC_PERIOD_US)
+        token = journal.open_interaction(
+            f"bench:lag{lag}", "common", begin * VSYNC_PERIOD_US
+        )
+        journal.gesture_dispatched(True)
+        token.complete((begin + 3) * VSYNC_PERIOD_US)
+    video.finalize(1 + lags * _ANNOTATE_SPACING_FRAMES)
+    return video, journal
+
+
+def run_annotate_session(lags: int = _ANNOTATE_LAGS) -> int:
+    """Annotate a long synthetic recording; returns the lags annotated.
+
+    Guards the annotator's early stop: each pick must read the video only
+    up to its lag's completion.  Suggesting to the end of the video for
+    every lag makes the work quadratic in session length, a >10x drop at
+    this size.
+    """
+    from repro.analysis.annotator import AutoAnnotator
+
+    video, journal = _annotation_session(lags)
+    database = AutoAnnotator("perf:annotate_session").annotate(video, journal)
+    return database.lag_count

@@ -72,6 +72,7 @@ class InteractionToken:
                 f"interaction {self._record.label!r} completed twice"
             )
         self._closed = True
+        self._journal.open_interactions -= 1
         self._record.end_time = now
         self._record.mask_rects = self._journal.capture_mask()
         if self._journal.completion_listener is not None:
@@ -85,6 +86,8 @@ class GroundTruthJournal:
         self.gestures: list[GestureNote] = []
         self.interactions: list[InteractionRecord] = []
         self._current_gesture: GestureNote | None = None
+        #: interactions opened but not yet completed through their token.
+        self.open_interactions = 0
         #: set by the window manager; returns the dynamic-region rects.
         self.mask_provider = None
         #: set by the window manager; fires with each completed record.
@@ -126,11 +129,13 @@ class GroundTruthJournal:
                 f"interaction {label!r} opened outside gesture dispatch"
             )
         gesture_index = self._current_gesture.index
-        for existing in reversed(self.interactions):
-            if existing.gesture_index == gesture_index:
+        # Gesture indices only grow, so a duplicate can only be the last.
+        if self.interactions:
+            last = self.interactions[-1]
+            if last.gesture_index == gesture_index:
                 raise SimulationError(
                     f"gesture {gesture_index} already has an interaction "
-                    f"({existing.label!r})"
+                    f"({last.label!r})"
                 )
         record = InteractionRecord(
             gesture_index=gesture_index,
@@ -139,6 +144,7 @@ class GroundTruthJournal:
             begin_time=begin_time,
         )
         self.interactions.append(record)
+        self.open_interactions += 1
         return InteractionToken(self, record)
 
     # --- queries -------------------------------------------------------------------

@@ -129,8 +129,7 @@ class ScriptedUser:
             self._engine.schedule_after(POLL_PERIOD_US, self._watch)
 
     def _system_settled(self) -> bool:
-        journal = self._wm.journal
-        if any(not r.complete for r in journal.interactions):
+        if self._wm.journal.open_interactions:
             return False
         scheduler = self._device.scheduler
         current = scheduler.current_task

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import AnnotationError
 from repro.core.geometry import Rect
@@ -28,6 +30,18 @@ def test_annotations_sorted_by_begin_time():
     db.add(make_annotation(gesture=1, begin=5000))
     db.add(make_annotation(gesture=0, begin=1000))
     assert [a.gesture_index for a in db.annotations] == [0, 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=20))
+def test_insertion_order_equals_stable_sort(begins):
+    """Equal begin times keep their insertion order, as a stable sort of
+    the appended list would."""
+    db = AnnotationDatabase("w", 8, 8)
+    added = [make_annotation(gesture=g, begin=b) for g, b in enumerate(begins)]
+    for annotation in added:
+        db.add(annotation)
+    assert db.annotations == sorted(added, key=lambda a: a.begin_time_us)
 
 
 def test_duplicate_gesture_rejected():

@@ -56,6 +56,14 @@ def test_replay_inputs_fires_one_event_per_input():
     assert engine.pending == 0
 
 
+def test_annotate_session_annotates_every_lag():
+    assert workloads.run_annotate_session(lags=40) == 40
+    video, journal = workloads._annotation_session(40)
+    assert len(journal.interactions) == 40
+    assert journal.open_interactions == 0
+    assert video.segment_count == 1 + 3 * 40
+
+
 def test_run_suite_micro_produces_all_results(tmp_path):
     results = run_suite(repeats=1)
     assert [result.name for result in results] == list(MICRO_BENCHES)

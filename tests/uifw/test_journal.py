@@ -41,6 +41,33 @@ def test_one_interaction_per_gesture(journal):
         journal.open_interaction("y", "common", 0)
 
 
+def test_only_the_latest_gesture_can_collide(journal):
+    dispatch_gesture(journal)
+    journal.open_interaction("x", "common", 0)
+    journal.gesture_dispatched(True)
+    dispatch_gesture(journal)
+    journal.open_interaction("y", "common", 0)
+    with pytest.raises(SimulationError, match="gesture 1 already has"):
+        journal.open_interaction("z", "common", 0)
+
+
+def test_open_interactions_counts_incomplete_records(journal):
+    tokens = []
+    for index in range(3):
+        dispatch_gesture(journal, down=index)
+        tokens.append(journal.open_interaction(f"x{index}", "common", index))
+        journal.gesture_dispatched(True)
+    assert journal.open_interactions == 3
+    tokens[1].complete(10)
+    assert journal.open_interactions == 2
+    with pytest.raises(SimulationError):
+        tokens[1].complete(11)
+    assert journal.open_interactions == 2
+    tokens[0].complete(12)
+    tokens[2].complete(13)
+    assert journal.open_interactions == 0
+
+
 def test_complete_records_end_time(journal):
     dispatch_gesture(journal)
     token = journal.open_interaction("x", "common", 1000)

@@ -102,3 +102,25 @@ def test_nav_targets_resolve():
     ScriptedUser(wm, plan, seconds(300)).start()
     device.run_for(seconds(60))
     assert wm.foreground is wm.app("launcher")
+
+
+def test_open_interaction_count_tracks_incomplete_records(monkeypatch):
+    """Every settle poll of a recording sees the journal's open count equal
+    to the number of incomplete records it replaced a scan of."""
+    from repro.harness.experiment import record_workload
+    from repro.workloads import dataset
+
+    seen = []
+    settled = ScriptedUser._system_settled
+
+    def checked(self):
+        journal = self._wm.journal
+        incomplete = sum(1 for r in journal.interactions if not r.complete)
+        seen.append((journal.open_interactions, incomplete))
+        return settled(self)
+
+    monkeypatch.setattr(ScriptedUser, "_system_settled", checked)
+    record_workload(dataset("persona=messenger,seed=2,duration=2m"))
+    assert seen
+    assert all(count == incomplete for count, incomplete in seen)
+    assert any(count > 0 for count, _ in seen)  # polls saw open lags
