@@ -17,9 +17,7 @@ Lease/ack semantics make the queue crash-safe:
   out and bumps its attempt counter; acking marks it ``done`` and
   attaches the result row (or the captured failure) plus telemetry.
   With ``batch=N`` a worker leases N cells in one transaction, executes
-  them all, and acks them all in one transaction — one queue round-trip
-  per N cells, which matters once the demand pass makes cells cheap
-  enough that per-cell dispatch overhead shows,
+  them all, and acks them all in one transaction,
 * a worker that dies mid-batch never acks — its cells' leases expire
   and any live worker re-leases them (straggler re-dispatch).  A *slow*
   worker that outlives its lease causes at worst a duplicate execution,
@@ -36,6 +34,14 @@ re-dispatches only the unfinished cells, executing **zero** duplicate
 replays.  The queue itself is coordination-only state, scoped per
 ``run_id``; stale rows from a killed run are ignored and swept on the
 next enqueue.
+
+Each process keeps one queue connection, opened on first use and reused
+by every lease, ack and poll after it: a write transaction on a fresh
+connection costs about 70 times one on a kept connection, because
+closing the last connection to a WAL database checkpoints it.
+A connection never crosses a fork: the coordinator closes its own before
+it starts the workers, and a queue object used in a process other than
+the one that opened its connection opens one of its own.
 
 The ``chaos_exit_after=N`` option is a test/CI knob: the first worker
 hard-exits (``os._exit``) after acking N cells, simulating a mid-batch
@@ -91,6 +97,12 @@ CREATE TABLE IF NOT EXISTS cells (
 CREATE INDEX IF NOT EXISTS cells_state ON cells (run_id, state);
 """
 
+#: Connections a forked child inherited with its queue objects.  They
+#: stay referenced for the life of the process, so garbage collection
+#: never closes them: closing an inherited sqlite handle drops this
+#: process's POSIX locks on the file, its own connection's included.
+_INHERITED: list[sqlite3.Connection] = []
+
 
 class SqliteWorkQueue:
     """Leased work-cell queue shared by coordinator and workers.
@@ -99,16 +111,24 @@ class SqliteWorkQueue:
     number of processes can lease and ack concurrently; sqlite's file
     lock is the arbiter.  ``clock`` is injectable so lease expiry is
     testable without sleeping.
+
+    The object holds one connection per process: opened on first use,
+    bound to ``os.getpid()``, reused by every call, released by
+    :meth:`close`.  Close it before forking, so the child starts without
+    an open sqlite handle.
     """
 
     def __init__(self, path: str | Path, clock=time.time) -> None:
         self.path = Path(path)
         self._clock = clock
+        self._conn: sqlite3.Connection | None = None
+        self._pid: int | None = None
 
     def _connect(self) -> sqlite3.Connection:
-        # Autocommit connections: transactions are explicit BEGIN
-        # IMMEDIATE blocks so every mutation holds the write lock for
-        # exactly one short critical section.
+        # An autocommit connection: transactions are explicit BEGIN
+        # IMMEDIATE blocks, so every mutation holds the write lock for
+        # exactly one short critical section and no read is left open
+        # between calls.
         conn = sqlite3.connect(self.path, timeout=30.0, isolation_level=None)
         conn.execute("PRAGMA busy_timeout=30000")
         # The queue is coordination-only state: durable truth lives in
@@ -120,27 +140,46 @@ class SqliteWorkQueue:
         conn.execute("PRAGMA synchronous=NORMAL")
         return conn
 
+    def _connection(self) -> sqlite3.Connection:
+        """This process's connection, opened on first use."""
+        if self._pid != os.getpid():
+            self.close()
+            self._conn = self._connect()
+            self._pid = os.getpid()
+        return self._conn
+
+    def close(self) -> None:
+        """Release this process's connection; the next call reopens one.
+
+        A connection inherited over fork is not closed but parked in
+        ``_INHERITED``: closing an inherited sqlite handle drops this
+        process's POSIX locks on the file.
+        """
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            if self._pid == os.getpid():
+                conn.close()
+            else:
+                _INHERITED.append(conn)
+        self._pid = None
+
     def _mutate(self, operate) -> object:
         """Run ``operate(conn)`` inside one immediate transaction."""
-        conn = self._connect()
+        conn = self._connection()
+        conn.execute("BEGIN IMMEDIATE")
         try:
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                result = operate(conn)
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
+            result = operate(conn)
             conn.execute("COMMIT")
-            return result
-        finally:
-            conn.close()
+        except BaseException:
+            # The connection outlives this call: never leave it inside
+            # a transaction.
+            if conn.in_transaction:
+                conn.execute("ROLLBACK")
+            raise
+        return result
 
     def _read(self, operate) -> object:
-        conn = self._connect()
-        try:
-            return operate(conn)
-        finally:
-            conn.close()
+        return operate(self._connection())
 
     def ensure(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -230,10 +269,11 @@ class SqliteWorkQueue:
     ) -> None:
         """Mark a batch of ``(index, row, failure, telemetry)`` cells done.
 
-        One ``BEGIN IMMEDIATE`` covers the whole batch, so a ``batch=N``
-        worker pays one queue round-trip (and one WAL sync point) per N
-        cells instead of per cell.  Idempotent like :meth:`ack`; an
-        empty batch is a no-op.
+        One ``BEGIN IMMEDIATE`` covers the whole batch: one write
+        transaction, appending its pages to the WAL, per N cells.  (Under
+        ``synchronous=NORMAL`` a commit does not fsync; the WAL syncs at
+        checkpoints.)  Idempotent like :meth:`ack`; an empty batch is a
+        no-op.
         """
         if not acks:
             return
@@ -261,14 +301,32 @@ class SqliteWorkQueue:
     def done_cells(
         self, run_id: str, skip: set[int]
     ) -> list[tuple[int, dict | None, dict | None, dict]]:
-        """Completed cells not yet consumed, in index order."""
-        rows = self._read(
-            lambda conn: conn.execute(
-                "SELECT idx, row, failure, telemetry FROM cells "
-                "WHERE run_id = ? AND state = 'done' ORDER BY idx",
-                (run_id,),
-            ).fetchall()
-        )
+        """Completed cells not in ``skip``, in index order.
+
+        Each poll scans only the done cells' indices; the payload of a
+        cell outside ``skip`` is fetched and decoded, so a coordinator
+        that adds every returned index to ``skip`` reads each row once.
+        """
+
+        def operate(conn):
+            fresh = [
+                idx
+                for (idx,) in conn.execute(
+                    "SELECT idx FROM cells WHERE run_id = ? "
+                    "AND state = 'done' ORDER BY idx",
+                    (run_id,),
+                )
+                if idx not in skip
+            ]
+            return [
+                (idx, *conn.execute(
+                    "SELECT row, failure, telemetry FROM cells "
+                    "WHERE run_id = ? AND idx = ?",
+                    (run_id, idx),
+                ).fetchone())
+                for idx in fresh
+            ]
+
         return [
             (
                 idx,
@@ -276,8 +334,7 @@ class SqliteWorkQueue:
                 None if failure is None else json.loads(failure),
                 json.loads(telemetry) if telemetry else {},
             )
-            for idx, row, failure, telemetry in rows
-            if idx not in skip
+            for idx, row, failure, telemetry in self._read(operate)
         ]
 
     def counts(self, run_id: str) -> dict[str, int]:
@@ -530,6 +587,9 @@ class DistributedBackend(FleetBackend):
             run_id,
             [(index, spec.to_wire(), keys[index]) for index, spec in pending],
         )
+        # No open sqlite handle may cross the fork into the workers; the
+        # first poll reopens the coordinator's connection.
+        queue.close()
         workers = [
             multiprocessing.Process(
                 target=_distributed_worker,
@@ -584,7 +644,10 @@ class DistributedBackend(FleetBackend):
             self.last_workers_lost = sum(
                 1 for process in workers if process.exitcode not in (0, None)
             )
-            self.last_redispatched = queue.redispatched(run_id)
+            try:
+                self.last_redispatched = queue.redispatched(run_id)
+            finally:
+                queue.close()
 
     def _drain_inline(
         self, queue: SqliteWorkQueue, run_id: str, store, artifacts,

@@ -25,6 +25,7 @@ MICRO_BENCHES = (
     "demand_kernel",
     "replay_inputs",
     "annotate_session",
+    "queue_roundtrip",
 )
 
 
@@ -97,6 +98,15 @@ def _run_annotate_session() -> BenchResult:
     )
 
 
+def _run_queue_roundtrip() -> BenchResult:
+    start = time.perf_counter()
+    roundtrips = workloads.run_queue_roundtrip()
+    wall = time.perf_counter() - start
+    return BenchResult(
+        name="queue_roundtrip", wall_s=wall, sim_us=0, events=roundtrips
+    )
+
+
 def _runner_for(name: str):
     if name == "engine_events":
         return lambda: _run_engine_bench(name, workloads.run_engine_events)
@@ -116,6 +126,8 @@ def _runner_for(name: str):
         return lambda: _run_engine_bench(name, workloads.run_replay_inputs)
     if name == "annotate_session":
         return _run_annotate_session
+    if name == "queue_roundtrip":
+        return _run_queue_roundtrip
     raise ReproError(f"unknown benchmark {name!r}")
 
 

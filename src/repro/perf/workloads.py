@@ -3,8 +3,9 @@
 Each workload exercises one kernel subsystem in isolation (event heap,
 periodic timers, cancellation churn, the scheduler's task path, the
 cpufreq trace queries, the demand walk, the replay agent's input cursor,
-the annotation of a long recording) so a regression pinpoints its layer.  Full study cells are
-``perfbench/``'s to measure.
+the annotation of a long recording, the fleet's work queue) so a
+regression pinpoints its layer.  Full study cells are ``perfbench/``'s
+to measure.
 
 Every workload is seeded and deterministic: two runs execute the same
 event sequence, so wall-clock differences measure the implementation, not
@@ -381,3 +382,37 @@ def run_annotate_session(lags: int = _ANNOTATE_LAGS) -> int:
     video, journal = _annotation_session(lags)
     database = AutoAnnotator("perf:annotate_session").annotate(video, journal)
     return database.lag_count
+
+
+_QUEUE_ROUNDTRIPS = 500
+
+
+def run_queue_roundtrip(roundtrips: int = _QUEUE_ROUNDTRIPS) -> int:
+    """Lease and ack one cell at a time on a temp-dir work queue; returns
+    the round trips made.
+
+    Guards the queue's kept connection: opening a connection per lease
+    and per ack (and closing it, which checkpoints the WAL) costs about
+    70 times a kept connection's write transaction.
+    """
+    import tempfile
+    from pathlib import Path
+
+    from repro.fleet.backends.distributed import SqliteWorkQueue
+
+    with tempfile.TemporaryDirectory(prefix="repro-perf-queue-") as tmp:
+        queue = SqliteWorkQueue(Path(tmp) / "queue.sqlite3")
+        try:
+            queue.ensure()
+            queue.enqueue(
+                "perf",
+                [(index, {"index": index}, "") for index in range(roundtrips)],
+            )
+            done = 0
+            while cells := queue.lease("perf", "perf", 1, 30.0):
+                [(index, _wire, _key)] = cells
+                queue.ack("perf", index, {"index": index}, None, {})
+                done += 1
+        finally:
+            queue.close()
+    return done

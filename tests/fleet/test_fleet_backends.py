@@ -3,6 +3,8 @@ distributed backend's crash/resume semantics."""
 
 import json
 import multiprocessing
+import os
+import sqlite3
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.fleet.backends import (
     create_backend,
     parse_backend_spec,
 )
+from repro.fleet.backends import distributed
 from repro.fleet.cache import ResultCache, workload_fingerprint
 from repro.fleet.engine import FleetEngine
 from repro.fleet.spec import RunSpec, enumerate_sweep_specs
@@ -431,3 +434,154 @@ def test_batch_option_parses_and_validates(tmp_path):
         DistributedBackend.from_opts(
             {"dir": str(tmp_path / "share"), "batch": "-1"}
         )
+
+
+# --- one queue connection per process -----------------------------------------------
+
+
+def _record_connects(monkeypatch):
+    """Record ``(pid, connection)`` for every connection the queue opens."""
+    opened = []
+    connect = SqliteWorkQueue._connect
+
+    def recording(self):
+        conn = connect(self)
+        opened.append((os.getpid(), conn))
+        return conn
+
+    monkeypatch.setattr(SqliteWorkQueue, "_connect", recording)
+    return opened
+
+
+def _is_open(conn) -> bool:
+    try:
+        conn.execute("SELECT 1")
+    except sqlite3.ProgrammingError:
+        return False
+    return True
+
+
+def test_a_queue_connects_once_per_process(tmp_path, monkeypatch):
+    opened = _record_connects(monkeypatch)
+    specs = enumerate_sweep_specs("02", ["a"], 20, 2014)
+    queue = _queue(tmp_path)
+    queue.enqueue("run", _cells(specs))
+    for _ in range(20):
+        [(idx, _wire, _key)] = queue.lease("run", "w0", batch=1, lease_s=30.0)
+        queue.ack("run", idx, row={"x": idx}, failure=None, telemetry={})
+    assert len(queue.done_cells("run", skip=set())) == 20
+    assert queue.counts("run") == {"done": 20}
+    assert queue.redispatched("run") == 0
+    assert len(opened) == 1
+    # close() releases the connection; the next call opens a new one
+    queue.close()
+    assert not _is_open(opened[0][1])
+    assert queue.counts("run") == {"done": 20}
+    assert len(opened) == 2
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+def test_a_forked_child_opens_its_own_connection(tmp_path, monkeypatch):
+    """The child must not use, or close, the connection it inherited:
+    closing an inherited sqlite handle drops that process's file locks."""
+    opened = _record_connects(monkeypatch)
+    specs = enumerate_sweep_specs("02", ["a"], 2, 2014)
+    queue = _queue(tmp_path)
+    queue.enqueue("run", _cells(specs))
+    inherited = queue._conn
+
+    def child():
+        [(idx, _wire, _key)] = queue.lease("run", "child", batch=1, lease_s=30.0)
+        queue.ack(
+            "run",
+            idx,
+            row=None,
+            failure=None,
+            telemetry={
+                "connects": [pid for pid, _conn in opened],
+                "parked": distributed._INHERITED[-1] is inherited,
+            },
+        )
+        queue.close()
+
+    process = multiprocessing.get_context("fork").Process(target=child)
+    process.start()
+    process.join(timeout=60)
+    assert process.exitcode == 0
+    # the parent's connection, opened before the fork, still commits
+    [(idx, _wire, _key)] = queue.lease("run", "parent", batch=1, lease_s=30.0)
+    queue.ack("run", idx, row=None, failure=None, telemetry={})
+    assert queue._conn is inherited
+    assert [pid for pid, _conn in opened] == [os.getpid()]
+    done = queue.done_cells("run", skip=set())
+    assert [cell[0] for cell in done] == [0, 1]
+    assert done[0][3] == {
+        "connects": [os.getpid(), process.pid],
+        "parked": True,
+    }
+
+
+def test_no_queue_connection_is_open_across_a_worker_fork(
+    tmp_path, monkeypatch, artifacts_ds03, small_specs, serial_results
+):
+    opened = _record_connects(monkeypatch)
+    open_at_start = []
+    start = multiprocessing.Process.start
+
+    def checked_start(process):
+        open_at_start.append(sum(_is_open(conn) for _pid, conn in opened))
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", checked_start)
+    engine, _ = _distributed_engine(tmp_path, workers=2)
+    assert engine.run(artifacts_ds03, small_specs) == serial_results
+    assert open_at_start == [0, 0]
+    # enqueue, then the polls: one connection each side of the forks
+    assert len(opened) == 2
+    assert not any(_is_open(conn) for _pid, conn in opened)
+
+
+def test_done_cells_fetches_and_decodes_each_row_once(tmp_path, monkeypatch):
+    specs = enumerate_sweep_specs("02", ["a"], 6, 2014)
+    queue = _queue(tmp_path)
+    queue.enqueue("run", _cells(specs))
+    queue.lease("run", "w0", batch=6, lease_s=30.0)
+
+    fetched = []
+    read = queue._read
+
+    def recording_read(operate):
+        rows = read(operate)
+        fetched.extend(rows)
+        return rows
+
+    decoded = []
+
+    class RecordingJson:
+        dumps = staticmethod(json.dumps)
+
+        @staticmethod
+        def loads(text):
+            decoded.append(text)
+            return json.loads(text)
+
+    monkeypatch.setattr(queue, "_read", recording_read)
+    monkeypatch.setattr(distributed, "json", RecordingJson)
+    consumed: set[int] = set()
+    seen = []
+    for first in range(0, 6, 2):
+        queue.ack_many(
+            "run",
+            [(idx, {"x": idx}, None, {"pid": idx}) for idx in (first, first + 1)],
+        )
+        for _poll in range(3):
+            for idx, row, failure, telemetry in queue.done_cells("run", consumed):
+                assert (row, failure, telemetry) == ({"x": idx}, None, {"pid": idx})
+                consumed.add(idx)
+                seen.append(idx)
+    assert seen == list(range(6))
+    assert [row[0] for row in fetched] == list(range(6))
+    assert len(decoded) == 12  # each cell's row and telemetry, once

@@ -64,6 +64,10 @@ def test_annotate_session_annotates_every_lag():
     assert video.segment_count == 1 + 3 * 40
 
 
+def test_queue_roundtrip_leases_and_acks_every_cell():
+    assert workloads.run_queue_roundtrip(roundtrips=10) == 10
+
+
 def test_run_suite_micro_produces_all_results(tmp_path):
     results = run_suite(repeats=1)
     assert [result.name for result in results] == list(MICRO_BENCHES)
