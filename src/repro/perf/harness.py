@@ -89,22 +89,12 @@ def _run_policy_queries() -> BenchResult:
     )
 
 
-def _run_annotate_session() -> BenchResult:
+def _run_counting_bench(name: str, fn) -> BenchResult:
+    """Time ``fn()``, which returns the operations it performed."""
     start = time.perf_counter()
-    lags = workloads.run_annotate_session()
+    operations = fn()
     wall = time.perf_counter() - start
-    return BenchResult(
-        name="annotate_session", wall_s=wall, sim_us=0, events=lags
-    )
-
-
-def _run_queue_roundtrip() -> BenchResult:
-    start = time.perf_counter()
-    roundtrips = workloads.run_queue_roundtrip()
-    wall = time.perf_counter() - start
-    return BenchResult(
-        name="queue_roundtrip", wall_s=wall, sim_us=0, events=roundtrips
-    )
+    return BenchResult(name=name, wall_s=wall, sim_us=0, events=operations)
 
 
 def _runner_for(name: str):
@@ -125,9 +115,9 @@ def _runner_for(name: str):
     if name == "replay_inputs":
         return lambda: _run_engine_bench(name, workloads.run_replay_inputs)
     if name == "annotate_session":
-        return _run_annotate_session
+        return lambda: _run_counting_bench(name, workloads.run_annotate_session)
     if name == "queue_roundtrip":
-        return _run_queue_roundtrip
+        return lambda: _run_counting_bench(name, workloads.run_queue_roundtrip)
     raise ReproError(f"unknown benchmark {name!r}")
 
 
