@@ -151,9 +151,8 @@ class SqliteWorkQueue:
     def close(self) -> None:
         """Release this process's connection; the next call reopens one.
 
-        A connection inherited over fork is not closed but parked in
-        ``_INHERITED``: closing an inherited sqlite handle drops this
-        process's POSIX locks on the file.
+        A connection inherited over fork is parked in ``_INHERITED``,
+        never closed.
         """
         conn, self._conn = self._conn, None
         if conn is not None:
