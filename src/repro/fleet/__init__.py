@@ -8,8 +8,8 @@ replay.  This package exploits that:
   cell, plus the grid enumerator,
 * :mod:`repro.fleet.engine` — :class:`FleetEngine`, backend-driven
   dispatch with ordered merge and per-worker failure capture,
-* :mod:`repro.fleet.backends` — pluggable execution backends behind a
-  ``NAME[:key=value,...]`` registry: :class:`LocalBackend` (inline /
+* :mod:`repro.fleet.backends` — execution backends addressed by a
+  ``NAME[:key=value,...]`` spec: :class:`LocalBackend` (inline /
   ``multiprocessing.Pool``) and :class:`DistributedBackend`
   (work-pulling workers over a shared sqlite queue with lease/ack
   semantics, publishing rows to a shared content-addressed store),
@@ -31,7 +31,6 @@ from repro.fleet.backends import (
     backend_names,
     create_backend,
     parse_backend_spec,
-    register_backend,
 )
 from repro.fleet.cache import RecordStore, ResultCache, workload_fingerprint
 from repro.fleet.engine import (
@@ -62,6 +61,5 @@ __all__ = [
     "execute_spec",
     "freeze_tunables",
     "parse_backend_spec",
-    "register_backend",
     "workload_fingerprint",
 ]

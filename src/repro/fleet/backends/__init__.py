@@ -1,17 +1,14 @@
-"""Pluggable fleet execution backends.
+"""Fleet execution backends.
 
-* :mod:`repro.fleet.backends.registry` — the name → backend registry and
-  the ``NAME[:key=value,...]`` spec grammar behind ``--backend``,
+* :mod:`repro.fleet.backends.registry` — the fixed name → backend table
+  and the ``NAME[:key=value,...]`` spec grammar behind ``--backend``,
 * :mod:`repro.fleet.backends.local` — inline / ``multiprocessing.Pool``
   execution on this machine (the default, and the bit-identical
   reference path),
-* :mod:`repro.fleet.backends.distributed` — work-pulling workers over a
-  shared sqlite work queue with lease/ack semantics, publishing
+* :mod:`repro.fleet.backends.distributed` — work-pulling workers that
+  lease one cell at a time from a shared sqlite work queue, publishing
   ``RunRecord`` rows to a shared content-addressed store; crash-safe
   and resumable.
-
-Importing this package registers the built-ins (the governor-registry
-idiom); :func:`create_backend` does so on demand.
 """
 
 from repro.fleet.backends.distributed import DistributedBackend, SqliteWorkQueue
@@ -21,7 +18,6 @@ from repro.fleet.backends.registry import (
     backend_names,
     create_backend,
     parse_backend_spec,
-    register_backend,
 )
 
 __all__ = [
@@ -32,5 +28,4 @@ __all__ = [
     "backend_names",
     "create_backend",
     "parse_backend_spec",
-    "register_backend",
 ]

@@ -1,7 +1,7 @@
 """The distributed backend: a shared work queue + shared record store.
 
-Workers *pull* :class:`~repro.fleet.spec.RunSpec` batches from a shared
-sqlite work queue and *publish* schema-versioned
+Workers *pull* :class:`~repro.fleet.spec.RunSpec` cells, one at a time,
+from a shared sqlite work queue and *publish* schema-versioned
 :class:`~repro.results.RunRecord` wire rows to the shared
 content-addressed record store (the same
 :class:`~repro.fleet.cache.ResultCache` format, on a filesystem every
@@ -16,13 +16,13 @@ Lease/ack semantics make the queue crash-safe:
 * leasing a cell marks it ``leased`` with an expiry ``lease`` seconds
   out and bumps its attempt counter; acking marks it ``done`` and
   attaches the result row (or the captured failure) plus telemetry.
-  With ``batch=N`` a worker leases N cells in one transaction, executes
-  them all, and acks them all in one transaction,
-* a worker that dies mid-batch never acks — its cells' leases expire
-  and any live worker re-leases them (straggler re-dispatch).  A *slow*
-  worker that outlives its lease causes at worst a duplicate execution,
-  never a wrong result: replays are deterministic, acks idempotent, and
-  the coordinator consumes each cell exactly once,
+  A worker holds one cell at a time: lease it, execute it, publish,
+  ack,
+* a worker that dies holding a lease never acks — the lease expires
+  and any live worker re-leases the cell (straggler re-dispatch).  A
+  *slow* worker that outlives its lease causes at worst a duplicate
+  execution, never a wrong result: replays are deterministic, acks
+  idempotent, and the coordinator consumes each cell exactly once,
 * if the whole worker fleet dies, the coordinator releases every lease
   and drains the remaining cells inline, so a run always terminates.
 
@@ -44,8 +44,9 @@ it starts the workers, and a queue object used in a process other than
 the one that opened its connection opens one of its own.
 
 The ``chaos_exit_after=N`` option is a test/CI knob: the first worker
-hard-exits (``os._exit``) after acking N cells, simulating a mid-batch
-worker death so lease expiry and re-dispatch stay continuously proven.
+acks N cells, leases its next one and hard-exits (``os._exit``) while
+holding it, simulating a worker death mid-cell so lease expiry and
+re-dispatch stay continuously proven.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from repro.fleet.backends.registry import (
     FleetBackend,
     opt_float,
     opt_int,
-    register_backend,
     reject_unknown_opts,
 )
 from repro.fleet.spec import RunSpec
@@ -94,7 +94,11 @@ CREATE TABLE IF NOT EXISTS cells (
     telemetry     TEXT,
     PRIMARY KEY (run_id, idx)
 );
-CREATE INDEX IF NOT EXISTS cells_state ON cells (run_id, state);
+-- A lease is two ordered range scans of this index (pending cells,
+-- expired leases).  Queue files made before it keep the older
+-- (run_id, state) index, which the planner could still pick.
+DROP INDEX IF EXISTS cells_state;
+CREATE INDEX IF NOT EXISTS cells_by_state ON cells (run_id, state, idx);
 """
 
 #: Connections a forked child inherited with its queue objects.  They
@@ -217,38 +221,46 @@ class SqliteWorkQueue:
         self._mutate(operate)
 
     def lease(
-        self, run_id: str, worker: str, batch: int, lease_s: float
-    ) -> list[tuple[int, dict, str]]:
-        """Claim up to ``batch`` runnable cells: pending, or expired leases.
+        self, run_id: str, worker: str, lease_s: float
+    ) -> tuple[int, dict, str] | None:
+        """Claim the lowest-index runnable cell: pending, or an expired
+        lease; None when there is none.
 
         Re-leasing an expired cell is the straggler re-dispatch path; the
         attempt counter records every dispatch so ``redispatched()`` can
-        report how many cells needed more than one.
+        report how many cells needed more than one.  Each kind is one
+        ordered range scan of ``cells_by_state`` that stops at its first
+        row, so a lease never walks the done cells.
         """
         now = self._clock()
 
         def operate(conn):
-            rows = conn.execute(
-                "SELECT idx, spec, key FROM cells "
-                "WHERE run_id = ? AND state != 'done' "
-                "AND (state = 'pending' OR lease_expires < ?) "
-                "ORDER BY idx LIMIT ?",
-                (run_id, now, batch),
-            ).fetchall()
-            if rows:
-                conn.executemany(
+            pending = conn.execute(
+                "SELECT idx, spec, key FROM cells WHERE run_id = ? "
+                "AND state = 'pending' ORDER BY idx LIMIT 1",
+                (run_id,),
+            ).fetchone()
+            expired = conn.execute(
+                "SELECT idx, spec, key FROM cells WHERE run_id = ? "
+                "AND state = 'leased' AND lease_expires < ? "
+                "ORDER BY idx LIMIT 1",
+                (run_id, now),
+            ).fetchone()
+            cell = min(filter(None, (pending, expired)), default=None)
+            if cell is not None:
+                conn.execute(
                     "UPDATE cells SET state = 'leased', "
                     "attempts = attempts + 1, lease_expires = ?, worker = ? "
                     "WHERE run_id = ? AND idx = ?",
-                    [
-                        (now + lease_s, worker, run_id, idx)
-                        for idx, _, _ in rows
-                    ],
+                    (now + lease_s, worker, run_id, cell[0]),
                 )
-            return rows
+            return cell
 
-        rows = self._mutate(operate)
-        return [(idx, json.loads(spec), key) for idx, spec, key in rows]
+        cell = self._mutate(operate)
+        if cell is None:
+            return None
+        idx, spec, key = cell
+        return idx, json.loads(spec), key
 
     def ack(
         self,
@@ -258,42 +270,26 @@ class SqliteWorkQueue:
         failure: dict | None,
         telemetry: dict,
     ) -> None:
-        """Mark one cell done with its result (idempotent: last ack wins)."""
-        self.ack_many(run_id, [(index, row, failure, telemetry)])
+        """Mark one cell done with its result (idempotent: last ack wins).
 
-    def ack_many(
-        self,
-        run_id: str,
-        acks: list[tuple[int, dict | None, dict | None, dict]],
-    ) -> None:
-        """Mark a batch of ``(index, row, failure, telemetry)`` cells done.
-
-        One ``BEGIN IMMEDIATE`` covers the whole batch: one write
-        transaction, appending its pages to the WAL, per N cells.  (Under
-        ``synchronous=NORMAL`` a commit does not fsync; the WAL syncs at
-        checkpoints.)  Idempotent like :meth:`ack`; an empty batch is a
-        no-op.
+        One ``UPDATE`` in one ``BEGIN IMMEDIATE``; under
+        ``synchronous=NORMAL`` the commit appends to the WAL without an
+        fsync (the WAL syncs at checkpoints).
         """
-        if not acks:
-            return
-        payload = [
-            (
-                None if row is None else json.dumps(row, sort_keys=True),
-                None
-                if failure is None
-                else json.dumps(failure, sort_keys=True),
-                json.dumps(telemetry, sort_keys=True),
-                run_id,
-                index,
-            )
-            for index, row, failure, telemetry in acks
-        ]
         self._mutate(
-            lambda conn: conn.executemany(
+            lambda conn: conn.execute(
                 "UPDATE cells SET state = 'done', lease_expires = NULL, "
                 "row = ?, failure = ?, telemetry = ? "
                 "WHERE run_id = ? AND idx = ?",
-                payload,
+                (
+                    None if row is None else json.dumps(row, sort_keys=True),
+                    None
+                    if failure is None
+                    else json.dumps(failure, sort_keys=True),
+                    json.dumps(telemetry, sort_keys=True),
+                    run_id,
+                    index,
+                ),
             )
         )
 
@@ -394,28 +390,27 @@ def _work_cells(
     store,
     worker: str,
     lease_s: float,
-    batch: int,
     wait_for_stragglers: bool,
     chaos_exit_after: int | None = None,
 ) -> None:
-    """The pull loop: lease a batch, execute it, publish, ack — until
+    """The pull loop: lease one cell, execute it, publish, ack — until
     the queue drains.
 
     Assumes :func:`~repro.fleet.backends.local.init_worker` already
     installed this process's artifacts (and demand program).  Every row
     is published to the shared store *before* its ack, so a cell the
-    queue says is done is always resumable from the store.  The batch
-    acks in one transaction; a worker that dies mid-batch leaves its
-    executed-but-unacked cells leased, and their re-execution after
-    lease expiry is harmless — replays are deterministic and the store
-    publish is an idempotent identical-bytes write.
+    queue says is done is always resumable from the store.  A worker
+    that dies between publish and ack leaves its cell leased, and its
+    re-execution after lease expiry is harmless — replays are
+    deterministic and the store publish is an idempotent identical-bytes
+    write.
     """
     from repro.fleet.backends.local import run_spec_cell
 
     acked = 0
     while True:
-        cells = queue.lease(run_id, worker, batch, lease_s)
-        if not cells:
+        cell = queue.lease(run_id, worker, lease_s)
+        if cell is None:
             counts = queue.counts(run_id)
             if counts.get("pending", 0) == 0 and (
                 not wait_for_stragglers or counts.get("leased", 0) == 0
@@ -423,35 +418,26 @@ def _work_cells(
                 return
             time.sleep(WORKER_IDLE_S)
             continue
-        acks: list[tuple[int, dict | None, dict | None, dict]] = []
-        chaos_now = False
-        for index, wire, key in cells:
-            spec = RunSpec.from_wire(wire)
-            _, record, failure, telemetry = run_spec_cell((index, spec))
-            row = None if record is None else record.to_wire()
-            if row is not None and store is not None:
-                store.store_wire(key, row)
-            acks.append(
-                (
-                    index,
-                    row,
-                    None if failure is None else _failure_to_wire(failure),
-                    telemetry,
-                )
-            )
-            if (
-                chaos_exit_after is not None
-                and acked + len(acks) >= chaos_exit_after
-            ):
-                # Test/CI knob: flush the acks so far, then die mid-batch
-                # without cleanup.  The batch's remaining leased, un-acked
-                # cells expire and re-dispatch to live workers.
-                chaos_now = True
-                break
-        queue.ack_many(run_id, acks)
-        acked += len(acks)
-        if chaos_now:
+        if acked == chaos_exit_after:
+            # Test/CI knob: die holding a lease, without cleanup.  The
+            # cell is dispatched again once its lease expires (or once
+            # the coordinator reclaims the leases of a dead fleet).
             os._exit(17)
+        index, wire, key = cell
+        _, record, failure, telemetry = run_spec_cell(
+            (index, RunSpec.from_wire(wire))
+        )
+        row = None if record is None else record.to_wire()
+        if row is not None and store is not None:
+            store.store_wire(key, row)
+        queue.ack(
+            run_id,
+            index,
+            row,
+            None if failure is None else _failure_to_wire(failure),
+            telemetry,
+        )
+        acked += 1
 
 
 def _distributed_worker(
@@ -462,7 +448,6 @@ def _distributed_worker(
     demand_trace,
     worker: str,
     lease_s: float,
-    batch: int,
     chaos_exit_after: int | None,
 ) -> None:
     """Entry point of one spawned worker process."""
@@ -475,7 +460,6 @@ def _distributed_worker(
         store=store,
         worker=worker,
         lease_s=lease_s,
-        batch=batch,
         wait_for_stragglers=True,
         chaos_exit_after=chaos_exit_after,
     )
@@ -485,8 +469,7 @@ class DistributedBackend(FleetBackend):
     """Work-pulling workers over a shared sqlite queue + record store."""
 
     name = "distributed"
-    stores_results = True
-    requires_store = True
+    publishes_results = True
 
     #: Subdirectory names under the shared directory.
     QUEUE_FILENAME = "queue.sqlite3"
@@ -497,23 +480,23 @@ class DistributedBackend(FleetBackend):
         root: str | Path,
         workers: int = 2,
         lease_s: float = 30.0,
-        batch: int = 1,
         chaos_exit_after: int | None = None,
     ) -> None:
         if workers < 1:
             raise ReproError(
                 f"distributed backend needs at least one worker, got {workers}"
             )
-        if batch < 1:
+        if not lease_s > 0:
+            # A zero lease expires as soon as it is taken: every live
+            # worker would re-execute every in-flight cell.
             raise ReproError(
-                f"distributed backend needs a batch of at least one cell, "
-                f"got {batch}"
+                f"distributed backend needs a lease longer than 0 s, "
+                f"got {lease_s:g}"
             )
         self.root = Path(root).expanduser()
         self.queue_path = self.root / self.QUEUE_FILENAME
         self.workers = workers
         self.lease_s = lease_s
-        self.batch = batch
         self.chaos_exit_after = chaos_exit_after
         #: Cells that needed more than one dispatch in the last execute().
         self.last_redispatched = 0
@@ -525,29 +508,22 @@ class DistributedBackend(FleetBackend):
         reject_unknown_opts(
             cls.name,
             opts,
-            ("dir", "workers", "lease", "batch", "chaos_exit_after"),
+            ("dir", "workers", "lease", "chaos_exit_after"),
         )
         root = opts.get("dir")
         if not root:
             raise ReproError(
                 "distributed backend needs a shared directory: "
-                "--backend distributed:dir=PATH[,workers=N,lease=S,batch=B]"
+                "--backend distributed:dir=PATH[,workers=N,lease=S]"
             )
         chaos = opts.get("chaos_exit_after")
         return cls(
             root=root,
             workers=opt_int(opts, "workers", jobs),
             lease_s=opt_float(opts, "lease", 30.0),
-            batch=opt_int(opts, "batch", 1),
             chaos_exit_after=None if chaos is None else opt_int(
                 opts, "chaos_exit_after", 1
             ),
-        )
-
-    def describe(self) -> str:
-        return (
-            f"{self.name}:dir={self.root},workers={self.workers},"
-            f"lease={self.lease_s:g},batch={self.batch}"
         )
 
     def result_store(self):
@@ -600,7 +576,6 @@ class DistributedBackend(FleetBackend):
                     demand_trace,
                     f"worker-{seq}",
                     self.lease_s,
-                    self.batch,
                     self.chaos_exit_after if seq == 0 else None,
                 ),
                 daemon=True,
@@ -663,11 +638,7 @@ class DistributedBackend(FleetBackend):
                 store=store,
                 worker="coordinator",
                 lease_s=self.lease_s,
-                batch=max(1, self.batch),
                 wait_for_stragglers=False,
             )
         finally:
             init_worker(None)
-
-
-register_backend(DistributedBackend.name, DistributedBackend.from_opts)

@@ -30,8 +30,6 @@ from repro.core.errors import ReproError
 from repro.fleet.backends.registry import (
     CellResult,
     FleetBackend,
-    opt_int,
-    register_backend,
     reject_unknown_opts,
 )
 from repro.fleet.spec import RunSpec
@@ -141,11 +139,9 @@ class LocalBackend(FleetBackend):
 
     @classmethod
     def from_opts(cls, opts: dict[str, str], jobs: int = 1) -> "LocalBackend":
-        reject_unknown_opts(cls.name, opts, ("jobs",))
-        return cls(jobs=opt_int(opts, "jobs", jobs))
-
-    def describe(self) -> str:
-        return f"{self.name}:jobs={self.jobs}"
+        """``--jobs`` is the only worker count: the spec takes no options."""
+        reject_unknown_opts(cls.name, opts, ())
+        return cls(jobs=jobs)
 
     def execute(
         self,
@@ -181,6 +177,3 @@ class LocalBackend(FleetBackend):
             ):
                 record = None if row is None else RunRecord.from_wire(row)
                 yield index, record, failure, telemetry
-
-
-register_backend(LocalBackend.name, LocalBackend.from_opts)

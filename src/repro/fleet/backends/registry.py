@@ -1,4 +1,4 @@
-"""The fleet backend registry: name → execution backend.
+"""The fleet backend table: name → execution backend.
 
 A *backend* is the piece of the fleet engine that actually runs pending
 cells: the engine decides *what* to run (cache scan, demand-trace
@@ -9,8 +9,7 @@ CLI — ``--backend NAME[:key=value,...]`` — through the same
 ``name:options`` grammar governor configs use::
 
     local                      # inline / multiprocessing.Pool (default)
-    local:jobs=8               # override the worker count
-    distributed:dir=/shared,workers=4,lease=30,batch=2
+    distributed:dir=/shared,workers=4,lease=30
 
 Every backend honours the engine's contract: it receives the pending
 ``(index, spec)`` cells and yields ``(index, record, failure,
@@ -20,14 +19,13 @@ again before yielding; the engine's ordered merge then makes output
 bit-identical to the serial path regardless of backend, worker count or
 completion order.
 
-Registration follows the governor-registry idiom: importing
-:mod:`repro.fleet.backends` registers the built-ins; callers go through
-:func:`create_backend` which loads them on demand.
+The two built-ins form a fixed table; :func:`create_backend` imports
+them when it first builds one.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.errors import ReproError
 
@@ -46,20 +44,17 @@ CellResult = tuple[int, "RunRecord | None", "WorkerFailure | None", dict]
 class FleetBackend:
     """Contract every execution backend implements.
 
-    ``stores_results`` — True when :meth:`execute` publishes executed
-    rows to the shared record store itself (workers write as they ack);
-    the engine then skips its own per-cell store call but still counts
-    the row as stored.
-
-    ``requires_store`` — True when the backend cannot run without a
-    content-addressed record store (the distributed backend's workers
-    publish rows there; the store is also what makes a killed run
-    resumable).  The engine rejects such a backend when caching is off.
+    ``publishes_results`` — True when the backend's workers publish
+    executed rows to a shared content-addressed record store of the
+    backend's own (the distributed backend; the store is also what makes
+    a killed run resumable).  Such a backend cannot run without that
+    store: the CLI makes it the engine's result cache, the engine
+    rejects the backend when caching is off, and it skips its own
+    per-cell store call but still counts the row as stored.
     """
 
     name = "?"
-    stores_results = False
-    requires_store = False
+    publishes_results = False
 
     def execute(
         self,
@@ -71,39 +66,21 @@ class FleetBackend:
     ) -> Iterable[CellResult]:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.name
 
+def _backends() -> dict:
+    """The built-in backends' ``from_opts`` factories, by name."""
+    # Imported here because both modules import this one.
+    from repro.fleet.backends.distributed import DistributedBackend
+    from repro.fleet.backends.local import LocalBackend
 
-BackendFactory = Callable[[dict, int], FleetBackend]
-
-_REGISTRY: dict[str, BackendFactory] = {}
-_BUILTINS_LOADED = False
-
-
-def register_backend(name: str, factory: BackendFactory) -> None:
-    """Register (or replace) a backend factory under ``name``.
-
-    The factory receives the parsed option dict (string values, the
-    backend's job to coerce and validate) and the CLI ``--jobs`` value
-    as its default worker count.
-    """
-    _REGISTRY[name] = factory
-
-
-def _load_builtins() -> None:
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    import repro.fleet.backends.distributed  # noqa: F401  — self-registers
-    import repro.fleet.backends.local  # noqa: F401  — self-registers
-
-    _BUILTINS_LOADED = True
+    return {
+        "local": LocalBackend.from_opts,
+        "distributed": DistributedBackend.from_opts,
+    }
 
 
 def backend_names() -> list[str]:
-    _load_builtins()
-    return sorted(_REGISTRY)
+    return sorted(_backends())
 
 
 def parse_backend_spec(spec: str) -> tuple[str, dict[str, str]]:
@@ -142,16 +119,16 @@ def parse_backend_spec(spec: str) -> tuple[str, dict[str, str]]:
 def create_backend(spec: str | None = None, jobs: int = 1) -> FleetBackend:
     """Build the backend a spec string names (default: ``local``).
 
-    ``jobs`` seeds the backend's default worker count (the CLI's
-    ``--jobs``); a backend option like ``workers=`` overrides it.
+    ``jobs`` is the CLI's ``--jobs``: the local backend's worker count,
+    and the distributed backend's unless ``workers=`` overrides it.
     """
-    _load_builtins()
     name, opts = parse_backend_spec(spec if spec is not None else "local")
-    factory = _REGISTRY.get(name)
+    backends = _backends()
+    factory = backends.get(name)
     if factory is None:
         raise ReproError(
             f"unknown fleet backend {name!r} "
-            f"(known: {', '.join(backend_names())})"
+            f"(known: {', '.join(sorted(backends))})"
         )
     return factory(opts, jobs)
 
@@ -196,5 +173,5 @@ def reject_unknown_opts(name: str, opts: dict[str, str], known: tuple[str, ...])
     if unknown:
         raise ReproError(
             f"backend {name!r} does not take option(s) "
-            f"{', '.join(sorted(unknown))} (known: {', '.join(known)})"
+            f"{', '.join(sorted(unknown))} (known: {', '.join(known) or 'none'})"
         )

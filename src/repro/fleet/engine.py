@@ -6,13 +6,13 @@ produced, but
 
 * **backend-driven** — *what* to run (cache scan, demand-trace
   resolution, accounting, ordered merge) is decided here; *where* and
-  *how* cells execute is a pluggable
+  *how* cells execute is a
   :class:`~repro.fleet.backends.registry.FleetBackend`: the default
   :class:`~repro.fleet.backends.local.LocalBackend` runs inline or on a
   :mod:`multiprocessing` pool, the
   :class:`~repro.fleet.backends.distributed.DistributedBackend` has
-  workers pull batches from a shared sqlite work queue with lease/ack
-  semantics and publish rows to a shared content-addressed store,
+  workers lease one cell at a time from a shared sqlite work queue
+  with lease/ack semantics and publish rows to a shared content-addressed store,
 * **deterministic** — every replay seeds its RNG streams from the spec
   alone, and results are merged back in spec order, so output is
   bit-identical to the serial path regardless of backend, worker count
@@ -112,7 +112,7 @@ class FleetStats:
 
     ``backend`` names the execution backend and ``redispatched`` counts
     cells the distributed queue had to dispatch more than once (expired
-    leases: a worker died or straggled mid-batch).
+    leases: a worker died or straggled holding a cell).
     """
 
     total: int = 0
@@ -224,7 +224,7 @@ class FleetEngine:
         """Execute ``specs`` and return records in spec order."""
         stats = FleetStats(total=len(specs), backend=self.backend.name)
         self.last_stats = stats
-        if self.backend.requires_store and self.cache is None:
+        if self.backend.publishes_results and self.cache is None:
             raise ReproError(
                 f"backend {self.backend.name!r} publishes results to a "
                 "shared store and needs a result cache (it is also what "
@@ -286,7 +286,7 @@ class FleetEngine:
             results[index] = record
             stats.executed += 1
             if self.cache is not None:
-                if not self.backend.stores_results:
+                if not self.backend.publishes_results:
                     self.cache.store(keys[index], record)
                 stats.stored += 1
             self._report(spec, cached=False, telemetry=telemetry)

@@ -37,10 +37,10 @@ executes cells whose inputs changed.  ``--backend NAME[:key=value,...]``
 swaps the execution backend: ``local`` (the default pool) or
 ``distributed``, whose workers pull cells from a shared sqlite work
 queue and publish rows to a shared store, so a killed sweep resumes
-where it left off (``batch=N`` leases and acks N cells per queue
-transaction).  Results are bit-identical to a serial, uncached run
-for every backend; ``explore`` keeps its stdout bit-identical across
-``--jobs`` values by sending timing and cache telemetry to stderr.
+where it left off (each worker leases and acks one cell at a time).
+Results are bit-identical to a serial, uncached run for every backend;
+``explore`` keeps its stdout bit-identical across ``--jobs`` values by
+sending timing and cache telemetry to stderr.
 
 Kill switches (``REPRO_*`` environment flags, see
 :mod:`repro.core.env`): ``REPRO_DEMAND=0`` disables the kernel-only
@@ -145,7 +145,8 @@ def _add_fleet_flags(parser: argparse.ArgumentParser) -> None:
         "--backend", default=None, metavar="NAME[:key=value,...]",
         help=(
             "execution backend for the replay fleet (default: local). "
-            "'local:jobs=N' is the in-process / multiprocessing pool; "
+            "'local' is the in-process / multiprocessing pool of --jobs "
+            "workers; "
             "'distributed:dir=/shared,workers=4' pulls cells from a "
             "shared sqlite work queue and publishes rows to a shared "
             "result store, so several machines (or a restarted sweep) "
@@ -187,8 +188,8 @@ def _fleet_backend(args):
     """Resolve ``--backend``/``--cache-dir``/``--no-cache`` into
     ``(backend, cache)`` for the fleet engine.
 
-    A backend that requires a shared store (distributed) supplies its
-    own: workers publish rows there and a restarted sweep resumes from
+    A backend that publishes results to a shared store (distributed)
+    supplies its own: workers publish rows there and a restarted sweep resumes from
     it, so the engine's cache *must* be that store — ``--no-cache``
     contradicts it and a custom ``--cache-dir`` is superseded (noted on
     stderr so the override is never silent).
@@ -198,7 +199,7 @@ def _fleet_backend(args):
     backend = None
     if getattr(args, "backend", None):
         backend = create_backend(args.backend, jobs=args.jobs)
-    if backend is not None and backend.requires_store:
+    if backend is not None and backend.publishes_results:
         if args.no_cache:
             raise ReproError(
                 f"--no-cache cannot be combined with --backend "

@@ -409,8 +409,8 @@ def run_queue_roundtrip(roundtrips: int = _QUEUE_ROUNDTRIPS) -> int:
                 [(index, {"index": index}, "") for index in range(roundtrips)],
             )
             done = 0
-            while cells := queue.lease("perf", "perf", 1, 30.0):
-                [(index, _wire, _key)] = cells
+            while cell := queue.lease("perf", "perf", 30.0):
+                index, _wire, _key = cell
                 queue.ack("perf", index, {"index": index}, None, {})
                 done += 1
         finally:

@@ -72,20 +72,37 @@ def test_create_backend_defaults_to_local_with_cli_jobs():
     backend = create_backend(None, jobs=3)
     assert isinstance(backend, LocalBackend)
     assert backend.jobs == 3
-    # an explicit option wins over the --jobs default
-    assert create_backend("local:jobs=8", jobs=3).jobs == 8
 
 
 def test_distributed_spec_needs_a_shared_dir(tmp_path):
     with pytest.raises(ReproError, match="shared directory"):
         create_backend("distributed")
     backend = create_backend(
-        f"distributed:dir={tmp_path},workers=4,lease=5,batch=2", jobs=2
+        f"distributed:dir={tmp_path},workers=4,lease=5", jobs=2
     )
     assert isinstance(backend, DistributedBackend)
-    assert (backend.workers, backend.lease_s, backend.batch) == (4, 5.0, 2)
+    assert (backend.workers, backend.lease_s) == (4, 5.0)
     # workers defaults to the CLI --jobs value
     assert create_backend(f"distributed:dir={tmp_path}", jobs=5).workers == 5
+
+
+@pytest.mark.parametrize(
+    "spec", ["distributed:dir={tmp},batch=4", "local:jobs=8"]
+)
+def test_removed_options_are_rejected(tmp_path, spec):
+    """Each worker count has one setting (``--jobs`` or ``workers=``)
+    and a lease holds one cell, so neither option exists."""
+    with pytest.raises(ReproError, match="does not take option"):
+        create_backend(spec.format(tmp=tmp_path), jobs=2)
+
+
+def test_a_zero_lease_is_rejected(tmp_path):
+    """A zero lease expires as soon as it is taken, so every live worker
+    would re-execute every in-flight cell."""
+    with pytest.raises(ReproError, match="lease longer than 0"):
+        create_backend(f"distributed:dir={tmp_path},lease=0")
+    with pytest.raises(ReproError, match="lease longer than 0"):
+        DistributedBackend(tmp_path, lease_s=0.0)
 
 
 # --- the sqlite work queue ----------------------------------------------------------
@@ -116,12 +133,12 @@ def test_lease_claims_each_cell_exactly_once(tmp_path):
     specs = enumerate_sweep_specs("02", ["a"], 3, 2014)
     queue = _queue(tmp_path)
     queue.enqueue("run", _cells(specs))
-    first = queue.lease("run", "w0", batch=2, lease_s=30.0)
+    first = [queue.lease("run", "w0", lease_s=30.0) for _ in range(2)]
     assert [idx for idx, _, _ in first] == [0, 1]
-    second = queue.lease("run", "w1", batch=2, lease_s=30.0)
-    assert [idx for idx, _, _ in second] == [2]
+    second = queue.lease("run", "w1", lease_s=30.0)
+    assert second[0] == 2
     # everything leased and unexpired: nothing left to claim
-    assert queue.lease("run", "w1", batch=2, lease_s=30.0) == []
+    assert queue.lease("run", "w1", lease_s=30.0) is None
     assert queue.counts("run") == {"leased": 3}
     # the leased spec round-trips through the wire format
     assert RunSpec.from_wire(first[0][1]) == specs[0]
@@ -134,15 +151,15 @@ def test_expired_lease_is_redispatched_with_attempt_count(tmp_path):
     specs = enumerate_sweep_specs("02", ["a"], 2, 2014)
     queue = _queue(tmp_path, clock)
     queue.enqueue("run", _cells(specs))
-    taken = queue.lease("run", "dead-worker", batch=2, lease_s=30.0)
-    assert len(taken) == 2
+    taken = [queue.lease("run", "dead-worker", lease_s=30.0) for _ in range(2)]
+    assert [idx for idx, _, _ in taken] == [0, 1]
     # lease still live: no re-dispatch
     clock.advance(29.0)
-    assert queue.lease("run", "w1", batch=2, lease_s=30.0) == []
+    assert queue.lease("run", "w1", lease_s=30.0) is None
     assert queue.redispatched("run") == 0
     # lease expired: both cells re-lease to the live worker
     clock.advance(2.0)
-    retaken = queue.lease("run", "w1", batch=2, lease_s=30.0)
+    retaken = [queue.lease("run", "w1", lease_s=30.0) for _ in range(2)]
     assert [idx for idx, _, _ in retaken] == [0, 1]
     assert queue.redispatched("run") == 2
 
@@ -151,7 +168,8 @@ def test_ack_completes_a_cell_and_done_cells_skips_consumed(tmp_path):
     specs = enumerate_sweep_specs("02", ["a"], 2, 2014)
     queue = _queue(tmp_path)
     queue.enqueue("run", _cells(specs))
-    queue.lease("run", "w0", batch=2, lease_s=30.0)
+    for _ in range(2):
+        queue.lease("run", "w0", lease_s=30.0)
     queue.ack("run", 0, row={"x": 1}, failure=None, telemetry={"pid": 9})
     done = queue.done_cells("run", skip=set())
     assert done == [(0, {"x": 1}, None, {"pid": 9})]
@@ -159,7 +177,8 @@ def test_ack_completes_a_cell_and_done_cells_skips_consumed(tmp_path):
     assert queue.done_cells("run", skip={0}) == []
     # a done cell is never re-leased, even after every lease expires
     queue._clock.advance(1000.0)
-    assert [idx for idx, _, _ in queue.lease("run", "w1", 5, 30.0)] == [1]
+    assert queue.lease("run", "w1", 30.0)[0] == 1
+    assert queue.lease("run", "w1", 30.0) is None
     assert queue.counts("run") == {"done": 1, "leased": 1}
 
 
@@ -167,7 +186,8 @@ def test_release_leases_returns_cells_to_pending(tmp_path):
     specs = enumerate_sweep_specs("02", ["a"], 3, 2014)
     queue = _queue(tmp_path)
     queue.enqueue("run", _cells(specs))
-    queue.lease("run", "w0", batch=3, lease_s=30.0)
+    for _ in range(3):
+        queue.lease("run", "w0", lease_s=30.0)
     queue.ack("run", 0, row={"x": 1}, failure=None, telemetry={})
     assert queue.release_leases("run") == 2
     assert queue.counts("run") == {"done": 1, "pending": 2}
@@ -291,7 +311,7 @@ def _distributed_engine(tmp_path, **kwargs):
 def test_distributed_results_bit_identical_to_serial(
     tmp_path, artifacts_ds03, small_specs, serial_results
 ):
-    engine, backend = _distributed_engine(tmp_path, workers=2, batch=2)
+    engine, backend = _distributed_engine(tmp_path, workers=2)
     results = engine.run(artifacts_ds03, small_specs)
     assert results == serial_results
     stats = engine.last_stats
@@ -320,15 +340,15 @@ def test_restarted_sweep_resumes_from_the_shared_store(
 def test_chaos_killed_worker_redispatches_and_completes(
     tmp_path, artifacts_ds03, small_specs, serial_results
 ):
-    """A worker hard-exits mid-batch; its leased cell must be reclaimed
+    """A worker hard-exits holding a lease; its cell must be reclaimed
     and the run must still produce serial-identical output.
 
     One worker with ``chaos_exit_after=1`` makes the sequence
-    deterministic: it leases two cells, acks one, dies — the fleet is
-    now empty, so the coordinator releases the orphaned lease and drains
-    inline, dispatching that cell a second time."""
+    deterministic: it acks one cell, leases the next, dies — the fleet
+    is now empty, so the coordinator releases the orphaned lease and
+    drains inline, dispatching that cell a second time."""
     engine, backend = _distributed_engine(
-        tmp_path, workers=1, batch=2, lease_s=30.0, chaos_exit_after=1
+        tmp_path, workers=1, lease_s=30.0, chaos_exit_after=1
     )
     results = engine.run(artifacts_ds03, small_specs)
     assert results == serial_results
@@ -344,7 +364,7 @@ def test_published_rows_survive_for_resume_after_chaos(
     """After a chaos run, every row is in the shared store: a clean
     restart is a 100% cache-hit run."""
     chaos, _ = _distributed_engine(
-        tmp_path, workers=1, batch=2, lease_s=30.0, chaos_exit_after=1
+        tmp_path, workers=1, lease_s=30.0, chaos_exit_after=1
     )
     chaos.run(artifacts_ds03, small_specs)
 
@@ -378,28 +398,87 @@ def test_failures_cross_the_queue_with_their_tracebacks(
     assert engine.last_stats.executed == 1
 
 
-def test_ack_many_completes_a_batch_in_one_transaction(tmp_path):
-    specs = enumerate_sweep_specs("02", ["a"], 3, 2014)
+def test_ack_records_a_failure_and_a_re_ack_overwrites(tmp_path):
+    specs = enumerate_sweep_specs("02", ["a"], 2, 2014)
     queue = _queue(tmp_path)
     queue.enqueue("run", _cells(specs))
-    queue.lease("run", "w0", batch=3, lease_s=30.0)
-    queue.ack_many(
-        "run",
-        [
-            (0, {"x": 0}, None, {"pid": 1}),
-            (2, None, {"exc_type": "Boom"}, {"pid": 1}),
-        ],
-    )
-    assert queue.counts("run") == {"done": 2, "leased": 1}
-    done = queue.done_cells("run", skip=set())
-    assert done == [
-        (0, {"x": 0}, None, {"pid": 1}),
-        (2, None, {"exc_type": "Boom"}, {"pid": 1}),
+    for _ in range(2):
+        queue.lease("run", "w0", lease_s=30.0)
+    queue.ack("run", 1, row=None, failure={"exc_type": "Boom"}, telemetry={"pid": 1})
+    assert queue.counts("run") == {"done": 1, "leased": 1}
+    assert queue.done_cells("run", skip=set()) == [
+        (1, None, {"exc_type": "Boom"}, {"pid": 1})
     ]
-    # an empty batch is a no-op, and single ack delegates to the batch path
-    queue.ack_many("run", [])
-    queue.ack("run", 1, row={"x": 1}, failure=None, telemetry={})
-    assert queue.counts("run") == {"done": 3}
+    # a straggler's duplicate ack is harmless: the last ack wins and the
+    # cell stays done
+    queue.ack("run", 0, row={"x": 0}, failure=None, telemetry={"pid": 1})
+    queue.ack("run", 0, row={"x": 0}, failure=None, telemetry={"pid": 2})
+    assert queue.counts("run") == {"done": 2}
+    assert queue.done_cells("run", skip={1}) == [(0, {"x": 0}, None, {"pid": 2})]
+    assert queue.lease("run", "w1", lease_s=30.0) is None
+
+
+def _lease_steps(path, done: int) -> int:
+    """sqlite VM steps one lease takes with ``done`` done cells ahead of
+    one leased and one pending cell."""
+    queue = _queue(path)
+    queue.enqueue("run", [(idx, {"idx": idx}, "") for idx in range(done + 2)])
+    queue._mutate(
+        lambda conn: conn.execute(
+            "UPDATE cells SET state = 'done' WHERE run_id = ? AND idx < ?",
+            ("run", done),
+        )
+    )
+    assert queue.lease("run", "w0", lease_s=30.0)[0] == done
+    steps = 0
+
+    def count() -> int:
+        nonlocal steps
+        steps += 1
+        return 0
+
+    conn = queue._connection()
+    conn.set_progress_handler(count, 1)
+    try:
+        cell = queue.lease("run", "w1", lease_s=30.0)
+    finally:
+        conn.set_progress_handler(None, 1)
+        queue.close()
+    assert cell[0] == done + 1
+    return steps
+
+
+def test_lease_cost_does_not_grow_with_done_cells(tmp_path):
+    """Both lease scans stop at their first row, so a lease never walks
+    the done cells: dispatching a run stays linear in its cells."""
+    assert _lease_steps(tmp_path / "few", 10) == _lease_steps(
+        tmp_path / "many", 2000
+    )
+
+
+def test_ensure_replaces_the_older_state_index(tmp_path):
+    path = tmp_path / "queue.sqlite3"
+    conn = sqlite3.connect(path)
+    # a queue file as the (run_id, state) index left it
+    conn.executescript(
+        distributed._SCHEMA
+        + "DROP INDEX cells_by_state;"
+        + "CREATE INDEX cells_state ON cells (run_id, state);"
+    )
+    conn.close()
+    queue = SqliteWorkQueue(path)
+    queue.ensure()
+    indexes = queue._read(
+        lambda conn: [
+            name
+            for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index' "
+                "AND sql IS NOT NULL"
+            )
+        ]
+    )
+    queue.close()
+    assert indexes == ["cells_by_state"]
 
 
 def test_queue_runs_in_wal_mode_with_normal_sync(tmp_path):
@@ -420,20 +499,6 @@ def test_queue_runs_in_wal_mode_with_normal_sync(tmp_path):
     journal, sync = queue._read(pragmas)
     assert journal == "wal"
     assert sync == 1  # NORMAL
-
-
-def test_batch_option_parses_and_validates(tmp_path):
-    backend = DistributedBackend.from_opts(
-        {"dir": str(tmp_path / "share"), "batch": "4"}
-    )
-    assert backend.batch == 4
-    assert "batch=4" in backend.describe()
-    with pytest.raises(ReproError, match="at least one"):
-        DistributedBackend(tmp_path / "share", batch=0)
-    with pytest.raises(ReproError):
-        DistributedBackend.from_opts(
-            {"dir": str(tmp_path / "share"), "batch": "-1"}
-        )
 
 
 # --- one queue connection per process -----------------------------------------------
@@ -467,7 +532,7 @@ def test_a_queue_connects_once_per_process(tmp_path, monkeypatch):
     queue = _queue(tmp_path)
     queue.enqueue("run", _cells(specs))
     for _ in range(20):
-        [(idx, _wire, _key)] = queue.lease("run", "w0", batch=1, lease_s=30.0)
+        idx, _wire, _key = queue.lease("run", "w0", lease_s=30.0)
         queue.ack("run", idx, row={"x": idx}, failure=None, telemetry={})
     assert len(queue.done_cells("run", skip=set())) == 20
     assert queue.counts("run") == {"done": 20}
@@ -494,7 +559,7 @@ def test_a_forked_child_opens_its_own_connection(tmp_path, monkeypatch):
     inherited = queue._conn
 
     def child():
-        [(idx, _wire, _key)] = queue.lease("run", "child", batch=1, lease_s=30.0)
+        idx, _wire, _key = queue.lease("run", "child", lease_s=30.0)
         queue.ack(
             "run",
             idx,
@@ -512,7 +577,7 @@ def test_a_forked_child_opens_its_own_connection(tmp_path, monkeypatch):
     process.join(timeout=60)
     assert process.exitcode == 0
     # the parent's connection, opened before the fork, still commits
-    [(idx, _wire, _key)] = queue.lease("run", "parent", batch=1, lease_s=30.0)
+    idx, _wire, _key = queue.lease("run", "parent", lease_s=30.0)
     queue.ack("run", idx, row=None, failure=None, telemetry={})
     assert queue._conn is inherited
     assert [pid for pid, _conn in opened] == [os.getpid()]
@@ -548,7 +613,8 @@ def test_done_cells_fetches_and_decodes_each_row_once(tmp_path, monkeypatch):
     specs = enumerate_sweep_specs("02", ["a"], 6, 2014)
     queue = _queue(tmp_path)
     queue.enqueue("run", _cells(specs))
-    queue.lease("run", "w0", batch=6, lease_s=30.0)
+    for _ in range(6):
+        queue.lease("run", "w0", lease_s=30.0)
 
     fetched = []
     read = queue._read
@@ -573,10 +639,8 @@ def test_done_cells_fetches_and_decodes_each_row_once(tmp_path, monkeypatch):
     consumed: set[int] = set()
     seen = []
     for first in range(0, 6, 2):
-        queue.ack_many(
-            "run",
-            [(idx, {"x": idx}, None, {"pid": idx}) for idx in (first, first + 1)],
-        )
+        for idx in (first, first + 1):
+            queue.ack("run", idx, {"x": idx}, None, {"pid": idx})
         for _poll in range(3):
             for idx, row, failure, telemetry in queue.done_cells("run", consumed):
                 assert (row, failure, telemetry) == ({"x": idx}, None, {"pid": idx})
