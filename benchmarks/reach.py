@@ -1,0 +1,302 @@
+"""Reachability scan: the src functions that no entry point enters.
+
+    python3 benchmarks/reach.py
+
+Runs every entry point of the repository in this process under one
+``cProfile`` profiler:
+
+* each CLI command on small inputs (``repro-qoe table1``, ``classify``,
+  ``sweep`` inline, pooled, warm, distributed and on a scenario,
+  ``study``, ``explore`` with every strategy, ``trace``, ``attribute``,
+  ``trace-diff``, ``demand -o``/``-i`` and ``perf``);
+* every script in ``examples/``, with short arguments;
+* the paper checks, ``benchmarks/bench_*.py``, through pytest with
+  ``--benchmark-disable`` (pytest collects no file of that name unless
+  it is given one);
+* ``perfbench/run.py --workload W --seconds 1 --trace 1`` for each
+  workload.
+
+It then walks ``src/`` with ``ast`` and prints, grouped by file, each
+function none of them entered.  A function is matched on its file and
+first line, which for a decorated function is its first decorator.  A
+function whose name occurs nowhere in ``src/``, ``perfbench/``,
+``benchmarks/``, ``examples/``, README.md or the CI workflow except
+where it is defined is marked ``unreferenced``: no code outside the
+tests can call it.
+
+Child processes are not profiled, so code that runs only in fleet
+workers is listed as never entered; its name is referenced, so it is
+not marked.  Exit status 1 means an entry point failed; the list is
+printed only when all of them ran clean.  A full scan takes about five
+minutes on a two-core machine.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import cProfile
+import io
+import os
+import pstats
+import re
+import runpy
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+PACKAGE = SRC / "repro"
+#: Where a name must occur (besides its definition) to count as used.
+REFERENCE_ROOTS = ("src", "perfbench", "benchmarks", "examples")
+REFERENCE_FILES = ("README.md", ".github/workflows/ci.yml")
+
+SCENARIO = "persona=reader,seed=3,duration=45s"
+
+
+def cli_commands(work: Path) -> list[list[str]]:
+    """Every CLI command, each on an input small enough to run in seconds."""
+    from repro.explore.strategies import strategy_names
+
+    cache, share = str(work / "cache"), f"distributed:dir={work / 'share'},workers=2"
+    attributed, demand = str(work / "attributed.json"), str(work / "demand.json")
+    commands = [
+        ["table1"],
+        ["classify", "--datasets", "03"],
+        ["sweep", "--dataset", "03", "--reps", "1", "--no-cache"],
+        ["sweep", "--dataset", "03", "--reps", "1", "--jobs", "2", "--verbose",
+         "--progress-jsonl", str(work / "progress.jsonl"), "--cache-dir", cache],
+        ["sweep", "--dataset", "03", "--reps", "1", "--cache-dir", cache],
+        ["sweep", "--scenario", SCENARIO, "--reps", "1", "--config",
+         "fixed:300000", "--config", "interactive", "--backend", share],
+        ["study", "--reps", "1", "--datasets", "03", "--scenario", SCENARIO,
+         "--no-cache"],
+    ]
+    for strategy in strategy_names():
+        commands.append(
+            ["explore", "--dataset", "03", "--strategy", strategy,
+             "--budget", "3", "--no-cache"]
+        )
+    commands += [
+        ["trace", "persona=gamer,seed=7,duration=45s", "--config", "qoe_aware",
+         "-o", str(work / "trace.json"), "--obs-json", str(work / "obs.json")],
+        ["attribute", "03", "--config", "conservative", "-o", attributed],
+        ["trace-diff", attributed, attributed],
+        ["demand", SCENARIO, "-o", demand],
+        ["demand", SCENARIO, "-i", demand],
+        ["perf", "--repeats", "1"],
+    ]
+    return commands
+
+
+EXAMPLES = {
+    "custom_governor.py": ["--reps", "1", "--dataset", "03"],
+    "day_in_the_life.py": ["--hours", "0.5"],
+    "governor_study.py": ["--reps", "1", "--dataset", "03"],
+    "quickstart.py": [],
+    "suggester_walkthrough.py": [],
+}
+PERFBENCH_WORKLOADS = ("study_grid", "idle_session", "fleet_store")
+
+
+class _Scan:
+    """The outer profiler, plus every profiler the scanned code makes.
+
+    ``perfbench/run.py --trace 1`` profiles its own pass; a second
+    ``cProfile.Profile`` takes over the interpreter's one profile hook,
+    so each nested profiler is kept and hands the hook back on disable.
+    """
+
+    def __init__(self) -> None:
+        self.outer = cProfile.Profile()
+        self.profilers = [self.outer]
+        scan = self
+
+        class Nested(cProfile.Profile):
+            def __init__(self, *args, **kwargs) -> None:
+                super().__init__(*args, **kwargs)
+                scan.profilers.append(self)
+
+            def disable(self) -> None:
+                super().disable()
+                scan.outer.enable()
+
+        self.nested = Nested
+
+    def entered(self) -> set[tuple[str, int]]:
+        self.outer.disable()
+        found = set()
+        for profiler in self.profilers:
+            for filename, line, _name in pstats.Stats(profiler).stats:
+                found.add((os.path.realpath(filename), line))
+        return found
+
+
+def _run_quietly(label: str, call) -> str | None:
+    """Run one entry point with its output discarded; the failure, if any."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            status = call()
+    except SystemExit as exit_:
+        status = exit_.code
+    except Exception:  # an entry point failed: report it, keep scanning
+        return f"{label}:\n{traceback.format_exc()}"
+    if status not in (0, None):
+        tail = sink.getvalue().strip().splitlines()[-1:] or [""]
+        return f"{label}: exit {status}: {tail[0]}"
+    return None
+
+
+def _run_script(path: Path, args: list[str]):
+    def call():
+        saved = sys.argv
+        sys.argv = [str(path), *args]
+        try:
+            runpy.run_path(str(path), run_name="__main__")
+        finally:
+            sys.argv = saved
+
+    return call
+
+
+def run_entry_points(scan: _Scan, work: Path) -> list[str]:
+    failures = []
+
+    def note(label, call):
+        print(f"# reach: {label}", file=sys.stderr, flush=True)
+        failure = _run_quietly(label, call)
+        if failure:
+            failures.append(failure)
+
+    # Forked fleet workers inherit the hook; their profiles are discarded.
+    os.register_at_fork(after_in_child=lambda: sys.setprofile(None))
+    scan.outer.enable()
+    from repro.harness import cli
+
+    for argv in cli_commands(work):
+        note("repro-qoe " + " ".join(argv), lambda argv=argv: cli.main(argv))
+    for name, args in EXAMPLES.items():
+        note(f"examples/{name}", _run_script(ROOT / "examples" / name, args))
+
+    import pytest
+
+    benches = sorted(str(p) for p in (ROOT / "benchmarks").glob("bench_*.py"))
+    note(
+        f"pytest {len(benches)} benchmarks/bench_*.py files",
+        lambda: pytest.main(
+            [*benches, "-q", "-p", "no:cacheprovider", "--benchmark-disable"]
+        ),
+    )
+
+    environ, tempdir = dict(os.environ), tempfile.tempdir
+    real_profile, cProfile.Profile = cProfile.Profile, scan.nested
+    try:
+        for workload in PERFBENCH_WORKLOADS:
+            note(
+                f"perfbench --workload {workload}",
+                _run_script(
+                    ROOT / "perfbench" / "run.py",
+                    ["--workload", workload, "--seconds", "1", "--trace", "1"],
+                ),
+            )
+    finally:
+        cProfile.Profile = real_profile
+        os.environ.clear()
+        os.environ.update(environ)
+        tempfile.tempdir = tempdir
+    return failures
+
+
+def src_functions():
+    """``(path, lines that may start it, qualified name, line count)`` of
+    every src function not nested in another function (a nested one is
+    reached only through its parent).  A decorated function may be keyed
+    on its first decorator or on its ``def`` line."""
+
+    def walk(node, prefix, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, f"{prefix}{child.name}.", path)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                yield (path, (first, child.lineno), f"{prefix}{child.name}",
+                       child.end_lineno - first + 1)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        yield from walk(tree, "", path)
+
+
+def reference_text() -> str:
+    texts = []
+    for root in REFERENCE_ROOTS:
+        for path in sorted((ROOT / root).rglob("*.py")):
+            if path.resolve() != Path(__file__).resolve():
+                texts.append(path.read_text(encoding="utf-8"))
+    for name in REFERENCE_FILES:
+        path = ROOT / name
+        if path.is_file():
+            texts.append(path.read_text(encoding="utf-8"))
+    return "\n".join(texts)
+
+
+def unreferenced(name: str, text: str) -> bool:
+    """True when ``name`` occurs only in ``def name`` lines."""
+    uses = len(re.findall(rf"\b{re.escape(name)}\b", text))
+    definitions = len(re.findall(rf"\bdef {re.escape(name)}\b", text))
+    return uses <= definitions
+
+
+def report(entered: set[tuple[str, int]]) -> None:
+    text = reference_text()
+    functions = list(src_functions())
+    unreached = [
+        (path, starts[0], name, lines)
+        for path, starts, name, lines in functions
+        if not any((os.path.realpath(path), line) in entered for line in starts)
+    ]
+    marked = {
+        (path, first) for path, first, name, _ in unreached
+        if unreferenced(name.rsplit(".", 1)[-1], text)
+    }
+    marked_lines = sum(f[3] for f in unreached if (f[0], f[1]) in marked)
+    print(
+        f"# reach: {len(functions)} src functions, {len(unreached)} never "
+        f"entered ({sum(f[3] for f in unreached)} lines), {len(marked)} of "
+        f"them unreferenced ({marked_lines} lines)"
+    )
+    current = None
+    for path, first, name, lines in unreached:
+        if path != current:
+            current = path
+            print(path.relative_to(ROOT))
+        flag = "  unreferenced" if (path, first) in marked else ""
+        print(f"  {first:5d}  {name} ({lines} lines){flag}")
+
+
+def main() -> int:
+    sys.path.insert(0, str(SRC))
+    os.chdir(ROOT)
+    scan = _Scan()
+    with tempfile.TemporaryDirectory(prefix="reach-") as work:
+        failures = run_entry_points(scan, Path(work))
+    entered = scan.entered()
+    import repro
+
+    if Path(repro.__file__).resolve().parent != PACKAGE:
+        print(f"reach: repro imported from {repro.__file__}, not {PACKAGE}",
+              file=sys.stderr)
+        return 1
+    if failures:
+        for failure in failures:
+            print(f"reach: {failure}", file=sys.stderr)
+        return 1
+    report(entered)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,7 +12,7 @@ from repro.analysis.annotation import AnnotationDatabase, GestureInfo, LagAnnota
 from repro.analysis.annotator import AutoAnnotator
 from repro.analysis.classify import InputClassification, classify_workload
 from repro.analysis.diff import build_mask, diff_pixel_count, frames_equal
-from repro.analysis.lagprofile import CauseBreakdown, LagMeasurement, LagProfile
+from repro.analysis.lagprofile import LagMeasurement, LagProfile
 from repro.analysis.matcher import Matcher
 from repro.analysis.online import OnlineMatcher
 from repro.analysis.suggester import Suggestion, SuggesterConfig, suggest
@@ -27,7 +27,6 @@ __all__ = [
     "build_mask",
     "diff_pixel_count",
     "frames_equal",
-    "CauseBreakdown",
     "LagMeasurement",
     "LagProfile",
     "Matcher",

@@ -10,11 +10,9 @@ whose ending looks like their beginning) and the irritation threshold.
 
 from __future__ import annotations
 
-import json
 from bisect import insort_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from pathlib import Path
 
 import numpy as np
 
@@ -92,76 +90,3 @@ class AnnotationDatabase:
     @property
     def spurious_count(self) -> int:
         return sum(1 for g in self.gestures if g.index not in self._annotated)
-
-    def annotation_for_gesture(self, gesture_index: int) -> LagAnnotation | None:
-        for annotation in self.annotations:
-            if annotation.gesture_index == gesture_index:
-                return annotation
-        return None
-
-    # --- persistence ------------------------------------------------------------------
-
-    def save(self, directory: str | Path) -> None:
-        """Persist as ``meta.json`` + ``images.npz`` in a directory."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        meta = {
-            "workload_name": self.workload_name,
-            "screen_width": self.screen_width,
-            "screen_height": self.screen_height,
-            "gestures": [
-                {"index": g.index, "kind": g.kind, "down_time_us": g.down_time_us}
-                for g in self.gestures
-            ],
-            "annotations": [
-                {
-                    "gesture_index": a.gesture_index,
-                    "label": a.label,
-                    "category": a.category,
-                    "begin_time_us": a.begin_time_us,
-                    "mask_rects": [
-                        [r.x, r.y, r.w, r.h] for r in a.mask_rects
-                    ],
-                    "tolerance_px": a.tolerance_px,
-                    "occurrence": a.occurrence,
-                    "threshold_us": a.threshold_us,
-                }
-                for a in self.annotations
-            ],
-        }
-        (directory / "meta.json").write_text(
-            json.dumps(meta, indent=2), encoding="utf-8"
-        )
-        images = {
-            f"lag_{a.gesture_index}": a.image for a in self.annotations
-        }
-        np.savez_compressed(directory / "images.npz", **images)
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "AnnotationDatabase":
-        directory = Path(directory)
-        meta_path = directory / "meta.json"
-        if not meta_path.exists():
-            raise AnnotationError(f"no annotation database at {directory}")
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        db = cls(
-            meta["workload_name"], meta["screen_width"], meta["screen_height"]
-        )
-        for g in meta["gestures"]:
-            db.add_gesture(GestureInfo(g["index"], g["kind"], g["down_time_us"]))
-        with np.load(directory / "images.npz") as images:
-            for a in meta["annotations"]:
-                db.add(
-                    LagAnnotation(
-                        gesture_index=a["gesture_index"],
-                        label=a["label"],
-                        category=a["category"],
-                        begin_time_us=a["begin_time_us"],
-                        image=images[f"lag_{a['gesture_index']}"],
-                        mask_rects=[Rect(*r) for r in a["mask_rects"]],
-                        tolerance_px=a["tolerance_px"],
-                        occurrence=a["occurrence"],
-                        threshold_us=a["threshold_us"],
-                    )
-                )
-        return db

@@ -9,8 +9,7 @@ showing that completion.  Crucially it only *selects among the
 suggester's candidates* — the pipeline shape is the paper's, with the one
 human click automated.  The candidates are streamed from the lag's begin
 frame and the pick stops at the first one at or after the completion, so
-annotating a session costs time linear in its length.  A manual path (:meth:`AutoAnnotator.pick`) exists
-for tests and custom workloads.
+annotating a session costs time linear in its length.
 """
 
 from __future__ import annotations
@@ -154,59 +153,3 @@ class AutoAnnotator:
         if record.label in self.threshold_overrides:
             return self.threshold_overrides[record.label]
         return self.hci_model.threshold_us(record.category)
-
-    # --- manual annotation path ------------------------------------------------------------
-
-    def pick(
-        self,
-        video: Video,
-        journal: GroundTruthJournal,
-        gesture_index: int,
-        frame_index: int,
-        mask_rects=(),
-        tolerance_px: int | None = None,
-        occurrence: int | None = None,
-        threshold_us: int | None = None,
-    ) -> LagAnnotation:
-        """Manually annotate one lag by choosing an explicit ending frame.
-
-        Mirrors the GUI path where the user overrides the automation; used
-        by tests and available for custom workloads.
-        """
-        record = None
-        for candidate in journal.interactions:
-            if candidate.gesture_index == gesture_index:
-                record = candidate
-                break
-        if record is None:
-            raise AnnotationError(f"gesture {gesture_index} has no interaction")
-        tolerance = (
-            self.default_tolerance_px if tolerance_px is None else tolerance_px
-        )
-        image = video.frame_at(frame_index).copy()
-        begin_frame = record.begin_time // VSYNC_PERIOD_US
-        config = SuggesterConfig(
-            mask_rects=tuple(mask_rects), tolerance_px=tolerance
-        )
-        found_occurrence = (
-            occurrence
-            if occurrence is not None
-            else self._count_occurrences(
-                video, begin_frame, frame_index, image, config
-            )
-        )
-        return LagAnnotation(
-            gesture_index=gesture_index,
-            label=record.label,
-            category=record.category,
-            begin_time_us=record.begin_time,
-            image=image,
-            mask_rects=list(mask_rects),
-            tolerance_px=tolerance,
-            occurrence=found_occurrence,
-            threshold_us=(
-                threshold_us
-                if threshold_us is not None
-                else self._threshold_for(record)
-            ),
-        )

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.errors import CaptureError
-from repro.device.display import VSYNC_PERIOD_US, frame_timestamp
+from repro.device.display import VSYNC_PERIOD_US
 
 Frame = np.ndarray
 
@@ -168,12 +168,3 @@ class Video:
             else:
                 return segment
         raise CaptureError(f"frame {frame_index} outside video range")
-
-    def iter_frames(self, start: int | None = None, end: int | None = None):
-        """Yield ``(frame_index, content)`` for every frame — the exact
-        frame-by-frame view the paper's algorithms are defined over."""
-        start = self.start_frame if start is None else start
-        end = self.end_frame if end is None else end
-        for segment in self.segments_between(start, end):
-            for index in range(segment.start, segment.end):
-                yield index, segment.content

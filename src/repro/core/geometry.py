@@ -54,17 +54,6 @@ class Rect:
         """Whether ``point`` lies inside this rectangle."""
         return self.x <= point.x < self.right and self.y <= point.y < self.bottom
 
-    def intersects(self, other: "Rect") -> bool:
-        """Whether the two rectangles overlap in a region of positive area."""
-        if self.area == 0 or other.area == 0:
-            return False
-        return (
-            self.x < other.right
-            and other.x < self.right
-            and self.y < other.bottom
-            and other.y < self.bottom
-        )
-
     def intersection(self, other: "Rect") -> "Rect":
         """The overlapping region, or a zero-area rect at the clamp point."""
         x = max(self.x, other.x)

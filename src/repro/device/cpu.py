@@ -40,7 +40,6 @@ class CpuCore:
         self._state_since = 0
         self._time_in_state: dict[int, int] = defaultdict(int)
         self._transitions = 0
-        self._cycles_retired = 0.0
         # Busy intervals accumulate as two parallel int64 arrays (16 B per
         # interval): a day-long replay logs ~half a million of them, and
         # boxed (start, end) tuples would dominate the run's memory.
@@ -71,11 +70,6 @@ class CpuCore:
     def transitions(self) -> int:
         """Number of frequency changes so far (cpufreq ``total_trans``)."""
         return self._transitions
-
-    @property
-    def cycles_retired(self) -> float:
-        """Total cycles executed so far (updated on state changes)."""
-        return self._cycles_retired
 
     def add_busy_listener(self, listener: Callable[[], None]) -> None:
         """``listener`` fires on every idle-to-busy transition.
@@ -138,10 +132,6 @@ class CpuCore:
             self._busy_starts = array("q")
             self._busy_ends = array("q")
 
-    def busy_trace(self) -> list[tuple[int, int]]:
-        """Recorded busy intervals, closing any open one at 'now'."""
-        return self.busy_pairs().tolist()
-
     def busy_pairs(self):
         """The recorded intervals as compact :class:`~repro.results.
         IntPairs`, closing any open interval at 'now' — the O(1)-boxing
@@ -177,7 +167,6 @@ class CpuCore:
             since = self._busy_since
             elapsed = now - since
             self._busy_total += elapsed
-            self._cycles_retired += elapsed * (self._freq_khz / 1_000.0)
             if self._busy_starts is not None and elapsed > 0:
                 self._busy_starts.append(since)
                 self._busy_ends.append(now)
@@ -193,7 +182,7 @@ class CpuCore:
 
         One busy edge: the meter charges the energy drawn since the last
         state change and switches the draw, then the busy interval opens
-        or closes (retiring its cycles).  Runs twice per task.
+        or closes.  Runs twice per task.
         """
         if busy == self._busy:
             return
@@ -209,7 +198,6 @@ class CpuCore:
             since = self._busy_since
             elapsed = now - since
             self._busy_total += elapsed
-            self._cycles_retired += elapsed * (self._freq_khz / 1_000.0)
             if self._busy_starts is not None and elapsed > 0:
                 self._busy_starts.append(since)
                 self._busy_ends.append(now)

@@ -87,10 +87,6 @@ class CpuFreqPolicy:
             for timestamp, freq_khz in zip(self._trans_times, self._trans_freqs)
         ]
 
-    def transition_pairs(self) -> list[tuple[int, int]]:
-        """The trace as raw ``(timestamp, freq_khz)`` pairs (no wrappers)."""
-        return list(zip(self._trans_times, self._trans_freqs))
-
     def transition_points(self):
         """The trace as compact :class:`~repro.results.IntPairs` — the
         form the run record stores (16 bytes per transition)."""

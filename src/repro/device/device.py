@@ -102,11 +102,6 @@ class Device:
         self._governor = governor
         return governor
 
-    def stop_governor(self) -> None:
-        if self._governor is not None:
-            self._governor.stop()
-            self._governor = None
-
     def run_for(self, duration_us: int) -> None:
         """Advance the simulation by ``duration_us`` microseconds."""
         if duration_us < 0:

@@ -47,7 +47,6 @@ class Display:
         self._composer: Callable[[np.ndarray], None] | None = None
         self._vsync_scheduled = False
         self._frames_composed = 0
-        self._last_composed_index = -1
         self._obs = _obs_active()
 
     @property
@@ -81,17 +80,12 @@ class Display:
             next_boundary, self._compose, priority=PRIORITY_RENDER
         )
 
-    def compose_now(self) -> None:
-        """Force an immediate composition (used at capture start)."""
-        self._compose()
-
     def _compose(self) -> None:
         self._vsync_scheduled = False
         if self._composer is not None:
             self._composer(self._framebuffer)
         index = frame_index_at(self._engine.now)
         self._frames_composed += 1
-        self._last_composed_index = index
         obs = self._obs
         if obs is not None:
             obs.frame_composed(self._engine.now, index)

@@ -24,11 +24,6 @@ class InputDeviceNode:
         self.path = path
         self.name = name
         self._observers: list[EventObserver] = []
-        self._events_delivered = 0
-
-    @property
-    def events_delivered(self) -> int:
-        return self._events_delivered
 
     def add_observer(self, observer: EventObserver) -> None:
         """Attach a reader; it will see every subsequent event."""
@@ -43,7 +38,6 @@ class InputDeviceNode:
             raise ReplayError(
                 f"event for {event.device} written to node {self.path}"
             )
-        self._events_delivered += 1
         for observer in list(self._observers):
             observer(event)
 

@@ -55,7 +55,3 @@ class LoadTracker:
         if busy_total is None:
             busy_total = self._core.busy_time_total()
         self._last_busy = busy_total
-
-    def peek_window(self) -> int:
-        """Microseconds elapsed since the last sample (without resetting)."""
-        return self._clock.now - self._last_time

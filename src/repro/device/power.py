@@ -81,23 +81,6 @@ class PowerModel:
         )
         return best.freq_khz
 
-    def calibrate(
-        self, table: FrequencyTable, spin_seconds: float = 1.0
-    ) -> dict[int, float]:
-        """Reproduce the paper's calibration procedure.
-
-        Conceptually runs a CPU-bound spin for ``spin_seconds`` at each
-        frequency, "measures" total power and subtracts idle power,
-        returning dynamic core power per frequency in watts.
-        """
-        if spin_seconds <= 0:
-            raise SimulationError("spin duration must be positive")
-        dynamic: dict[int, float] = {}
-        for point in table.points:
-            total = self.active_power(point.freq_khz, point.volts)
-            dynamic[point.freq_khz] = total - self.idle_w
-        return dynamic
-
 
 class EnergyMeter:
     """Integrates a core's power draw over time as it changes state.
@@ -126,11 +109,6 @@ class EnergyMeter:
     def energy_joules(self) -> float:
         """Total energy charged so far (without a pending sync)."""
         return self._energy_j
-
-    @property
-    def busy_energy_joules(self) -> float:
-        """Energy charged while the core was executing."""
-        return self._busy_energy_j
 
     def busy_energy_at(self, now: int) -> float:
         """Busy energy including the un-synced tail interval up to ``now``."""

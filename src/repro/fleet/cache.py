@@ -186,8 +186,3 @@ class ResultCache(RecordStore):
 
     def contains(self, key: str) -> bool:
         return self.path_for(key).exists()
-
-    def entry_count(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))

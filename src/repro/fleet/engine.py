@@ -96,9 +96,8 @@ class FleetStats:
     *executed* cell — ``{"pid", "wall_s", "cpu_s", "mode"}`` plus a
     ``fallback_reason`` tag when the demand pass bailed out — in
     completion order.  Cached cells execute nothing and failed cells are
-    kept apart in ``failure_telemetry``, so the worker and straggler
-    summaries always agree with ``executed``
-    (``straggler_summary()["runs"] == executed``).
+    kept apart in ``failure_telemetry``, so the straggler summary always
+    agrees with ``executed`` (``straggler_summary()["runs"] == executed``).
 
     The demand fields describe the trace-once/replay-many split:
     ``demand_cells``/``full_cells`` partition the successfully executed
@@ -137,18 +136,6 @@ class FleetStats:
             f"{self.total} runs: {self.cache_hits} cached, "
             f"{self.executed} executed"
         )
-
-    def worker_summary(self) -> dict[int, dict]:
-        """Per-worker aggregates: runs, total wall and CPU seconds."""
-        workers: dict[int, dict] = {}
-        for entry in self.run_telemetry:
-            worker = workers.setdefault(
-                entry["pid"], {"runs": 0, "wall_s": 0.0, "cpu_s": 0.0}
-            )
-            worker["runs"] += 1
-            worker["wall_s"] += entry["wall_s"]
-            worker["cpu_s"] += entry["cpu_s"]
-        return workers
 
     def straggler_summary(self) -> dict | None:
         """Spread of per-run wall times — the straggler signal.

@@ -112,10 +112,6 @@ class ProgressReporter:
     def cached(self) -> int:
         return self._cached
 
-    def __call__(self, spec: RunSpec, cached: bool = False) -> None:
-        """Back-compat callable form of :meth:`observe` (no telemetry)."""
-        self.observe(spec, cached=cached)
-
     def observe(
         self,
         spec: RunSpec,
@@ -199,21 +195,21 @@ class ProgressReporter:
             "executed": stats.executed,
             "stored": stats.stored,
             "failures": stats.failures,
-            "backend": getattr(stats, "backend", "local"),
-            "redispatched": getattr(stats, "redispatched", 0),
+            "backend": stats.backend,
+            "redispatched": stats.redispatched,
             "workers": [
                 {"pid": pid, **data}
                 for pid, data in sorted(self._workers.items())
             ],
             "stragglers": stats.straggler_summary(),
             "demand": {
-                "demand_cells": getattr(stats, "demand_cells", 0),
-                "full_cells": getattr(stats, "full_cells", 0),
-                "fallback_cells": getattr(stats, "fallback_cells", 0),
-                "fallback_reasons": getattr(stats, "fallback_reasons", {}),
-                "trace_source": getattr(stats, "demand_trace_source", None),
-                "capture_s": getattr(stats, "demand_capture_s", None),
-                "capture_error": getattr(stats, "demand_capture_error", None),
+                "demand_cells": stats.demand_cells,
+                "full_cells": stats.full_cells,
+                "fallback_cells": stats.fallback_cells,
+                "fallback_reasons": stats.fallback_reasons,
+                "trace_source": stats.demand_trace_source,
+                "capture_s": stats.demand_capture_s,
+                "capture_error": stats.demand_capture_error,
             },
         }
         if self._started_at is not None:

@@ -93,8 +93,3 @@ def format_config(base: str, params: dict[str, int] | None = None) -> str:
 def canonical_config(config: str) -> str:
     """Normalise a config string: sorted parameters, no ``_`` separators."""
     return format_config(*parse_config(config))
-
-
-def config_base(config: str) -> str:
-    """The governor name a config string resolves to (``fixed`` for OPPs)."""
-    return parse_config(config)[0]

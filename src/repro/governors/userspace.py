@@ -27,14 +27,6 @@ class UserspaceGovernor(Governor):
     def fixed_khz(self) -> int:
         return self._fixed_khz
 
-    def set_speed(self, freq_khz: int) -> None:
-        """Change the pinned frequency (sysfs ``scaling_setspeed``)."""
-        if not self.policy.core.table.contains(freq_khz):
-            raise GovernorError(f"{freq_khz} kHz is not an operating point")
-        self._fixed_khz = freq_khz
-        if self.active:
-            self.policy.set_target(freq_khz, RELATION_HIGH)
-
     def _on_start(self) -> None:
         self.policy.set_target(self._fixed_khz, RELATION_HIGH)
 

@@ -566,8 +566,8 @@ def cmd_attribute(args) -> int:
     """Explain every irritation window: per-cause breakdown + annotated trace.
 
     stdout carries only the deterministic attribution report (the CI
-    perf-smoke job pins it byte-identical across ``--jobs``); trace and
-    telemetry lines go to stderr.
+    perf-smoke job runs it twice and pins both runs byte-identical);
+    trace and telemetry lines go to stderr.
     """
     import json as json_module
 
@@ -854,13 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_attr.add_argument(
         "--rep", type=int, default=0, metavar="R",
         help="repetition index to replay (default: 0)",
-    )
-    p_attr.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help=(
-            "accepted for fleet-CLI parity; attribution replays one run "
-            "in-process, so the report is identical for any N"
-        ),
     )
     _add_seed_flag(p_attr)
     p_attr.set_defaults(func=cmd_attribute)

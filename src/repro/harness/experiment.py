@@ -21,7 +21,7 @@ shape results take across fleet IPC and the result cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis import (
     AnnotationDatabase,
@@ -79,81 +79,6 @@ class WorkloadArtifacts:
         from repro.fleet.cache import workload_fingerprint
 
         return workload_fingerprint(self)
-
-    def save(self, directory) -> None:
-        """Persist trace + annotation database + metadata to a directory.
-
-        A saved workload is the paper's reusable artefact: "the workload
-        will be reusable time and again".
-        """
-        import json
-        from pathlib import Path
-
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        self.trace.save(directory / "trace.getevent")
-        self.database.save(directory / "annotations")
-        meta = {
-            "dataset": self.spec.name,
-            "duration_us": self.duration_us,
-            "recording_master_seed": self.recording_master_seed,
-            "classification": self.classification.as_row(),
-        }
-        (directory / "meta.json").write_text(
-            json.dumps(meta, indent=2), encoding="utf-8"
-        )
-
-    @classmethod
-    def load(
-        cls, directory, verify_classification: bool = False
-    ) -> "WorkloadArtifacts":
-        """Load artifacts previously written by :meth:`save`.
-
-        The classification row is read straight from ``meta.json`` —
-        re-running the full gesture decode over the trace on every load
-        is wasted work the recording already paid for.  Pass
-        ``verify_classification=True`` to recompute it anyway and fail
-        loudly if the saved row no longer matches (e.g. the classifier
-        changed since the artifacts were written).
-        """
-        import json
-        from pathlib import Path
-
-        from repro.workloads.datasets import dataset as dataset_lookup
-
-        directory = Path(directory)
-        meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
-        trace = EventTrace.load(directory / "trace.getevent")
-        database = AnnotationDatabase.load(directory / "annotations")
-        spec = dataset_lookup(meta["dataset"])
-        saved_row = meta.get("classification")
-        if saved_row is None or verify_classification:
-            recomputed = classify_workload(meta["dataset"], trace, database)
-        if saved_row is None:
-            classification = recomputed
-        else:
-            classification = InputClassification(
-                dataset=saved_row["dataset"],
-                taps=saved_row["taps"],
-                swipes=saved_row["swipes"],
-                actual_lags=saved_row["actual_lags"],
-                spurious_lags=saved_row["spurious_lags"],
-            )
-            if verify_classification and classification != recomputed:
-                raise WorkloadError(
-                    f"saved classification of {meta['dataset']!r} "
-                    f"({classification.as_row()}) does not match "
-                    f"recomputation ({recomputed.as_row()}); re-record or "
-                    "re-save the artifacts"
-                )
-        return cls(
-            spec=spec,
-            trace=trace,
-            database=database,
-            duration_us=meta["duration_us"],
-            classification=classification,
-            recording_master_seed=meta["recording_master_seed"],
-        )
 
 
 def record_workload(

@@ -68,10 +68,6 @@ class Scheduler:
     def queued_tasks(self) -> int:
         return len(self._foreground) + len(self._background)
 
-    @property
-    def is_idle(self) -> bool:
-        return self._current is None and self.queued_tasks == 0
-
     def add_idle_listener(self, listener: Callable[[], None]) -> None:
         """``listener`` fires whenever the run queue drains completely."""
         self._idle_listeners.append(listener)

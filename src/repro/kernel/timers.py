@@ -77,14 +77,6 @@ class PeriodicTimer:
             self._event.cancel()
             self._event = None
 
-    def set_period(self, period_us: int) -> None:
-        """Change the period; takes effect from the next expiry."""
-        if period_us <= 0:
-            raise SimulationError("timer period must be positive")
-        self._period = period_us
-        if self._event is not None:
-            self._event.period = period_us
-
     def _next_expiry_of(self, event: ScheduledEvent) -> int:
         """The expiry that would follow ``event``.
 

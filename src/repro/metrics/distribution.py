@@ -31,10 +31,6 @@ class DistributionSummary:
     max_ms: float
     fliers_ms: tuple[float, ...]
 
-    @property
-    def iqr_ms(self) -> float:
-        return self.q3_ms - self.q1_ms
-
 
 def summarize_lags(durations_ms: list[float]) -> DistributionSummary:
     """Box-plot statistics over lag durations in milliseconds."""

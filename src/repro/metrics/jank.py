@@ -55,9 +55,6 @@ class JankResult:
     def lag_frames_janky(self) -> int:
         return sum(lag.frames_janky for lag in self.per_lag)
 
-    def worst_lags(self, n: int = 5) -> list[LagJank]:
-        return sorted(self.per_lag, key=lambda l: -l.frames_janky)[:n]
-
 
 def _janky_frames_in(
     timeline: BusyTimeline, start_us: int, end_us: int

@@ -42,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from repro.analysis.lagprofile import CauseBreakdown, LagMeasurement, LagProfile
+from repro.analysis.lagprofile import LagMeasurement
 from repro.obs.attribution.causes import (
     CAUSE_AT_SPEED,
     CAUSE_COMPOSITOR,
@@ -97,14 +97,6 @@ class WindowAttribution:
                 winner = cause
         return winner
 
-    def breakdown(self) -> CauseBreakdown:
-        """The profile-attachable form (:meth:`LagProfile.with_attribution`)."""
-        return CauseBreakdown(
-            lag_index=self.lag_index,
-            window_by_cause=self.window_by_cause,
-            penalty_by_cause=self.penalty_by_cause,
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class RunAttribution:
@@ -144,26 +136,6 @@ class RunAttribution:
         if not candidates:
             return None
         return min(candidates, key=lambda item: (-item[1], cause_order_key(item[0])))[0]
-
-    def breakdowns(self) -> tuple[CauseBreakdown, ...]:
-        return tuple(window.breakdown() for window in self.windows)
-
-    def attributed_profile(self) -> LagProfile:
-        """A cause-carrying :class:`LagProfile` over this run's lags."""
-        lags = tuple(
-            LagMeasurement(
-                lag_index=w.lag_index,
-                gesture_index=w.gesture_index,
-                label=w.label,
-                category=w.category,
-                begin_time_us=w.begin_us,
-                end_frame=0,
-                duration_us=w.duration_us,
-                threshold_us=w.threshold_us,
-            )
-            for w in self.windows
-        )
-        return LagProfile(self.workload, lags).with_attribution(self.breakdowns())
 
     def summary(self) -> dict:
         """The JSON-safe form harvested into the ``obs`` record section."""

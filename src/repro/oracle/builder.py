@@ -78,10 +78,6 @@ class BusyTimeline:
     def __hash__(self) -> int:
         return hash((tuple(self._starts), tuple(self._ends)))
 
-    @property
-    def total_busy_us(self) -> int:
-        return self._prefix[-1]
-
     def busy_in(self, window_start: int, window_end: int) -> int:
         """Busy microseconds inside ``[window_start, window_end)``."""
         if window_end <= window_start:

@@ -2,12 +2,8 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from repro.core import events as ev
 from repro.core.errors import ReplayError
 from repro.core.events import InputEvent
-from repro.replay.getevent import format_trace, parse_trace
 
 
 class EventTrace:
@@ -52,35 +48,3 @@ class EventTrace:
                 for e in self.events
             ]
         )
-
-    def touch_down_times(self) -> list[int]:
-        """Timestamps of finger-down events (new tracking ids)."""
-        return [
-            e.timestamp
-            for e in self.events
-            if e.type == ev.EV_ABS
-            and e.code == ev.ABS_MT_TRACKING_ID
-            and e.value != ev.TRACKING_ID_NONE
-        ]
-
-    def counts_by_type(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for event in self.events:
-            counts[event.type] = counts.get(event.type, 0) + 1
-        return counts
-
-    # --- persistence -----------------------------------------------------------------
-
-    def dumps(self) -> str:
-        return format_trace(self.events)
-
-    @classmethod
-    def loads(cls, text: str) -> "EventTrace":
-        return cls(parse_trace(text))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.dumps(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "EventTrace":
-        return cls.loads(Path(path).read_text(encoding="utf-8"))

@@ -104,9 +104,6 @@ class IntPairs:
         """JSON form: ``[[a, b], ...]``."""
         return [[first, second] for first, second in self]
 
-    def tolist(self) -> list[tuple[int, int]]:
-        return list(self)
-
     # --- wire form --------------------------------------------------------------
 
     def pack(self) -> str:

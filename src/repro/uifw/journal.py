@@ -148,8 +148,3 @@ class GroundTruthJournal:
         return InteractionToken(self, record)
 
     # --- queries -------------------------------------------------------------------
-
-    def spurious_gesture_indices(self) -> list[int]:
-        """Gestures that triggered no interaction (the paper's spurious lags)."""
-        with_interaction = {r.gesture_index for r in self.interactions}
-        return [g.index for g in self.gestures if g.index not in with_interaction]

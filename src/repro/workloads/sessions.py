@@ -63,13 +63,8 @@ class ScriptedUser:
         self._engine = wm.engine
         self._plan = iter(plan)
         self._deadline = stop_initiating_after_us
-        self._steps_done = 0
         self._finished = False
         self._on_finished = None
-
-    @property
-    def steps_performed(self) -> int:
-        return self._steps_done
 
     @property
     def finished(self) -> bool:
@@ -107,7 +102,6 @@ class ScriptedUser:
             up_time = self._device.touchscreen.schedule_swipe(
                 now, start, end, duration
             )
-        self._steps_done += 1
         # Start watching the screen shortly after the finger lifts.
         self._engine.schedule_at(up_time + POLL_PERIOD_US, self._watch)
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import AnnotationError
-from repro.core.geometry import Rect
 from repro.analysis.annotation import AnnotationDatabase, GestureInfo, LagAnnotation
 
 
@@ -69,41 +68,3 @@ def test_spurious_count():
     db.add(make_annotation(gesture=1, begin=1000))
     assert db.lag_count == 1
     assert db.spurious_count == 2
-
-
-def test_annotation_for_gesture():
-    db = AnnotationDatabase("w", 8, 8)
-    db.add(make_annotation(gesture=2, begin=100))
-    assert db.annotation_for_gesture(2) is not None
-    assert db.annotation_for_gesture(5) is None
-
-
-def test_save_load_roundtrip(tmp_path):
-    db = AnnotationDatabase("workload-x", 8, 8)
-    db.add_gesture(GestureInfo(0, "tap", 500))
-    db.add_gesture(GestureInfo(1, "swipe", 9_000))
-    db.add(
-        make_annotation(
-            gesture=0,
-            begin=500,
-            mask_rects=[Rect(1, 2, 3, 4)],
-            tolerance_px=2,
-            occurrence=2,
-            threshold_us=150_000,
-        )
-    )
-    db.save(tmp_path / "db")
-    loaded = AnnotationDatabase.load(tmp_path / "db")
-    assert loaded.workload_name == "workload-x"
-    assert [g.kind for g in loaded.gestures] == ["tap", "swipe"]
-    annotation = loaded.annotations[0]
-    assert annotation.mask_rects == [Rect(1, 2, 3, 4)]
-    assert annotation.tolerance_px == 2
-    assert annotation.occurrence == 2
-    assert annotation.threshold_us == 150_000
-    assert np.array_equal(annotation.image, image())
-
-
-def test_load_missing_directory_rejected(tmp_path):
-    with pytest.raises(AnnotationError):
-        AnnotationDatabase.load(tmp_path / "nope")

@@ -55,12 +55,9 @@ def test_chosen_frame_shows_completion(gallery_session, gallery_database):
             if r.gesture_index == annotation.gesture_index
         )
         completion_frame = record.end_time // VSYNC_PERIOD_US + 1
-        # The annotation image is the screen at/after semantic completion.
-        end_frame_indices = [
-            idx
-            for idx, _c in video.iter_frames(completion_frame, completion_frame + 1)
-        ]
-        assert end_frame_indices  # completion lies inside the video
+        # The annotation image is the screen at/after semantic completion,
+        # which lies inside the video.
+        assert video.start_frame <= completion_frame < video.end_frame
 
 
 def test_masks_include_the_status_bar_clock(gallery_database):
@@ -85,26 +82,6 @@ def test_incomplete_interaction_rejected(gallery_session):
     journal.interactions[0].end_time = None
     with pytest.raises(AnnotationError):
         AutoAnnotator("w").annotate(video, journal)
-
-
-def test_manual_pick_path(gallery_session, gallery_database):
-    _dev, wm, _trace, video = gallery_session
-    auto = gallery_database.annotations[0]
-    manual = AutoAnnotator("w").pick(
-        video,
-        wm.journal,
-        gesture_index=auto.gesture_index,
-        frame_index=auto.begin_time_us // VSYNC_PERIOD_US + 40,
-        mask_rects=auto.mask_rects,
-    )
-    assert manual.gesture_index == auto.gesture_index
-    assert manual.occurrence >= 1
-
-
-def test_manual_pick_unknown_gesture_rejected(gallery_session):
-    _dev, wm, _trace, video = gallery_session
-    with pytest.raises(AnnotationError):
-        AutoAnnotator("w").pick(video, wm.journal, gesture_index=99, frame_index=1)
 
 
 # --- equivalence with the full-window pick ----------------------------------------

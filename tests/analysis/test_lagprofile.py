@@ -1,10 +1,5 @@
 """Unit tests for lag profiles."""
 
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-
-from repro.core.errors import ReproError
 from repro.analysis.lagprofile import LagMeasurement, LagProfile
 from repro.metrics.hci import SHNEIDERMAN_MODEL
 
@@ -51,140 +46,3 @@ def test_irritation_with_overrides():
     profile = LagProfile("w", (measurement(duration=900_000),))
     result = profile.irritation(overrides={"lag0": 800_000})
     assert result.total_us == 100_000
-
-
-def test_compare_requires_same_lag_count():
-    a = LagProfile("w", (measurement(0),))
-    b = LagProfile("w", (measurement(0), measurement(1)))
-    with pytest.raises(ReproError):
-        a.compare(b)
-
-
-def test_compare_pairs_durations():
-    a = LagProfile("w", (measurement(0, duration=100),))
-    b = LagProfile("w", (measurement(0, duration=300),))
-    assert a.compare(b) == [("lag0", 100, 300)]
-
-
-def test_save_load_roundtrip(tmp_path):
-    profile = LagProfile("w", (measurement(0), measurement(1)))
-    path = tmp_path / "profile.json"
-    profile.save(path)
-    loaded = LagProfile.load(path)
-    assert loaded.workload_name == "w"
-    assert loaded.lags == profile.lags
-
-
-# --- cause-carrying profiles ------------------------------------------------------
-
-
-def breakdown(index, penalty_by_cause, window_by_cause=None):
-    from repro.analysis.lagprofile import CauseBreakdown
-
-    return CauseBreakdown(
-        lag_index=index,
-        window_by_cause=tuple(window_by_cause or penalty_by_cause),
-        penalty_by_cause=tuple(penalty_by_cause),
-    )
-
-
-def test_compare_empty_profiles():
-    a = LagProfile("w", ())
-    b = LagProfile("w", ())
-    assert a.compare(b) == []
-    assert a.compare_causes(b) == []
-
-
-def test_two_argument_construction_still_compares_equal():
-    # Pre-attribution construction sites build profiles without the third
-    # field; they must stay equal to an explicitly-unattributed profile.
-    assert LagProfile("w", (measurement(0),)) == LagProfile(
-        "w", (measurement(0),), ()
-    )
-
-
-def test_with_attribution_requires_one_breakdown_per_lag():
-    profile = LagProfile("w", (measurement(0), measurement(1)))
-    with pytest.raises(ReproError):
-        profile.with_attribution([breakdown(0, [("at_speed", 10)])])
-
-
-def test_with_attribution_requires_matching_lag_indices():
-    profile = LagProfile("w", (measurement(0),))
-    with pytest.raises(ReproError):
-        profile.with_attribution([breakdown(7, [("at_speed", 10)])])
-
-
-def test_per_cause_irritation_aggregates_over_lags():
-    profile = LagProfile(
-        "w", (measurement(0), measurement(1))
-    ).with_attribution(
-        [
-            breakdown(0, [("slow_ramp", 300), ("at_speed", 100)]),
-            breakdown(1, [("slow_ramp", 50)]),
-        ]
-    )
-    assert profile.per_cause_irritation_us() == {
-        "slow_ramp": 350,
-        "at_speed": 100,
-    }
-
-
-def test_compare_causes_handles_disjoint_cause_sets():
-    a = LagProfile("w", (measurement(0),)).with_attribution(
-        [breakdown(0, [("late_boost", 120)])]
-    )
-    b = LagProfile("w", (measurement(0), measurement(1))).with_attribution(
-        [breakdown(0, [("slow_ramp", 80)]), breakdown(1, [("slow_ramp", 20)])]
-    )
-    # Different lag counts and disjoint causes are still comparable.
-    assert a.compare_causes(b) == [
-        ("late_boost", 120, 0),
-        ("slow_ramp", 0, 100),
-    ]
-
-
-def test_save_load_roundtrips_attributions(tmp_path):
-    profile = LagProfile("w", (measurement(0),)).with_attribution(
-        [breakdown(0, [("park_wake", 40), ("at_speed", 60)])]
-    )
-    path = tmp_path / "attributed.json"
-    profile.save(path)
-    assert LagProfile.load(path) == profile
-
-
-def test_load_without_attributions_yields_unattributed_profile(tmp_path):
-    profile = LagProfile("w", (measurement(0),))
-    path = tmp_path / "plain.json"
-    profile.save(path)
-    assert LagProfile.load(path).attributions == ()
-
-
-@given(
-    penalties=st.lists(
-        st.lists(
-            st.tuples(
-                st.sampled_from(
-                    ["late_boost", "park_wake", "slow_ramp", "at_speed"]
-                ),
-                st.integers(min_value=1, max_value=10_000),
-            ),
-            min_size=1,
-            max_size=4,
-            unique_by=lambda pair: pair[0],
-        ),
-        min_size=0,
-        max_size=6,
-    )
-)
-def test_per_cause_irritation_sums_to_run_total(penalties):
-    lags = tuple(
-        measurement(i, duration=1_000_000 + sum(us for _, us in per_lag),
-                    threshold=1_000_000)
-        for i, per_lag in enumerate(penalties)
-    )
-    profile = LagProfile("w", lags).with_attribution(
-        [breakdown(i, per_lag) for i, per_lag in enumerate(penalties)]
-    )
-    run_total = profile.irritation().total_us
-    assert sum(profile.per_cause_irritation_us().values()) == run_total

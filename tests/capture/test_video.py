@@ -108,12 +108,6 @@ def test_segments_between_clips_to_window():
     assert [(s.start, s.end) for s in clipped] == [(1, 3), (3, 5)]
 
 
-def test_iter_frames_matches_frame_at():
-    video = make_video([1, 1, 2, 3, 3])
-    for index, content in video.iter_frames():
-        assert np.array_equal(content, video.frame_at(index))
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=40))
 def test_rle_equals_frame_by_frame(values):

@@ -81,11 +81,6 @@ def test_intersection_commutes(a, b):
 
 
 @given(rects, rects)
-def test_intersects_iff_positive_intersection_area(a, b):
-    assert a.intersects(b) == (a.intersection(b).area > 0)
-
-
-@given(rects, rects)
 def test_union_contains_intersection(a, b):
     union = a.union(b)
     inter = a.intersection(b)

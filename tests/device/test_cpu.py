@@ -33,14 +33,6 @@ def test_busy_time_accumulates(engine, core):
     assert core.busy_time_total() == 1_000_000
 
 
-def test_cycles_retired_at_frequency(engine, core):
-    core.set_frequency(960_000)
-    core.set_busy(True)
-    engine.clock.advance_to(1_000_000)
-    core.set_busy(False)
-    assert core.cycles_retired == pytest.approx(960_000 * 1_000)
-
-
 def test_set_frequency_rejects_non_opp(core):
     with pytest.raises(SimulationError):
         core.set_frequency(999_999)
@@ -77,7 +69,7 @@ def test_dynamic_energy_positive_when_busy(engine, core):
 
 def test_busy_trace_requires_enable(engine, core):
     with pytest.raises(SimulationError):
-        core.busy_trace()
+        core.busy_pairs()
 
 
 def test_busy_trace_records_intervals(engine, core):
@@ -89,7 +81,7 @@ def test_busy_trace_records_intervals(engine, core):
     core.set_busy(True)
     engine.clock.advance_to(350)
     core.set_busy(False)
-    assert core.busy_trace() == [(0, 100), (200, 350)]
+    assert list(core.busy_pairs()) == [(0, 100), (200, 350)]
 
 
 def test_busy_trace_survives_frequency_change(engine, core):
@@ -100,7 +92,7 @@ def test_busy_trace_survives_frequency_change(engine, core):
     core.set_frequency(960_000)
     engine.clock.advance_to(250)
     core.set_busy(False)
-    trace = core.busy_trace()
+    trace = list(core.busy_pairs())
     assert sum(end - start for start, end in trace) == 250
 
 
@@ -108,7 +100,7 @@ def test_busy_trace_includes_open_interval(engine, core):
     core.enable_busy_trace()
     core.set_busy(True)
     engine.clock.advance_to(100)
-    assert core.busy_trace() == [(0, 100)]
+    assert list(core.busy_pairs()) == [(0, 100)]
 
 
 def test_energy_matches_mixed_profile(engine, core):

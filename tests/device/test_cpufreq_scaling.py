@@ -34,7 +34,7 @@ def build_policy():
 
 def test_frequency_at_matches_linear_reference():
     policy = build_policy()
-    pairs = policy.transition_pairs()
+    pairs = list(policy.transition_points())
 
     def linear_reference(timestamp):
         result = pairs[0][1]
@@ -81,7 +81,7 @@ def test_profile_series_subquadratic():
 def test_transition_pairs_and_objects_agree():
     policy = build_policy()
     objects = policy.transitions
-    pairs = policy.transition_pairs()
+    pairs = list(policy.transition_points())
     # The first set_target re-targets the frequency the core booted at,
     # so it records no transition: initial entry + (TRANSITIONS - 1).
     assert len(objects) == len(pairs) == TRANSITIONS

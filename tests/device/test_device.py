@@ -28,8 +28,6 @@ def test_governor_lifecycle(device):
     assert not governor.active
     assert replacement.active
     assert device.policy.current_khz == device.policy.max_khz
-    device.stop_governor()
-    assert device.governor is None
 
 
 def test_fixed_governor_shorthand(device):

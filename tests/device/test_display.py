@@ -67,12 +67,3 @@ def test_observers_get_frame_index_and_copy():
     # Mutating the live framebuffer must not corrupt the observer's copy.
     display.framebuffer.fill(0)
     assert np.all(content == 7)
-
-
-def test_compose_now_is_immediate():
-    engine = Engine()
-    display = Display(engine, 4, 4)
-    seen = []
-    display.add_frame_observer(lambda idx, content: seen.append(idx))
-    display.compose_now()
-    assert seen == [0]

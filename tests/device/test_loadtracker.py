@@ -55,9 +55,3 @@ def test_zero_width_window_reports_instantaneous_state(setup):
     assert tracker.sample() == 0
     core.set_busy(True)
     assert tracker.sample() == 100
-
-
-def test_peek_window(setup):
-    engine, _core, tracker = setup
-    engine.clock.advance_to(75_000)
-    assert tracker.peek_window() == 75_000

@@ -37,24 +37,11 @@ class TestPowerModel:
         assert 1.05 < energies[0] / min(energies) < 1.3
         assert 1.5 < energies[-1] / min(energies) < 2.2
 
-    def test_calibration_reports_dynamic_power(self, model, table):
-        dynamic = model.calibrate(table)
-        assert set(dynamic) == set(table.frequencies_khz)
-        for point in table:
-            expected = model.active_power(point.freq_khz, point.volts)
-            assert dynamic[point.freq_khz] == pytest.approx(
-                expected - model.idle_power()
-            )
-
     def test_invalid_constants_rejected(self):
         with pytest.raises(SimulationError):
             PowerModel(kappa=0)
         with pytest.raises(SimulationError):
             PowerModel(idle_w=0.5, active_base_w=0.1)
-
-    def test_calibration_rejects_bad_duration(self, model, table):
-        with pytest.raises(SimulationError):
-            model.calibrate(table, spin_seconds=0)
 
 
 class TestEnergyMeter:
@@ -70,7 +57,7 @@ class TestEnergyMeter:
         meter.sync(2_000_000)
         expected = 2 * model.active_power(point.freq_khz, point.volts)
         assert meter.energy_joules == pytest.approx(expected)
-        assert meter.busy_energy_joules == pytest.approx(expected)
+        assert meter.busy_energy_at(2_000_000) == pytest.approx(expected)
 
     def test_energy_at_includes_open_interval(self, model, table):
         meter = EnergyMeter(model, table)
@@ -94,10 +81,10 @@ class TestEnergyMeter:
         meter.set_state(1_000_000, False, point.freq_khz)
         meter.sync(2_000_000)
         active = model.active_power(point.freq_khz, point.volts)
-        assert meter.busy_energy_joules == pytest.approx(active)
+        assert meter.busy_energy_at(2_000_000) == pytest.approx(active)
         assert meter.energy_joules == pytest.approx(active + model.idle_power())
 
     def test_busy_energy_at_while_idle_is_static(self, model, table):
         meter = EnergyMeter(model, table)
         meter.sync(1_000_000)
-        assert meter.busy_energy_at(2_000_000) == meter.busy_energy_joules
+        assert meter.busy_energy_at(2_000_000) == meter.busy_energy_at(1_000_000)

@@ -240,7 +240,7 @@ def test_concurrent_writers_racing_one_key_never_corrupt_it(
     cache = ResultCache(tmp_path)
     assert cache.load(key) == record
     assert not list(tmp_path.glob("*/.tmp-*")), "temp files leaked"
-    assert cache.entry_count() == 1
+    assert len(list(tmp_path.glob("*/*.json"))) == 1
 
 
 def _flip_base64_char(text: str, column: str) -> str:

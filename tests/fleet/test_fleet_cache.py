@@ -26,7 +26,7 @@ def test_store_load_roundtrip(tmp_path, artifacts_ds03, specs):
     cache.store(key, result)
     assert cache.contains(key)
     assert cache.load(key) == result
-    assert cache.entry_count() == 1
+    assert len(list(tmp_path.glob("*/*.json"))) == 1
 
 
 def test_warm_rerun_executes_nothing(tmp_path, artifacts_ds03, specs):

@@ -29,8 +29,8 @@ def _reporter():
 
 def test_lines_show_positions_and_totals():
     reporter, specs, stream = _reporter()
-    reporter(specs[0], cached=False)
-    reporter(specs[3], cached=False)
+    reporter.observe(specs[0], cached=False)
+    reporter.observe(specs[3], cached=False)
     lines = stream.getvalue().splitlines()
     assert "(config 1/3, rep 1/2)" in lines[0]
     assert "1/6 runs" in lines[0]
@@ -42,7 +42,7 @@ def test_lines_show_positions_and_totals():
 def test_cached_runs_are_marked_and_excluded_from_eta():
     reporter, specs, stream = _reporter()
     for spec in specs:
-        reporter(spec, cached=True)
+        reporter.observe(spec, cached=True)
     lines = stream.getvalue().splitlines()
     assert all(line.endswith("[cached]") for line in lines)
     assert all("ETA" not in line for line in lines)
@@ -51,7 +51,7 @@ def test_cached_runs_are_marked_and_excluded_from_eta():
 
 def test_eta_appears_once_real_runs_complete():
     reporter, specs, stream = _reporter()
-    reporter(specs[0], cached=False)
+    reporter.observe(specs[0], cached=False)
     line = stream.getvalue().splitlines()[0]
     assert "ETA" in line
 
@@ -60,7 +60,7 @@ def test_unbound_reporter_does_not_crash():
     stream = io.StringIO()
     reporter = ProgressReporter("02", stream=stream)
     specs = enumerate_sweep_specs("02", ["a"], 1, 2014)
-    reporter(specs[0], cached=False)
+    reporter.observe(specs[0], cached=False)
     assert "1/1 runs" in stream.getvalue()
 
 
@@ -92,7 +92,7 @@ def test_fully_cached_warm_run_has_no_eta():
     ).bind(specs)
     for spec in specs:
         clock.advance(1.0)
-        reporter(spec, cached=True)
+        reporter.observe(spec, cached=True)
         assert reporter.eta_seconds() is None
     assert reporter.cached == len(specs)
 
@@ -107,7 +107,7 @@ def test_eta_decreases_monotonically_at_steady_pace():
     etas = []
     for spec in specs:
         clock.advance(2.0)
-        reporter(spec, cached=False)
+        reporter.observe(spec, cached=False)
         eta = reporter.eta_seconds()
         if eta is not None:
             etas.append(eta)
@@ -151,7 +151,7 @@ def test_seq_continues_across_rebinds_like_a_study():
         reporter.label = label
         specs = enumerate_sweep_specs(label, ["a"], 1, 2014)
         reporter.bind(specs)
-        reporter(specs[0], cached=False)
+        reporter.observe(specs[0], cached=False)
     events = [json.loads(line) for line in jsonl.getvalue().splitlines()]
     assert [event["seq"] for event in events] == list(range(len(events)))
     bounds = [event for event in events if event["event"] == "grid_bound"]
@@ -214,7 +214,7 @@ def test_eta_excludes_one_time_capture_seconds():
     clock.advance(30.0)  # demand-trace capture: paid once, not per cell
     reporter.note_capture_seconds(30.0)
     clock.advance(2.0)
-    reporter(specs[0], cached=False)
+    reporter.observe(specs[0], cached=False)
     # 1 executed cell in 2s of per-cell time -> 3 remaining ≈ 6s, not
     # the 96s a naive (elapsed/executed)*remaining would claim.
     assert reporter.eta_seconds() == 6.0
@@ -231,7 +231,7 @@ def test_capture_allowance_does_not_survive_rebind():
     specs_b = enumerate_sweep_specs("03", ["a"], 2, 2014)
     reporter.bind(specs_b)
     clock.advance(4.0)
-    reporter(specs_b[0], cached=False)
+    reporter.observe(specs_b[0], cached=False)
     assert reporter.eta_seconds() == 4.0
 
 
@@ -245,7 +245,7 @@ def test_eta_never_negative_when_capture_overlaps_elapsed():
     ).bind(specs)
     clock.advance(1.0)
     reporter.note_capture_seconds(5.0)
-    reporter(specs[0], cached=False)
+    reporter.observe(specs[0], cached=False)
     assert reporter.eta_seconds() == 0.0
 
 
@@ -259,7 +259,7 @@ def test_heartbeats_are_rate_limited_by_the_injected_clock():
     ).bind(specs)
     for spec in specs:
         clock.advance(3.0)
-        reporter(spec, cached=False)
+        reporter.observe(spec, cached=False)
     beats = [
         json.loads(line)
         for line in jsonl.getvalue().splitlines()
@@ -278,7 +278,7 @@ def test_heartbeat_zero_interval_beats_every_observation():
         "02", stream=io.StringIO(), jsonl_stream=jsonl, heartbeat_s=0.0
     ).bind(specs)
     for spec in specs:
-        reporter(spec, cached=False)
+        reporter.observe(spec, cached=False)
     kinds = [
         json.loads(line)["event"] for line in jsonl.getvalue().splitlines()
     ]
@@ -292,7 +292,7 @@ def test_human_lines_suppressed_in_machine_only_mode():
     reporter = ProgressReporter(
         "02", stream=stream, jsonl_stream=jsonl, human=False
     ).bind(specs)
-    reporter(specs[0], cached=False)
+    reporter.observe(specs[0], cached=False)
     assert stream.getvalue() == ""
     assert jsonl.getvalue() != ""
 

@@ -7,7 +7,6 @@ from repro.core.errors import GovernorError
 from repro.governors.base import create_governor
 from repro.governors.config import (
     canonical_config,
-    config_base,
     format_config,
     parse_config,
 )
@@ -67,8 +66,8 @@ class TestParseConfig:
             assert format_config(*parse_config(config)) == config
 
     def test_config_base(self):
-        assert config_base("fixed:960000") == "fixed"
-        assert config_base("qoe_aware:boost=960000") == "qoe_aware"
+        assert parse_config("fixed:960000")[0] == "fixed"
+        assert parse_config("qoe_aware:boost=960000")[0] == "qoe_aware"
 
 
 class TestFromParams:

@@ -30,13 +30,6 @@ def test_userspace_holds_fixed_frequency(rig):
     assert len(rig.policy.transitions) == 2  # initial + pin
 
 
-def test_userspace_set_speed(rig):
-    governor = UserspaceGovernor(rig.context(), fixed_khz=960_000)
-    governor.start()
-    governor.set_speed(1_497_600)
-    assert rig.policy.current_khz == 1_497_600
-
-
 def test_userspace_rejects_non_opp(rig):
     with pytest.raises(GovernorError):
         UserspaceGovernor(rig.context(), fixed_khz=123)

@@ -2,21 +2,23 @@
 
 import json
 
+import pytest
+
 from repro.harness.cli import build_parser, main
 from repro.obs.validate import validate_file
 
 
-def test_attribute_command_deterministic_across_jobs(tmp_path, capsys):
+def test_attribute_command_deterministic(tmp_path, capsys):
     """attribute prints the cause report on stdout, annotates the trace,
-    and the stdout report is byte-identical across ``--jobs`` values."""
+    and two identical runs give byte-identical reports and traces."""
     trace_1 = tmp_path / "annotated_1.json"
     assert main(["attribute", "03", "--config", "conservative",
-                 "-o", str(trace_1), "--jobs", "1"]) == 0
+                 "-o", str(trace_1)]) == 0
     captured = capsys.readouterr()
-    out_jobs_1 = captured.out
-    assert "# attribution 03 [conservative]:" in out_jobs_1
-    assert "dominant cause:" in out_jobs_1
-    assert "cause" in out_jobs_1  # the taxonomy table header
+    out_1 = captured.out
+    assert "# attribution 03 [conservative]:" in out_1
+    assert "dominant cause:" in out_1
+    assert "cause" in out_1  # the taxonomy table header
     # The annotated trace validates, including its cause spans.
     assert "annotated trace" in captured.err
     assert validate_file(trace_1) == []
@@ -28,8 +30,8 @@ def test_attribute_command_deterministic_across_jobs(tmp_path, capsys):
 
     trace_2 = tmp_path / "annotated_2.json"
     assert main(["attribute", "03", "--config", "conservative",
-                 "-o", str(trace_2), "--jobs", "2"]) == 0
-    assert capsys.readouterr().out == out_jobs_1
+                 "-o", str(trace_2)]) == 0
+    assert capsys.readouterr().out == out_1
     assert trace_2.read_text() == trace_1.read_text()
 
 
@@ -37,7 +39,9 @@ def test_attribute_parser_defaults():
     args = build_parser().parse_args(["attribute", "03"])
     assert args.config == "interactive"
     assert args.output is None
-    assert args.jobs == 1
+    # One replay in-process: there is no worker count to choose.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["attribute", "03", "--jobs", "2"])
 
 
 def _document(lag_duration):

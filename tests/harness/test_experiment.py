@@ -11,7 +11,7 @@ def test_recording_produces_consistent_artifacts(artifacts_ds03):
     assert artifacts.input_count == len(artifacts.database.gestures)
     assert artifacts.database.lag_count > 20
     assert artifacts.duration_us >= artifacts.spec.duration_us
-    assert artifacts.trace.touch_down_times()[0] > 0
+    assert artifacts.database.gestures[0].down_time_us > 0
 
 
 def test_recording_is_reproducible(artifacts_ds03):
@@ -19,7 +19,7 @@ def test_recording_is_reproducible(artifacts_ds03):
     from repro.workloads import dataset
 
     again = record_workload(dataset("03"))
-    assert again.trace.dumps() == artifacts_ds03.trace.dumps()
+    assert again.trace.events == artifacts_ds03.trace.events
     assert again.database.lag_count == artifacts_ds03.database.lag_count
 
 
@@ -41,7 +41,7 @@ def test_replay_produces_full_lag_profile(artifacts_ds03):
     assert len(result.lag_profile) == artifacts_ds03.database.lag_count
     assert result.energy_j > result.dynamic_energy_j > 0
     assert result.busy_us > 0
-    assert result.busy_timeline.total_busy_us == result.busy_us
+    assert result.busy_timeline.busy_in(0, result.duration_us) == result.busy_us
 
 
 def test_replay_at_slowest_matches_recording_lags(artifacts_ds03):
@@ -50,7 +50,7 @@ def test_replay_at_slowest_matches_recording_lags(artifacts_ds03):
     result = replay_run(artifacts_ds03, f"fixed:{RECORDING_FREQ_KHZ}")
     assert len(result.lag_profile) == artifacts_ds03.database.lag_count
     # Lags must all have been serviced within the run window.
-    assert max(result.lag_profile.durations_us()) < artifacts_ds03.duration_us
+    assert max(lag.duration_us for lag in result.lags) < artifacts_ds03.duration_us
 
 
 def test_replay_faster_frequency_shortens_lags(artifacts_ds03):
@@ -60,8 +60,8 @@ def test_replay_faster_frequency_shortens_lags(artifacts_ds03):
         1
         for _label, s, f in zip(
             [lag.label for lag in slow.lag_profile.lags],
-            slow.lag_profile.durations_us(),
-            fast.lag_profile.durations_us(),
+            [lag.duration_us for lag in slow.lags],
+            [lag.duration_us for lag in fast.lags],
         )
         if s >= f
     )
@@ -79,7 +79,7 @@ def test_replay_same_rep_is_deterministic(artifacts_ds03):
     a = replay_run(artifacts_ds03, "ondemand", rep=0)
     b = replay_run(artifacts_ds03, "ondemand", rep=0)
     assert a.energy_j == b.energy_j
-    assert a.lag_profile.durations_us() == b.lag_profile.durations_us()
+    assert a.lags == b.lags
     assert a.transitions == b.transitions
 
 

@@ -105,7 +105,7 @@ def test_replay_determinism_full_pipeline(gallery_session, gallery_database):
     _dev, _wm, trace, _video = gallery_session
     first, _ = replay_and_match(trace, gallery_database, "ondemand")
     second, _ = replay_and_match(trace, gallery_database, "ondemand")
-    assert first.durations_us() == second.durations_us()
+    assert first.lags == second.lags
 
 
 def test_higher_frequency_never_more_irritating(

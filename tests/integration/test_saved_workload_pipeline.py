@@ -1,46 +1,37 @@
-"""Integration: the saved-artefact workflow a downstream user follows.
+"""Integration: the shared-workload workflow a downstream user follows.
 
-Record once → save to disk → (a new process would) load → replay under a
-governor → match → metricise.  This is the 'workload suite others can use'
-contribution (paper §I-A item 2).
+A workload is shared as its dataset or scenario string plus the master
+seed: rebuilding it from those gives the identical artefact (the same
+fingerprint the result cache keys on), which then replays under a
+governor → matches → metricises.  This is the 'workload suite others can
+use' contribution (paper §I-A item 2).
 """
 
 import pytest
 
-from repro.analysis import AnnotationDatabase, Matcher
-from repro.harness.experiment import WorkloadArtifacts, replay_run
+from repro.harness.experiment import record_workload, replay_run
 from repro.harness.sweep import compose_oracle_from_runs
 from repro.metrics.hci import SHNEIDERMAN_MODEL
+from repro.workloads import dataset
 
 
-def test_full_downstream_workflow(tmp_path, artifacts_ds03):
-    # Save and reload the recorded workload.
-    artifacts_ds03.save(tmp_path / "w")
-    loaded = WorkloadArtifacts.load(tmp_path / "w")
+def test_full_downstream_workflow(artifacts_ds03):
+    # Rebuild the workload from its dataset name and master seed.
+    rebuilt = record_workload(
+        dataset("03"), master_seed=artifacts_ds03.recording_master_seed
+    )
+    assert rebuilt.fingerprint() == artifacts_ds03.fingerprint()
 
     # Replay under a governor and a fixed configuration.
-    governor_run = replay_run(loaded, "interactive")
-    fixed_run = replay_run(loaded, "fixed:960000")
+    governor_run = replay_run(rebuilt, "interactive")
+    fixed_run = replay_run(rebuilt, "fixed:960000")
+    assert governor_run == replay_run(artifacts_ds03, "interactive")
 
     # Metrics behave as documented.
     irritation = governor_run.lag_profile.irritation(model=SHNEIDERMAN_MODEL)
-    assert irritation.lag_count == loaded.database.lag_count
+    assert irritation.lag_count == rebuilt.database.lag_count
     assert irritation.total_seconds < 10
     assert fixed_run.dynamic_energy_j > 0
-
-
-def test_annotation_database_usable_standalone(tmp_path, artifacts_ds03):
-    """The matcher needs only the on-disk database, not the journal."""
-    artifacts_ds03.database.save(tmp_path / "db")
-    database = AnnotationDatabase.load(tmp_path / "db")
-    run = replay_run(artifacts_ds03, "fixed:1497600")
-    # Re-match the replayed video-equivalent via the loaded database by
-    # comparing against the run's existing profile.
-    reference = run.lag_profile
-    assert database.lag_count == len(reference)
-    for annotation, lag in zip(database.annotations, reference.lags):
-        assert annotation.label == lag.label
-        assert annotation.begin_time_us == lag.begin_time_us
 
 
 def test_oracle_composable_from_partial_sweep(artifacts_ds03):

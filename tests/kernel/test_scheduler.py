@@ -99,9 +99,6 @@ def test_completed_cycles_accounted(rig):
     engine.run_until(2_000_000)
     assert scheduler.completed_tasks == 2
     assert scheduler.completed_cycles == pytest.approx(120e6)
-    # The core retired at least the demanded cycles (ceil rounding).
-    assert core.cycles_retired >= 120e6 - 1
-    assert core.cycles_retired == pytest.approx(120e6, rel=1e-3)
 
 
 def test_idle_listener_fires_when_queue_drains(rig):

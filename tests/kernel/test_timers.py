@@ -40,18 +40,6 @@ def test_invalid_period_rejected():
         PeriodicTimer(Engine(), 0, lambda: None)
 
 
-def test_set_period_takes_effect_after_armed_expiry():
-    engine = Engine()
-    ticks = []
-    timer = PeriodicTimer(engine, 10_000, lambda: ticks.append(engine.now))
-    timer.start()
-    # The 20_000 expiry is already armed when the period changes, so the
-    # new period applies from the expiry after it.
-    engine.schedule_at(10_000, lambda: timer.set_period(20_000))
-    engine.run_until(55_000)
-    assert ticks == [10_000, 20_000, 40_000]
-
-
 def test_double_start_is_noop():
     engine = Engine()
     ticks = []

@@ -20,7 +20,7 @@ def test_empty_rejected():
 def test_single_value():
     summary = summarize_lags([500.0])
     assert summary.median_ms == 500.0
-    assert summary.iqr_ms == 0.0
+    assert summary.q1_ms == summary.q3_ms == 500.0
     assert summary.fliers_ms == ()
 
 

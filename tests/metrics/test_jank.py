@@ -61,7 +61,7 @@ def test_per_lag_jank_reporting():
     assert result.per_lag[0].frames_janky == 3
     assert result.per_lag[0].jank_ratio == 1.0
     assert result.lag_frames_janky == 3
-    assert result.worst_lags()[0].label == "busy-lag"
+    assert result.per_lag[0].label == "busy-lag"
 
 
 def test_invalid_duration_rejected():

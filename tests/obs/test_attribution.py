@@ -286,14 +286,6 @@ class TestRunAttribution:
 
         json.dumps(summary)  # must not raise
 
-    def test_attributed_profile_carries_causes(self):
-        attribution = attribute_record(make_record())
-        profile = attribution.attributed_profile()
-        assert len(profile.attributions) == 2
-        assert sum(profile.per_cause_irritation_us().values()) == (
-            attribution.total_penalty_us
-        )
-
     def test_empty_record_has_no_dominant_cause(self):
         record = make_record()
         empty = RunRecord(

@@ -14,7 +14,7 @@ from repro.oracle.builder import BusyTimeline, build_oracle
 class TestBusyTimeline:
     def test_total(self):
         timeline = BusyTimeline([(0, 100), (200, 350)])
-        assert timeline.total_busy_us == 250
+        assert timeline.busy_in(0, 10**9) == 250
 
     def test_window_query(self):
         timeline = BusyTimeline([(0, 100), (200, 350)])

@@ -13,16 +13,6 @@ def make_event(timestamp, code=ev.ABS_MT_POSITION_X, value=1):
     return ev.InputEvent(timestamp, PATH, ev.EV_ABS, code, value)
 
 
-def down(timestamp, tracking=5):
-    return ev.InputEvent(timestamp, PATH, ev.EV_ABS, ev.ABS_MT_TRACKING_ID, tracking)
-
-
-def up(timestamp):
-    return ev.InputEvent(
-        timestamp, PATH, ev.EV_ABS, ev.ABS_MT_TRACKING_ID, ev.TRACKING_ID_NONE
-    )
-
-
 def test_out_of_order_rejected():
     with pytest.raises(ReplayError):
         EventTrace([make_event(100), make_event(50)])
@@ -47,27 +37,3 @@ def test_shifted_moves_all_timestamps():
     assert [e.timestamp for e in shifted] == [1100, 1200]
     # Original untouched.
     assert [e.timestamp for e in trace] == [100, 200]
-
-
-def test_touch_down_times_excludes_releases():
-    trace = EventTrace([down(100), up(200), down(300, 6), up(400)])
-    assert trace.touch_down_times() == [100, 300]
-
-
-def test_counts_by_type():
-    trace = EventTrace(
-        [
-            make_event(1),
-            ev.InputEvent(2, PATH, ev.EV_SYN, ev.SYN_REPORT, 0),
-            make_event(3),
-        ]
-    )
-    assert trace.counts_by_type() == {ev.EV_ABS: 2, ev.EV_SYN: 1}
-
-
-def test_save_and_load_roundtrip(tmp_path):
-    trace = EventTrace([down(100), make_event(150), up(200)])
-    path = tmp_path / "trace.getevent"
-    trace.save(path)
-    loaded = EventTrace.load(path)
-    assert loaded.events == trace.events

@@ -92,7 +92,7 @@ def test_pack_round_trips_non_monotone_and_edge_values(rows):
     ],
 )
 def test_pack_round_trips_edge_cases(rows):
-    assert IntPairs.unpack(IntPairs(rows).pack()).tolist() == rows
+    assert list(IntPairs.unpack(IntPairs(rows).pack())) == rows
 
 
 def _packed(raw: bytes) -> str:

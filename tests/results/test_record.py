@@ -73,8 +73,8 @@ def test_wrong_schema_version_rejected():
 def test_derived_views_match_fields():
     record = make_record()
     assert record.lag_profile.workload_name == "03"
-    assert record.lag_profile.durations_us() == [l.duration_us for l in record.lags]
-    assert record.busy_timeline.total_busy_us == 490 + 8_999
+    assert record.lag_profile.lags == record.lags
+    assert record.busy_timeline.busy_in(0, record.duration_us) == 490 + 8_999
     assert record.busy_timeline is record.busy_timeline  # cached
     assert record.irritation_seconds() >= 0.0
     # The lazily-built timeline never affects equality.
