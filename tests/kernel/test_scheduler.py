@@ -93,7 +93,7 @@ def test_frequency_change_rescales_remaining_work(rig):
 
 
 def test_completed_cycles_accounted(rig):
-    engine, core, _policy, scheduler = rig
+    engine, _core, _policy, scheduler = rig
     scheduler.submit(Task("a", 50e6))
     scheduler.submit(Task("b", 70e6))
     engine.run_until(2_000_000)
