@@ -19,10 +19,15 @@ Runs every entry point of the repository in this process under one
 It then walks ``src/`` with ``ast`` and prints, grouped by file, each
 function none of them entered.  A function is matched on its file and
 first line, which for a decorated function is its first decorator.  A
-function whose name occurs nowhere in ``src/``, ``perfbench/``,
-``benchmarks/``, ``examples/``, README.md or the CI workflow except
-where it is defined is marked ``unreferenced``: no code outside the
-tests can call it.
+function whose name is never a code reference in a ``.py`` file under
+``src/``, ``perfbench/``, ``benchmarks/`` or ``examples/`` is marked
+``unreferenced``: no code outside the tests can call it.  A code
+reference is a NAME token (from :mod:`tokenize`) outside ``def`` names,
+``__all__`` assignments and import statements, or a name in an
+f-string's replacement field; a name that occurs only in docstrings,
+other string literals, comments or prose does not count.  The filter
+goes by the bare name, so a dead method that shares its name with a
+live function stays unmarked.
 
 Child processes are not profiled, so code that runs only in fleet
 workers is listed as never entered; its name is referenced, so it is
@@ -39,19 +44,19 @@ import cProfile
 import io
 import os
 import pstats
-import re
 import runpy
 import sys
 import tempfile
+import tokenize
 import traceback
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
-#: Where a name must occur (besides its definition) to count as used.
+#: Where a name must occur as code (besides its definition) to count as used.
 REFERENCE_ROOTS = ("src", "perfbench", "benchmarks", "examples")
-REFERENCE_FILES = ("README.md", ".github/workflows/ci.yml")
 
 SCENARIO = "persona=reader,seed=3,duration=45s"
 
@@ -230,28 +235,54 @@ def src_functions():
         yield from walk(tree, "", path)
 
 
-def reference_text() -> str:
-    texts = []
+def reference_names() -> Counter:
+    """How often each name is a code reference in the reference roots."""
+    names: Counter = Counter()
     for root in REFERENCE_ROOTS:
         for path in sorted((ROOT / root).rglob("*.py")):
             if path.resolve() != Path(__file__).resolve():
-                texts.append(path.read_text(encoding="utf-8"))
-    for name in REFERENCE_FILES:
-        path = ROOT / name
-        if path.is_file():
-            texts.append(path.read_text(encoding="utf-8"))
-    return "\n".join(texts)
+                names.update(code_references(path.read_text(encoding="utf-8")))
+    return names
 
 
-def unreferenced(name: str, text: str) -> bool:
-    """True when ``name`` occurs only in ``def name`` lines."""
-    uses = len(re.findall(rf"\b{re.escape(name)}\b", text))
-    definitions = len(re.findall(rf"\bdef {re.escape(name)}\b", text))
-    return uses <= definitions
+def code_references(source: str):
+    """The NAME tokens of ``source`` that can call something: not the name
+    a ``def`` binds, nor any token of an ``__all__`` assignment or an
+    import statement (a re-export is not a use).  The expressions inside
+    an f-string count; the rest of a string does not."""
+    skip_line = after_def = False
+    line_start = True
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        kind, text = token.type, token.string
+        if kind == tokenize.NEWLINE:
+            skip_line, line_start = False, True
+        elif kind == tokenize.NAME:
+            if line_start and text in ("import", "from", "__all__"):
+                skip_line = True
+            if not (skip_line or after_def or text == "def"):
+                yield text
+            after_def, line_start = text == "def", False
+        elif kind == tokenize.STRING:
+            if not skip_line and "f" in text[: text.index(text[-1])].lower():
+                yield from _fstring_names(text)
+            line_start = False
+        elif kind not in (tokenize.NL, tokenize.COMMENT, tokenize.INDENT,
+                          tokenize.DEDENT):
+            line_start = False
+
+
+def _fstring_names(literal: str):
+    """Names and attributes used in an f-string's replacement fields
+    (before Python 3.12, tokenize returns an f-string as one STRING)."""
+    for node in ast.walk(ast.parse(literal, mode="eval")):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
 
 
 def report(entered: set[tuple[str, int]]) -> None:
-    text = reference_text()
+    names = reference_names()
     functions = list(src_functions())
     unreached = [
         (path, starts[0], name, lines)
@@ -260,7 +291,7 @@ def report(entered: set[tuple[str, int]]) -> None:
     ]
     marked = {
         (path, first) for path, first, name, _ in unreached
-        if unreferenced(name.rsplit(".", 1)[-1], text)
+        if not names[name.rsplit(".", 1)[-1]]
     }
     marked_lines = sum(f[3] for f in unreached if (f[0], f[1]) in marked)
     print(

@@ -41,10 +41,6 @@ class CaptureCard:
         self._capturing = False
         self._attached = False
 
-    @property
-    def capturing(self) -> bool:
-        return self._capturing
-
     def add_tap(self, tap: FrameTap) -> None:
         """Subscribe ``tap`` to the closed-segment stream of every
         subsequent capture (register before :meth:`start`)."""

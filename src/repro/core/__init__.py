@@ -20,7 +20,6 @@ from repro.core.rng import RngStreams
 from repro.core.simtime import (
     MICROS_PER_MILLI,
     MICROS_PER_SECOND,
-    format_micros,
     micros,
     millis,
     seconds,
@@ -46,5 +45,4 @@ __all__ = [
     "seconds",
     "to_millis",
     "to_seconds",
-    "format_micros",
 ]

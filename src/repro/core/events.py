@@ -42,50 +42,6 @@ KEY_BACK = 158
 # prints as ffffffff (see the last touch line of the paper's Fig. 5).
 TRACKING_ID_NONE = 0xFFFFFFFF
 
-_TYPE_NAMES = {
-    EV_SYN: "EV_SYN",
-    EV_KEY: "EV_KEY",
-    EV_REL: "EV_REL",
-    EV_ABS: "EV_ABS",
-    EV_MSC: "EV_MSC",
-}
-
-_ABS_CODE_NAMES = {
-    ABS_MT_SLOT: "ABS_MT_SLOT",
-    ABS_MT_TOUCH_MAJOR: "ABS_MT_TOUCH_MAJOR",
-    ABS_MT_WIDTH_MAJOR: "ABS_MT_WIDTH_MAJOR",
-    ABS_MT_POSITION_X: "ABS_MT_POSITION_X",
-    ABS_MT_POSITION_Y: "ABS_MT_POSITION_Y",
-    ABS_MT_TRACKING_ID: "ABS_MT_TRACKING_ID",
-    ABS_MT_PRESSURE: "ABS_MT_PRESSURE",
-}
-
-_KEY_CODE_NAMES = {
-    KEY_POWER: "KEY_POWER",
-    KEY_VOLUMEDOWN: "KEY_VOLUMEDOWN",
-    KEY_VOLUMEUP: "KEY_VOLUMEUP",
-    KEY_HOME: "KEY_HOME",
-    KEY_BACK: "KEY_BACK",
-}
-
-
-def type_name(event_type: int) -> str:
-    """Symbolic name for an event type (falls back to hex)."""
-    return _TYPE_NAMES.get(event_type, f"0x{event_type:02x}")
-
-
-def code_name(event_type: int, code: int) -> str:
-    """Symbolic name for an event code within its type."""
-    if event_type == EV_ABS:
-        return _ABS_CODE_NAMES.get(code, f"0x{code:02x}")
-    if event_type == EV_KEY:
-        return _KEY_CODE_NAMES.get(code, f"KEY_{code}")
-    if event_type == EV_SYN:
-        return {SYN_REPORT: "SYN_REPORT", SYN_MT_REPORT: "SYN_MT_REPORT"}.get(
-            code, f"0x{code:02x}"
-        )
-    return f"0x{code:02x}"
-
 
 @dataclass(frozen=True, slots=True)
 class InputEvent:
@@ -108,11 +64,3 @@ class InputEvent:
     def is_syn_report(self) -> bool:
         """Whether this event terminates a hardware report packet."""
         return self.type == EV_SYN and self.code == SYN_REPORT
-
-    def describe(self) -> str:
-        """Human-readable rendering used by trace dumps."""
-        return (
-            f"[{self.timestamp:>12d}] {self.device}: "
-            f"{type_name(self.type)} {code_name(self.type, self.code)} "
-            f"{self.value:08x}"
-        )

@@ -49,18 +49,6 @@ def to_seconds(timestamp: int) -> float:
     return timestamp / MICROS_PER_SECOND
 
 
-def format_micros(timestamp: int) -> str:
-    """Render a timestamp as ``H:MM:SS.mmm`` for logs and reports."""
-    total_ms, rem_us = divmod(timestamp, MICROS_PER_MILLI)
-    total_s, ms = divmod(total_ms, 1000)
-    total_m, s = divmod(total_s, 60)
-    h, m = divmod(total_m, 60)
-    base = f"{h}:{m:02d}:{s:02d}.{ms:03d}"
-    if rem_us:
-        base += f"{rem_us:03d}"
-    return base
-
-
 class SimClock:
     """Monotonic simulation clock owned by the engine.
 

@@ -29,7 +29,8 @@ from typing import Sequence
 from repro.device.frequencies import FrequencyTable
 from repro.device.power import PowerModel
 from repro.fleet.cache import ResultCache
-from repro.fleet.engine import FleetEngine, ProgressHook
+from repro.fleet.engine import FleetEngine
+from repro.fleet.progress import ProgressReporter
 from repro.fleet.spec import RunSpec, group_results_by_config
 from repro.governors.config import canonical_config
 from repro.harness.experiment import WorkloadArtifacts
@@ -111,7 +112,7 @@ class ExploreEvaluator:
         table: FrequencyTable | None = None,
         power_model: PowerModel | None = None,
         hci_model: HciModel | None = None,
-        progress: ProgressHook | None = None,
+        progress: ProgressReporter | None = None,
         backend=None,
     ) -> None:
         from repro.scenarios.profiles import frequency_table_for, power_model_for

@@ -28,7 +28,6 @@ from repro.fleet.backends import (
     DistributedBackend,
     FleetBackend,
     LocalBackend,
-    backend_names,
     create_backend,
     parse_backend_spec,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "ResultCache",
     "RunSpec",
     "WorkerFailure",
-    "backend_names",
     "create_backend",
     "enumerate_sweep_specs",
     "execute_spec",

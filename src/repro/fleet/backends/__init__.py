@@ -15,7 +15,6 @@ from repro.fleet.backends.distributed import DistributedBackend, SqliteWorkQueue
 from repro.fleet.backends.local import LocalBackend
 from repro.fleet.backends.registry import (
     FleetBackend,
-    backend_names,
     create_backend,
     parse_backend_spec,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "FleetBackend",
     "LocalBackend",
     "SqliteWorkQueue",
-    "backend_names",
     "create_backend",
     "parse_backend_spec",
 ]

@@ -498,8 +498,6 @@ class DistributedBackend(FleetBackend):
         self.workers = workers
         self.lease_s = lease_s
         self.chaos_exit_after = chaos_exit_after
-        #: Cells that needed more than one dispatch in the last execute().
-        self.last_redispatched = 0
         #: Worker processes that died (without a clean exit) last execute().
         self.last_workers_lost = 0
 

@@ -51,10 +51,15 @@ class FleetBackend:
     store: the CLI makes it the engine's result cache, the engine
     rejects the backend when caching is off, and it skips its own
     per-cell store call but still counts the row as stored.
+
+    ``last_redispatched`` — cells the last :meth:`execute` dispatched
+    more than once (expired leases); the engine copies it into
+    ``FleetStats.redispatched``.
     """
 
     name = "?"
     publishes_results = False
+    last_redispatched = 0
 
     def execute(
         self,
@@ -77,10 +82,6 @@ def _backends() -> dict:
         "local": LocalBackend.from_opts,
         "distributed": DistributedBackend.from_opts,
     }
-
-
-def backend_names() -> list[str]:
-    return sorted(_backends())
 
 
 def parse_backend_spec(spec: str) -> tuple[str, dict[str, str]]:

@@ -41,7 +41,13 @@ produced, but
   diverges from the trace's contract raises
   :class:`~repro.demand.replayer.DemandFallback` and is transparently
   re-run as a full replay; :class:`FleetStats` counts both populations
-  and every fallback reason.
+  and every fallback reason,
+* **one telemetry model** — :class:`FleetStats` is the only aggregate
+  of a run (cache hits, executed cells, per-worker totals, stragglers,
+  the demand accounting).  The only progress hook is a
+  :class:`~repro.fleet.progress.ProgressReporter`: the engine tells it
+  the one-time capture time and every completion as it happens, then
+  hands it the run's stats for the ``fleet_summary``.
 """
 
 from __future__ import annotations
@@ -49,18 +55,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from statistics import median
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.core.errors import ReproError
 from repro.fleet.cache import ResultCache, workload_fingerprint
+from repro.fleet.progress import ProgressReporter
 from repro.fleet.spec import RunSpec
 from repro.results import RunRecord
 
 if TYPE_CHECKING:  # pragma: no cover - harness imports fleet; break the cycle
     from repro.fleet.backends.registry import FleetBackend
     from repro.harness.experiment import WorkloadArtifacts
-
-ProgressHook = Callable[[RunSpec, bool], None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,12 +97,13 @@ class FleetError(ReproError):
 class FleetStats:
     """What one :meth:`FleetEngine.run` actually did.
 
-    ``run_telemetry`` holds one worker-side measurement per successfully
-    *executed* cell — ``{"pid", "wall_s", "cpu_s", "mode"}`` plus a
-    ``fallback_reason`` tag when the demand pass bailed out — in
-    completion order.  Cached cells execute nothing and failed cells are
-    kept apart in ``failure_telemetry``, so the straggler summary always
-    agrees with ``executed`` (``straggler_summary()["runs"] == executed``).
+    It is the fleet's only aggregate: the progress reporter renders it
+    and aggregates nothing itself.  ``run_telemetry`` holds one
+    worker-side measurement per successfully *executed* cell —
+    ``{"pid", "wall_s", "cpu_s", "mode"}`` plus a ``fallback_reason``
+    tag when the demand pass bailed out — in completion order.  Cached
+    and failed cells are not in it, so the worker and straggler
+    summaries always agree with ``executed``.
 
     The demand fields describe the trace-once/replay-many split:
     ``demand_cells``/``full_cells`` partition the successfully executed
@@ -120,7 +126,6 @@ class FleetStats:
     stored: int = 0
     failures: int = 0
     run_telemetry: list[dict] = field(default_factory=list)
-    failure_telemetry: list[dict] = field(default_factory=list)
     demand_cells: int = 0
     full_cells: int = 0
     fallback_cells: int = 0
@@ -130,12 +135,6 @@ class FleetStats:
     demand_capture_error: str | None = None
     backend: str = "local"
     redispatched: int = 0
-
-    def summary(self) -> str:
-        return (
-            f"{self.total} runs: {self.cache_hits} cached, "
-            f"{self.executed} executed"
-        )
 
     def straggler_summary(self) -> dict | None:
         """Spread of per-run wall times — the straggler signal.
@@ -152,6 +151,22 @@ class FleetStats:
             "median_wall_s": median(walls),
             "total_wall_s": sum(walls),
         }
+
+    def worker_totals(self) -> list[dict]:
+        """Per-worker ``{"pid", "runs", "wall_s", "cpu_s"}``, by pid.
+
+        Summed over ``run_telemetry`` in completion order, so the totals
+        of the executed cells add up to ``executed`` runs.
+        """
+        workers: dict[int, dict] = {}
+        for entry in self.run_telemetry:
+            worker = workers.setdefault(
+                entry["pid"], {"runs": 0, "wall_s": 0.0, "cpu_s": 0.0}
+            )
+            worker["runs"] += 1
+            worker["wall_s"] += entry["wall_s"]
+            worker["cpu_s"] += entry["cpu_s"]
+        return [{"pid": pid, **workers[pid]} for pid in sorted(workers)]
 
 
 def execute_spec(artifacts: "WorkloadArtifacts", spec: RunSpec) -> RunRecord:
@@ -189,7 +204,7 @@ class FleetEngine:
         self,
         jobs: int = 1,
         cache: ResultCache | None = None,
-        progress: ProgressHook | None = None,
+        progress: ProgressReporter | None = None,
         backend: "FleetBackend | None" = None,
     ) -> None:
         if jobs < 1:
@@ -198,7 +213,6 @@ class FleetEngine:
             from repro.fleet.backends.local import LocalBackend
 
             backend = LocalBackend(jobs)
-        self.jobs = jobs
         self.cache = cache
         self.progress = progress
         self.backend = backend
@@ -261,7 +275,6 @@ class FleetEngine:
                 # worker/straggler summaries always agree with executed.
                 failures.append(failure)
                 stats.failures += 1
-                stats.failure_telemetry.append(telemetry)
                 continue
             stats.run_telemetry.append(telemetry)
             if telemetry.get("mode") == "demand":
@@ -278,8 +291,9 @@ class FleetEngine:
                 stats.stored += 1
             self._report(spec, cached=False, telemetry=telemetry)
 
-        stats.redispatched = getattr(self.backend, "last_redispatched", 0)
-        self._report_summary(stats)
+        stats.redispatched = self.backend.last_redispatched
+        if self.progress is not None:
+            self.progress.fleet_summary(stats, self.cache)
         if failures:
             failures.sort(key=lambda f: f.spec.label())
             raise FleetError(failures)
@@ -303,7 +317,7 @@ class FleetEngine:
         None (full replays throughout) when ``REPRO_DEMAND=0`` or when the
         one-time capture itself fails — a capture failure is recorded in
         the stats and degrades the run, never aborts it.  The capture
-        wall time is reported to the progress hook so ETAs extrapolate
+        wall time is reported to the progress reporter so ETAs extrapolate
         per-cell cost only, not the one-off setup.
         """
         from repro.demand import (
@@ -327,40 +341,14 @@ class FleetEngine:
             return None
         stats.demand_capture_s = time.perf_counter() - capture_start
         stats.demand_trace_source = "captured"
-        self._note_capture(stats.demand_capture_s)
+        if self.progress is not None:
+            self.progress.note_capture_seconds(stats.demand_capture_s)
         if store is not None:
             store.store(artifacts, trace)
         return trace
 
-    def _note_capture(self, seconds: float) -> None:
-        """Tell an ETA-aware progress hook about one-time capture cost."""
-        note = getattr(self.progress, "note_capture_seconds", None)
-        if note is not None:
-            note(seconds)
-
     def _report(
         self, spec: RunSpec, cached: bool, telemetry: dict | None = None
     ) -> None:
-        """Feed one completion to the progress hook.
-
-        A :class:`~repro.fleet.progress.ProgressReporter` (anything with
-        an ``observe`` method) receives the worker telemetry too; a plain
-        ``(spec, cached)`` callable — the explorer's hook, test doubles —
-        keeps its original signature.
-        """
-        progress = self.progress
-        if progress is None:
-            return
-        observe = getattr(progress, "observe", None)
-        if observe is not None:
-            observe(spec, cached=cached, telemetry=telemetry)
-        else:
-            progress(spec, cached)
-
-    def _report_summary(self, stats: FleetStats) -> None:
-        progress = self.progress
-        if progress is None:
-            return
-        fleet_summary = getattr(progress, "fleet_summary", None)
-        if fleet_summary is not None:
-            fleet_summary(stats, self.cache)
+        if self.progress is not None:
+            self.progress.observe(spec, cached=cached, telemetry=telemetry)

@@ -1,13 +1,18 @@
 """Aggregated progress, ETA and machine-readable telemetry for fleet runs.
 
-The old CLI callback printed one unbuffered line per run with no sense of
-scale; on an 85-run sweep the user could not tell 5% from 95% done.  A
-:class:`ProgressReporter` is bound to a spec list before the fleet starts
-and then observes completions (from any worker, in any order), printing
+A :class:`ProgressReporter` is the fleet engine's only progress hook.
+``run_sweep`` binds it to a spec list before the fleet starts; the
+explorer leaves it unbound, so its totals grow as runs complete.  It
+observes completions (from any worker, in any order), printing
 ``config c/C, rep r/R`` positions, an aggregate ``done/total`` count, an
 ETA extrapolated from completed runs, and a ``[cached]`` marker for cells
 served from the result cache.  Every line is flushed so progress is
 visible through pipes and log files.
+
+The reporter keeps presentation state only: label, streams, clock,
+``seq``, grid shape, the done/cached position, heartbeat pacing and the
+ETA's capture allowance.  Every aggregate it prints comes from the
+engine's :class:`~repro.fleet.engine.FleetStats`.
 
 Fleet telemetry (``--progress-jsonl PATH``)
 -------------------------------------------
@@ -16,12 +21,14 @@ Alongside the human lines the reporter can stream JSON-lines events to a
 second file: one ``grid_bound`` event when the spec list is learned, a
 ``run_completed`` event per observation (with the worker's pid, wall and
 CPU seconds when the run executed), rate-limited ``heartbeat`` events
-with per-worker aggregates, and one final ``fleet_summary`` with cache
+with the done/total/cached position, and one ``fleet_summary`` per
+engine run, rendered from its ``FleetStats``: per-worker totals, cache
 hit/miss counts, straggler statistics, and the demand-pass accounting
 (kernel-only vs full-replay cell counts, fallback reasons, and where the
 demand trace came from).  Events carry a monotonically
 increasing ``seq`` so a consumer can detect truncation; everything is
-plain JSON, one object per line, append-only.
+plain JSON, one object per line, append-only.  README's Observability
+section lists every field.
 
 All human output goes to ``stream`` (stderr by default) and all telemetry
 to ``jsonl_stream`` — never stdout, which belongs to study results and is
@@ -69,17 +76,13 @@ class ProgressReporter:
         self._seq = 0
         self._last_heartbeat: float | None = None
         self._capture_s = 0.0
-        # pid -> {"runs": int, "wall_s": float, "cpu_s": float}
-        self._workers: dict[int, dict] = {}
 
     def bind(self, specs: list[RunSpec]) -> "ProgressReporter":
         """Learn the grid shape; called by the sweep before dispatch.
 
-        Rebinding (a study's next workload) resets every per-grid
-        accumulator — counts, worker aggregates, heartbeat pacing, the
-        demand-capture allowance — so the new grid's heartbeats and
-        ``fleet_summary`` never carry the previous grid's runs.  Only
-        ``seq`` survives: the JSONL stream is one ordered sequence.
+        Rebinding (a study's next workload) resets the grid position,
+        heartbeat pacing and the demand-capture allowance.  Only ``seq``
+        survives: the JSONL stream is one ordered sequence.
         """
         self._config_index = {}
         self._reps = 0
@@ -89,7 +92,6 @@ class ProgressReporter:
         self._total = len(specs)
         self._done = 0
         self._cached = 0
-        self._workers = {}
         self._last_heartbeat = None
         self._capture_s = 0.0
         self._started_at = self._clock()
@@ -104,27 +106,19 @@ class ProgressReporter:
         )
         return self
 
-    @property
-    def done(self) -> int:
-        return self._done
-
-    @property
-    def cached(self) -> int:
-        return self._cached
-
     def observe(
         self,
         spec: RunSpec,
         cached: bool = False,
         telemetry: dict | None = None,
     ) -> None:
-        """Observe one completed run (the engine's progress hook).
+        """Observe one completed run.
 
-        An unbound reporter (used directly as an engine hook without a
-        spec list) grows its totals as observations arrive instead of
-        claiming a grid shape it doesn't know.  ``telemetry`` is the
-        worker-side measurement of an executed run (``pid``, ``wall_s``,
-        ``cpu_s``); cached cells have none.
+        An unbound reporter (the explorer's, fed many small batches)
+        grows its totals as observations arrive instead of claiming a
+        grid shape it doesn't know.  ``telemetry`` is the worker-side
+        measurement of an executed run (``pid``, ``wall_s``, ``cpu_s``);
+        cached cells have none.
         """
         if self._started_at is None:
             self._started_at = self._clock()
@@ -137,13 +131,6 @@ class ProgressReporter:
             self._config_index.setdefault(spec.config, len(self._config_index))
             + 1
         )
-        if telemetry is not None:
-            worker = self._workers.setdefault(
-                telemetry["pid"], {"runs": 0, "wall_s": 0.0, "cpu_s": 0.0}
-            )
-            worker["runs"] += 1
-            worker["wall_s"] += telemetry["wall_s"]
-            worker["cpu_s"] += telemetry["cpu_s"]
         if self._human:
             eta = self.eta_seconds()
             line = (
@@ -179,11 +166,12 @@ class ProgressReporter:
         self._maybe_heartbeat()
 
     def fleet_summary(self, stats, cache=None) -> None:
-        """Emit the end-of-run telemetry summary (JSONL only).
+        """Emit one engine run's telemetry summary (JSONL only).
 
-        ``stats`` is the engine's :class:`~repro.fleet.engine.FleetStats`;
-        ``cache``, when given, contributes its session hit/miss counters
-        and the misses by reason (absent, stale, corrupt).
+        Every count comes from ``stats``, the run's
+        :class:`~repro.fleet.engine.FleetStats`; ``cache``, when given,
+        contributes its session hit/miss counters and the misses by
+        reason (absent, stale, corrupt).
         """
         if self._jsonl is None:
             return
@@ -197,10 +185,7 @@ class ProgressReporter:
             "failures": stats.failures,
             "backend": stats.backend,
             "redispatched": stats.redispatched,
-            "workers": [
-                {"pid": pid, **data}
-                for pid, data in sorted(self._workers.items())
-            ],
+            "workers": stats.worker_totals(),
             "stragglers": stats.straggler_summary(),
             "demand": {
                 "demand_cells": stats.demand_cells,
@@ -265,10 +250,6 @@ class ProgressReporter:
             "done": self._done,
             "total": self._total,
             "cached": self._cached,
-            "workers": {
-                str(pid): dict(data)
-                for pid, data in sorted(self._workers.items())
-            },
         }
         if self._started_at is not None:
             event["elapsed_s"] = now - self._started_at

@@ -67,7 +67,6 @@ from repro.explore.space import builtin_space, builtin_space_names
 from repro.explore.strategies import make_strategy, strategy_names
 from repro.fleet.cache import ResultCache
 from repro.fleet.progress import ProgressReporter
-from repro.fleet.spec import RunSpec
 from repro.harness import figures
 from repro.harness.experiment import DEFAULT_MASTER_SEED, record_workload
 from repro.harness.sweep import (
@@ -383,42 +382,6 @@ def _explore_rng(seed: int, args) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _explore_progress(verbose: bool, jsonl_stream=None):
-    """Explore's progress: terse per-spec stderr lines, optional JSONL.
-
-    The explorer dispatches many small batches through one engine, so a
-    grid-bound reporter makes no sense here; with ``--progress-jsonl``
-    an unbound reporter streams ``run_completed`` telemetry instead,
-    keeping the human lines in the explorer's own terse format.
-    """
-    hook = None
-    if verbose:
-
-        def hook(spec: RunSpec, cached: bool) -> None:
-            suffix = " (cached)" if cached else ""
-            print(f"# {spec.label()}{suffix}", file=sys.stderr)
-
-    if jsonl_stream is None:
-        return hook
-    reporter = ProgressReporter(
-        "explore", jsonl_stream=jsonl_stream, human=False
-    )
-
-    class _ExploreProgress:
-        def observe(self, spec, cached=False, telemetry=None):
-            reporter.observe(spec, cached=cached, telemetry=telemetry)
-            if hook is not None:
-                hook(spec, cached)
-
-        def fleet_summary(self, stats, cache=None):
-            reporter.fleet_summary(stats, cache)
-
-        def note_capture_seconds(self, seconds):
-            reporter.note_capture_seconds(seconds)
-
-    return _ExploreProgress()
-
-
 def cmd_explore(args) -> int:
     t0 = time.time()
     seed = _master_seed(args)
@@ -439,7 +402,7 @@ def cmd_explore(args) -> int:
             cache=cache,
             master_seed=seed,
             oracle_reps=args.reps,
-            progress=_explore_progress(args.verbose, jsonl),
+            progress=_progress("explore", args.verbose, jsonl),
             backend=backend,
         )
         scores = strategy.search(

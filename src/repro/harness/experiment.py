@@ -74,12 +74,6 @@ class WorkloadArtifacts:
     def input_count(self) -> int:
         return len(self.database.gestures)
 
-    def fingerprint(self) -> str:
-        """Content hash of the replay-relevant state (fleet cache key part)."""
-        from repro.fleet.cache import workload_fingerprint
-
-        return workload_fingerprint(self)
-
 
 def record_workload(
     spec: DatasetSpec,

@@ -13,8 +13,7 @@ sweep can run on N workers (``jobs``) and reuse cached cells
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.core.errors import ReproError
 from repro.device.frequencies import FrequencyTable, snapdragon_8074_table
@@ -168,27 +167,6 @@ class SweepResult:
         return results
 
 
-def _progress_hook(
-    progress: Callable[[str, int], None] | ProgressReporter | None,
-    specs: list[RunSpec],
-) -> Callable[[RunSpec, bool], None] | None:
-    """Adapt either progress style to the engine's ``(spec, cached)`` hook.
-
-    A :class:`ProgressReporter` is bound to the spec list (so it can show
-    ``config c/C, rep r/R`` and an ETA); a legacy ``(config, rep)``
-    callable is wrapped unchanged.
-    """
-    if progress is None:
-        return None
-    if isinstance(progress, ProgressReporter):
-        return progress.bind(specs)
-
-    def hook(spec: RunSpec, cached: bool) -> None:
-        progress(spec.config, spec.rep)
-
-    return hook
-
-
 def run_sweep(
     artifacts: WorkloadArtifacts,
     reps: int = 5,
@@ -196,7 +174,7 @@ def run_sweep(
     master_seed: int | None = None,
     power_model: PowerModel | None = None,
     table: FrequencyTable | None = None,
-    progress: Callable[[str, int], None] | ProgressReporter | None = None,
+    progress: ProgressReporter | None = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
     backend=None,
@@ -208,7 +186,8 @@ def run_sweep(
     swaps the execution backend (a
     :class:`~repro.fleet.backends.registry.FleetBackend`, e.g. the
     distributed work queue).  All of them leave the result bit-identical
-    to the serial, uncached path.
+    to the serial, uncached path.  ``progress`` is bound to the sweep's
+    spec list before the fleet starts.
 
     By default the OPP table and power model come from the workload's
     device profile, so a scenario on ``quad_ls`` sweeps (and composes
@@ -226,11 +205,10 @@ def run_sweep(
     if master_seed is None:
         master_seed = artifacts.recording_master_seed
     specs = enumerate_sweep_specs(artifacts.name, configs, reps, master_seed)
+    if progress is not None:
+        progress.bind(specs)
     engine = FleetEngine(
-        jobs=jobs,
-        cache=cache,
-        progress=_progress_hook(progress, specs),
-        backend=backend,
+        jobs=jobs, cache=cache, progress=progress, backend=backend
     )
     results = engine.run(artifacts, specs)
     runs = group_results_by_config(specs, results, configs)

@@ -21,10 +21,6 @@ class GeteventRecorder:
         self._trace = EventTrace()
         self._attached: list[InputDeviceNode] = []
 
-    @property
-    def recording(self) -> bool:
-        return self._recording
-
     def start(self) -> None:
         """Begin recording on every registered input node."""
         if self._recording:

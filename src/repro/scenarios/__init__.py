@@ -35,7 +35,6 @@ from repro.scenarios.profiles import (
     device_config_for,
     device_profile,
     frequency_table_for,
-    profile_names,
 )
 from repro.scenarios.synth import ScenarioPlan, synthesize_scenario
 
@@ -54,7 +53,6 @@ __all__ = [
     "device_profile",
     "device_config_for",
     "frequency_table_for",
-    "profile_names",
     "ScenarioPlan",
     "synthesize_scenario",
 ]

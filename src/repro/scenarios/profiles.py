@@ -137,10 +137,6 @@ def device_profile(name: str) -> DeviceProfile:
         ) from None
 
 
-def profile_names() -> list[str]:
-    return sorted(PROFILES)
-
-
 def device_config_for(spec) -> DeviceConfig:
     """The :class:`DeviceConfig` a dataset spec's profile prescribes."""
     return device_profile(getattr(spec, "profile", "stock")).device_config()

@@ -64,15 +64,12 @@ class Canvas:
     def buffer(self) -> np.ndarray:
         return self._buffer
 
-    def _clip(self, rect: Rect) -> Rect:
-        return rect.clamped_to(Rect(0, 0, self.width, self.height))
-
     def _clip_bounds(self, rect: Rect) -> tuple[int, int, int, int]:
         """Clipped ``(x0, y0, x1, y1)`` as plain ints.
 
         The draw primitives run once per widget per compose; computing the
-        clip arithmetically avoids two Rect allocations per call that
-        :meth:`_clip` would pay.
+        clip arithmetically avoids the two Rect allocations per call that
+        clamping through :meth:`Rect.clamped_to` would pay.
         """
         x0 = rect.x
         y0 = rect.y

@@ -15,30 +15,5 @@ def test_abs_event_is_not_syn():
     assert not event.is_syn_report()
 
 
-def test_type_names():
-    assert ev.type_name(ev.EV_ABS) == "EV_ABS"
-    assert ev.type_name(0x1F) == "0x1f"
-
-
-def test_abs_code_names():
-    assert ev.code_name(ev.EV_ABS, ev.ABS_MT_TRACKING_ID) == "ABS_MT_TRACKING_ID"
-    assert ev.code_name(ev.EV_ABS, 0x77) == "0x77"
-
-
-def test_key_code_names():
-    assert ev.code_name(ev.EV_KEY, ev.KEY_POWER) == "KEY_POWER"
-    assert ev.code_name(ev.EV_KEY, 999) == "KEY_999"
-
-
 def test_tracking_id_none_matches_getevent_ffffffff():
     assert ev.TRACKING_ID_NONE == 0xFFFFFFFF
-
-
-def test_describe_contains_device_and_code():
-    event = ev.InputEvent(
-        1234, "/dev/input/event1", ev.EV_ABS, ev.ABS_MT_POSITION_Y, 0x1A3
-    )
-    text = event.describe()
-    assert "/dev/input/event1" in text
-    assert "ABS_MT_POSITION_Y" in text
-    assert "000001a3" in text

@@ -32,15 +32,6 @@ def test_to_seconds():
     assert simtime.to_seconds(1_500_000) == pytest.approx(1.5)
 
 
-def test_format_micros_zero():
-    assert simtime.format_micros(0) == "0:00:00.000"
-
-
-def test_format_micros_full_fields():
-    stamp = simtime.hours(1) + simtime.minutes(2) + simtime.seconds(3) + 4567
-    assert simtime.format_micros(stamp) == "1:02:03.004567"
-
-
 @given(st.floats(min_value=0, max_value=1e6, allow_nan=False))
 def test_seconds_to_seconds_inverse(value):
     assert simtime.to_seconds(simtime.seconds(value)) == pytest.approx(

@@ -53,6 +53,43 @@ def test_explore_stdout_identical_across_jobs_and_warm_cache(tmp_path, capsys):
     assert serial == cold
 
 
+def test_explore_jsonl_summaries_count_each_batch_once(tmp_path, capsys):
+    """Regression: the explorer's reporter kept per-worker totals across
+    engine batches, so every ``fleet_summary`` after the first listed
+    the earlier batches' runs under ``workers``."""
+    import json
+    import re
+
+    path = tmp_path / "explore.jsonl"
+    rc, _out, err = run_cli(
+        capsys,
+        "explore", "--scenario", "persona=reader,seed=3,duration=45s",
+        "--governor", "ondemand", "--strategy", "random", "--budget", "3",
+        "--no-cache", "--no-baselines", "--verbose",
+        "--progress-jsonl", str(path),
+    )
+    assert rc == 0
+    events = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [event["seq"] for event in events] == list(range(len(events)))
+    assert all(event["event"] != "grid_bound" for event in events)
+    summaries = [e for e in events if e["event"] == "fleet_summary"]
+    assert len(summaries) >= 2  # the oracle batch, then the candidates
+    for summary in summaries:
+        worker_runs = sum(worker["runs"] for worker in summary["workers"])
+        straggler_runs = (summary["stragglers"] or {"runs": 0})["runs"]
+        assert worker_runs == summary["executed"] == straggler_runs
+    # --verbose lines use the shared progress format
+    lines = [line for line in err.splitlines() if "explore:" in line]
+    assert len(lines) == sum(s["total"] for s in summaries)
+    assert all(
+        re.fullmatch(
+            r"  explore: \S+ \(config \d+/\d+, rep 1/1\) — (\d+)/\1 runs",
+            line,
+        )
+        for line in lines
+    )
+
+
 def test_explore_unknown_governor_fails_cleanly(capsys):
     rc, _out, err = run_cli(
         capsys, "explore", "--governor", "warp", "--no-cache"

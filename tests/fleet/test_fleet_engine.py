@@ -1,9 +1,13 @@
 """Tests for the fleet engine: parallel equality, ordering, failures."""
 
+import io
+import json
+
 import pytest
 
 from repro.core.errors import ReproError
-from repro.fleet.engine import FleetEngine, FleetError
+from repro.fleet.engine import FleetEngine, FleetError, FleetStats
+from repro.fleet.progress import ProgressReporter
 from repro.fleet.spec import RunSpec, enumerate_sweep_specs
 
 # A deliberately small grid: the cheapest and dearest OPP plus a governor.
@@ -36,15 +40,18 @@ def test_results_come_back_in_spec_order(small_specs, serial_results):
 
 
 def test_progress_hook_sees_every_spec(artifacts_ds03, small_specs):
-    observed = []
+    jsonl = io.StringIO()
     engine = FleetEngine(
-        jobs=2, progress=lambda spec, cached: observed.append((spec, cached))
+        jobs=2,
+        progress=ProgressReporter("03", jsonl_stream=jsonl, human=False),
     )
     engine.run(artifacts_ds03, small_specs)
-    assert sorted(s.label() for s, _ in observed) == sorted(
+    events = [json.loads(line) for line in jsonl.getvalue().splitlines()]
+    observed = [event for event in events if event["event"] == "run_completed"]
+    assert sorted(event["spec"] for event in observed) == sorted(
         s.label() for s in small_specs
     )
-    assert all(not cached for _, cached in observed)
+    assert all(not event["cached"] for event in observed)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -94,8 +101,25 @@ def test_failed_cells_keep_summaries_consistent_with_executed(
     assert stats.executed == 2
     assert stats.failures == 1
     assert len(stats.run_telemetry) == stats.executed
-    assert len(stats.failure_telemetry) == stats.failures
+    assert sum(w["runs"] for w in stats.worker_totals()) == stats.executed
     assert stats.straggler_summary()["runs"] == stats.executed
+
+
+def test_worker_totals_sum_run_telemetry_per_pid():
+    """Per-worker totals come from this run's telemetry alone, summed in
+    completion order and listed by pid."""
+    stats = FleetStats(
+        run_telemetry=[
+            {"pid": 22, "wall_s": 2.0, "cpu_s": 1.75, "mode": "demand"},
+            {"pid": 11, "wall_s": 1.0, "cpu_s": 0.9, "mode": "full"},
+            {"pid": 22, "wall_s": 0.5, "cpu_s": 0.25, "mode": "demand"},
+        ]
+    )
+    assert stats.worker_totals() == [
+        {"pid": 11, "runs": 1, "wall_s": 1.0, "cpu_s": 0.9},
+        {"pid": 22, "runs": 2, "wall_s": 2.5, "cpu_s": 2.0},
+    ]
+    assert FleetStats().worker_totals() == []
 
 
 def test_fallback_reason_counted_even_when_full_rerun_fails(

@@ -36,7 +36,6 @@ def test_lines_show_positions_and_totals():
     assert "1/6 runs" in lines[0]
     assert "(config 2/3, rep 2/2)" in lines[1]
     assert "2/6 runs" in lines[1]
-    assert reporter.done == 2
 
 
 def test_cached_runs_are_marked_and_excluded_from_eta():
@@ -44,9 +43,9 @@ def test_cached_runs_are_marked_and_excluded_from_eta():
     for spec in specs:
         reporter.observe(spec, cached=True)
     lines = stream.getvalue().splitlines()
+    assert len(lines) == len(specs)
     assert all(line.endswith("[cached]") for line in lines)
     assert all("ETA" not in line for line in lines)
-    assert reporter.cached == len(specs)
 
 
 def test_eta_appears_once_real_runs_complete():
@@ -94,7 +93,6 @@ def test_fully_cached_warm_run_has_no_eta():
         clock.advance(1.0)
         reporter.observe(spec, cached=True)
         assert reporter.eta_seconds() is None
-    assert reporter.cached == len(specs)
 
 
 def test_eta_decreases_monotonically_at_steady_pace():
@@ -160,13 +158,10 @@ def test_seq_continues_across_rebinds_like_a_study():
     assert events[-1]["done"] == 1
 
 
-def test_rebind_resets_worker_aggregates_and_heartbeat_pacing():
-    """Regression: bind() once forgot _workers/_last_heartbeat, so a
-    study's second workload inherited the first grid's worker aggregates
-    (its fleet_summary over-counted runs) and its first heartbeat could
-    be suppressed by the previous grid's pacing."""
-    from repro.fleet.engine import FleetStats
-
+def test_rebind_resets_heartbeat_pacing():
+    """Regression: bind() once forgot _last_heartbeat, so a study's
+    second workload could have its first heartbeat suppressed by the
+    previous grid's pacing."""
     clock = FakeClock()
     jsonl = io.StringIO()
     reporter = ProgressReporter(
@@ -175,31 +170,47 @@ def test_rebind_resets_worker_aggregates_and_heartbeat_pacing():
     )
     specs_a = enumerate_sweep_specs("02", ["a"], 1, 2014)
     reporter.bind(specs_a)
-    reporter.observe(
-        specs_a[0], telemetry={"pid": 11, "wall_s": 1.0, "cpu_s": 0.9}
-    )
+    reporter.observe(specs_a[0])
     clock.advance(9.0)  # next heartbeat would be suppressed until t=10
 
+    reporter.label = "03"
     specs_b = enumerate_sweep_specs("03", ["a"], 1, 2014)
     reporter.bind(specs_b)
-    reporter.observe(
-        specs_b[0], telemetry={"pid": 22, "wall_s": 2.0, "cpu_s": 1.8}
-    )
-    reporter.fleet_summary(FleetStats(total=1, executed=1))
+    reporter.observe(specs_b[0])
 
     events = [json.loads(line) for line in jsonl.getvalue().splitlines()]
-    summary = events[-1]
-    assert summary["event"] == "fleet_summary"
-    # only the second grid's worker — pid 11's aggregates are gone
-    assert [worker["pid"] for worker in summary["workers"]] == [22]
-    assert summary["workers"][0] == {
-        "pid": 22, "runs": 1, "wall_s": 2.0, "cpu_s": 1.8,
-    }
     # the rebind cleared heartbeat pacing: the new grid's first
     # observation heartbeats immediately instead of waiting out the old
     # grid's interval
     beats = [event for event in events if event["event"] == "heartbeat"]
-    assert [sorted(beat["workers"]) for beat in beats] == [["11"], ["22"]]
+    assert [(beat["label"], beat["done"]) for beat in beats] == [
+        ("study", 1), ("03", 1),
+    ]
+
+
+def test_fleet_summary_workers_come_from_the_stats():
+    """The summary's worker totals are the stats' own, not an aggregate
+    the reporter kept across grids or batches."""
+    from repro.fleet.engine import FleetStats
+
+    jsonl = io.StringIO()
+    reporter = ProgressReporter(
+        "explore", stream=io.StringIO(), jsonl_stream=jsonl, heartbeat_s=1e9
+    )
+    specs = enumerate_sweep_specs("02", ["a"], 1, 2014)
+    reporter.observe(
+        specs[0], telemetry={"pid": 11, "wall_s": 1.0, "cpu_s": 0.9}
+    )
+    stats = FleetStats(
+        total=1, executed=1,
+        run_telemetry=[{"pid": 22, "wall_s": 2.0, "cpu_s": 1.8}],
+    )
+    reporter.fleet_summary(stats)
+    summary = json.loads(jsonl.getvalue().splitlines()[-1])
+    assert summary["event"] == "fleet_summary"
+    assert summary["workers"] == [
+        {"pid": 22, "runs": 1, "wall_s": 2.0, "cpu_s": 1.8}
+    ]
 
 
 def test_eta_excludes_one_time_capture_seconds():

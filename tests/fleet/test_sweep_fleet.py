@@ -1,5 +1,8 @@
 """Acceptance tests: the sweep on the fleet engine vs the serial path."""
 
+import io
+import json
+
 import pytest
 
 from repro.fleet.cache import ResultCache
@@ -28,42 +31,37 @@ def test_parallel_sweep_identical_and_warm_rerun_all_cached(
     assert rerun.runs == serial_sweep.runs
 
 
-def test_legacy_progress_callback_still_works(artifacts_ds03):
-    from repro.fleet.engine import FleetEngine
-    from repro.fleet.spec import enumerate_sweep_specs
-    from repro.harness.sweep import _progress_hook
-
-    specs = enumerate_sweep_specs(
-        artifacts_ds03.name,
-        ["fixed:300000", "fixed:652800"],
-        1,
-        artifacts_ds03.recording_master_seed,
+@pytest.fixture(scope="module")
+def reported_sweep(artifacts_ds03):
+    """A serial sweep observed by a reporter with both output streams."""
+    stream, jsonl = io.StringIO(), io.StringIO()
+    reporter = ProgressReporter(
+        artifacts_ds03.name, stream=stream, jsonl_stream=jsonl
     )
-    calls = []
-    hook = _progress_hook(lambda config, rep: calls.append((config, rep)), specs)
-    FleetEngine(jobs=1, progress=hook).run(artifacts_ds03, specs)
-    assert calls == [("fixed:300000", 0), ("fixed:652800", 0)]
+    result = run_sweep(artifacts_ds03, reps=1, progress=reporter)
+    events = [json.loads(line) for line in jsonl.getvalue().splitlines()]
+    return result, stream.getvalue().splitlines(), events
 
 
-def test_progress_reporter_binds_to_the_sweep_grid(artifacts_ds03):
-    import io
+def test_run_sweep_reports_each_cell_in_grid_order(
+    reported_sweep, serial_sweep
+):
+    result, _lines, events = reported_sweep
+    assert result.runs == serial_sweep.runs
+    calls = [
+        (event["config"], event["rep"])
+        for event in events
+        if event["event"] == "run_completed"
+    ]
+    assert calls == [(config, 0) for config in sweep_configs()]
 
-    from repro.fleet.engine import FleetEngine
-    from repro.fleet.spec import enumerate_sweep_specs
-    from repro.harness.sweep import _progress_hook
 
-    specs = enumerate_sweep_specs(
-        artifacts_ds03.name,
-        ["fixed:300000", "fixed:652800"],
-        1,
-        artifacts_ds03.recording_master_seed,
-    )
-    stream = io.StringIO()
-    reporter = ProgressReporter(artifacts_ds03.name, stream=stream)
-    FleetEngine(jobs=1, progress=_progress_hook(reporter, specs)).run(
-        artifacts_ds03, specs
-    )
-    lines = stream.getvalue().splitlines()
-    assert len(lines) == 2
-    assert "(config 1/2, rep 1/1)" in lines[0]
-    assert "2/2 runs" in lines[1]
+def test_progress_reporter_binds_to_the_sweep_grid(reported_sweep):
+    _result, lines, events = reported_sweep
+    total = len(sweep_configs())
+    assert events[0]["event"] == "grid_bound"
+    assert (events[0]["total"], events[0]["configs"]) == (total, total)
+    assert len(lines) == total
+    assert f"(config 1/{total}, rep 1/1)" in lines[0]
+    assert f"1/{total} runs" in lines[0]
+    assert f"{total}/{total} runs" in lines[-1]

@@ -9,6 +9,7 @@ use' contribution (paper §I-A item 2).
 
 import pytest
 
+from repro.fleet.cache import workload_fingerprint
 from repro.harness.experiment import record_workload, replay_run
 from repro.harness.sweep import compose_oracle_from_runs
 from repro.metrics.hci import SHNEIDERMAN_MODEL
@@ -20,7 +21,7 @@ def test_full_downstream_workflow(artifacts_ds03):
     rebuilt = record_workload(
         dataset("03"), master_seed=artifacts_ds03.recording_master_seed
     )
-    assert rebuilt.fingerprint() == artifacts_ds03.fingerprint()
+    assert workload_fingerprint(rebuilt) == workload_fingerprint(artifacts_ds03)
 
     # Replay under a governor and a fixed configuration.
     governor_run = replay_run(rebuilt, "interactive")

@@ -9,7 +9,6 @@ from repro.scenarios.profiles import (
     device_config_for,
     device_profile,
     frequency_table_for,
-    profile_names,
 )
 from repro.workloads.datasets import dataset
 
@@ -61,7 +60,7 @@ def test_tables_resolve_from_dataset_specs():
 
 
 def test_profiles_are_deterministic():
-    for name in profile_names():
+    for name in sorted(PROFILES):
         a = device_profile(name).device_config()
         b = device_profile(name).device_config()
         assert a.frequency_table.frequencies_khz == b.frequency_table.frequencies_khz
