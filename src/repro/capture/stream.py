@@ -17,21 +17,22 @@ holding exactly two pending runs makes emitted segments immutable.  The
 ``Video`` container records through this same state machine, which is what
 makes streamed segments bit-identical to ``video.segments()``.
 
-Every replay streams (see :func:`repro.harness.experiment.stream_lags`);
-the batch ``Video`` remains for recording and annotation, which need
-random access to the whole capture.
+The state machine compares runs by an opaque key, so it is the only
+copy of the RLE rules: a full replay streams the display through the
+capture card keyed by content digest (see
+:func:`repro.harness.experiment.stream_lags`), and the demand evaluation
+pass streams interned state ids through it without any pixels (see
+:mod:`repro.demand.tablematch`).  The batch ``Video`` remains for
+recording and annotation, which need random access to the whole capture.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING
 
+from repro.capture.video import Frame, VideoSegment, content_digest
 from repro.core.errors import CaptureError
 from repro.obs.session import active as _obs_active
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.capture.video import Frame, VideoSegment
 
 
 class FrameTap:
@@ -44,7 +45,7 @@ class FrameTap:
     methods are no-ops by default.
     """
 
-    def on_segment(self, segment: "VideoSegment") -> None:
+    def on_segment(self, segment: VideoSegment) -> None:
         """One closed run of identical frames ``[start, end)``."""
 
     def on_stop(self, end_frame: int) -> None:
@@ -64,10 +65,10 @@ class FrameDigestTap(FrameTap):
         self.segment_count = 0
         self.end_frame: int | None = None
 
-    def on_segment(self, segment: "VideoSegment") -> None:
+    def on_segment(self, segment: VideoSegment) -> None:
         self._digest.update(segment.start.to_bytes(8, "big"))
         self._digest.update(segment.end.to_bytes(8, "big"))
-        self._digest.update(segment.digest)
+        self._digest.update(segment.key)
         self.segment_count += 1
 
     def on_stop(self, end_frame: int) -> None:
@@ -80,10 +81,14 @@ class FrameDigestTap(FrameTap):
 class SegmentStreamer:
     """The RLE recording state machine with incremental segment emission.
 
-    Frames are recorded exactly as into a :class:`Video` (gap filling,
-    same-vsync replacement, merge-back), but completed runs flow out to
-    taps instead of accumulating: at most two pending runs are held at
-    any time.
+    Runs are keyed by an opaque equality key: a frame joins the current
+    run exactly when its key equals the run's.  The capture card and
+    :class:`Video` key by content digest (:meth:`record_frame`); the
+    demand evaluation pass keys by interned framebuffer state id
+    (:meth:`record`).  Either way frames are recorded with gap filling,
+    same-vsync replacement and merge-back, and completed runs flow out
+    to taps instead of accumulating: at most two pending runs are held
+    at any time.
     """
 
     def __init__(self, width: int, height: int) -> None:
@@ -102,69 +107,66 @@ class SegmentStreamer:
     def add_tap(self, tap: FrameTap) -> None:
         self._taps.append(tap)
 
-    def pending_segments(self) -> list["VideoSegment"]:
+    def pending_segments(self) -> list[VideoSegment]:
         """The (at most two) runs that may still change."""
         return list(self._pending)
 
     # --- recording ------------------------------------------------------------
 
-    def record_frame(self, frame_index: int, content: "Frame") -> None:
+    def record_frame(self, frame_index: int, content: Frame) -> None:
         """Record the display content as of ``frame_index``.
 
-        Same contract as :meth:`Video.record_frame`: gaps are filled with
-        the previous content, re-recording the current index replaces it
-        (two compositions inside one vsync interval).
+        Same contract as :meth:`Video.record_frame`: runs are keyed by
+        content digest, and a frame is copied only when it opens a run.
         """
-        from repro.capture.video import VideoSegment, content_digest
-
-        if self._finalized:
-            raise CaptureError("capture already finalized")
         if content.shape != (self.height, self.width):
             raise CaptureError(
                 f"frame shape {content.shape} != video {self.height, self.width}"
             )
-        digest = content_digest(content)
-        if not self._pending:
+        self.record(frame_index, content_digest(content), content)
+
+    def record(self, frame_index: int, key, content: Frame | None = None) -> None:
+        """Record the run key shown as of ``frame_index``.
+
+        Gaps are filled with the previous key, re-recording the current
+        index replaces it (two compositions inside one vsync interval),
+        and a replaced single-frame run merges back into its predecessor
+        when their keys are equal.  ``content`` (copied) is kept on a
+        run this frame opens; without it, segments carry only the key.
+        """
+        if self._finalized:
+            raise CaptureError("capture already finalized")
+        pending = self._pending
+        if not pending:
             if frame_index < 0:
                 raise CaptureError("frame index must be >= 0")
-            self._append(
-                VideoSegment(frame_index, frame_index + 1, content.copy(), digest)
-            )
+            self._open(frame_index, frame_index + 1, key, content)
             return
-        last = self._pending[-1]
+        last = pending[-1]
         if frame_index == last.end - 1:
             # Same vsync slot composed again: replace.
-            if digest == last.digest:
+            if key == last.key:
                 return
-            if last.length == 1:
-                removed = self._pending.pop()
-                prev = self._pending[-1] if self._pending else None
-                if prev is not None and prev.digest == digest:
-                    prev.end = frame_index + 1
+            if last.end - last.start == 1:
+                pending.pop()
+                if pending and pending[-1].key == key:
+                    pending[-1].end = frame_index + 1
                 else:
-                    self._append(
-                        VideoSegment(
-                            removed.start, removed.end, content.copy(), digest
-                        )
-                    )
+                    self._open(last.start, last.end, key, content)
             else:
                 last.end = frame_index
-                self._append(
-                    VideoSegment(frame_index, frame_index + 1, content.copy(), digest)
-                )
+                self._open(frame_index, frame_index + 1, key, content)
             return
         if frame_index < last.end - 1:
             raise CaptureError(
                 f"frame {frame_index} recorded after frame {last.end - 1}"
             )
-        # Fill the still gap, then start a new segment if content changed.
-        last.end = frame_index
-        if digest == last.digest:
+        # Fill the still gap, then start a new segment if the key changed.
+        if key == last.key:
             last.end = frame_index + 1
         else:
-            self._append(
-                VideoSegment(frame_index, frame_index + 1, content.copy(), digest)
-            )
+            last.end = frame_index
+            self._open(frame_index, frame_index + 1, key, content)
 
     def finalize(self, end_frame_index: int) -> None:
         """Extend the last still period to the capture stop point, flush
@@ -189,14 +191,16 @@ class SegmentStreamer:
 
     # --- internals ------------------------------------------------------------
 
-    def _append(self, segment: "VideoSegment") -> None:
-        self._pending.append(segment)
+    def _open(self, start: int, end: int, key, content) -> None:
+        if content is not None:
+            content = content.copy()
+        self._pending.append(VideoSegment(start, end, content, key))
         # Mutations (gap fill, same-vsync replace, merge-back) only ever
         # touch the last two runs; anything older is immutable — emit it.
         while len(self._pending) > 2:
             self._emit(self._pending.pop(0))
 
-    def _emit(self, segment: "VideoSegment") -> None:
+    def _emit(self, segment: VideoSegment) -> None:
         self._emitted += 1
         for tap in self._taps:
             tap.on_segment(segment)

@@ -31,12 +31,17 @@ def content_digest(frame: Frame) -> bytes:
 
 @dataclass(slots=True)
 class VideoSegment:
-    """A run of consecutive identical frames ``[start, end)``."""
+    """A run of consecutive identical frames ``[start, end)``.
+
+    ``key`` is the run's equality key: the content digest on a pixel
+    capture (which also keeps ``content``), or the interned state id on
+    the demand evaluation pass (``content`` is None there).
+    """
 
     start: int
     end: int
-    content: Frame
-    digest: bytes
+    content: Frame | None
+    key: bytes | int
 
     @property
     def length(self) -> int:
@@ -147,7 +152,7 @@ class Video:
                 max(segment.start, start),
                 min(segment.end, end),
                 segment.content,
-                segment.digest,
+                segment.key,
             )
 
     def frame_at(self, frame_index: int) -> Frame:

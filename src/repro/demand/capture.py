@@ -346,8 +346,14 @@ class DemandRecorder:
         return match_states, tuple(blank_matches)
 
     def build_trace(
-        self, workload: str, capture_config: str, duration_us: int
+        self,
+        workload: str,
+        capture_config: str,
+        duration_us: int,
+        match_states: list[tuple[int, ...]],
+        blank_matches: tuple[int, ...],
     ) -> DemandTrace:
+        """The recorded forest plus the verdicts of :meth:`match_table`."""
         display = self._device.display
         return DemandTrace(
             workload=workload,
@@ -356,9 +362,11 @@ class DemandRecorder:
             width=display.width,
             height=display.height,
             input_events=self.next_ordinal,
+            match_states=match_states,
             nodes=self.nodes,
             guards=self.guards,
             states=self.states,
+            blank_matches=blank_matches,
         )
 
 
@@ -412,9 +420,11 @@ def capture_demand(artifacts, device_config=None) -> DemandTrace:
             )
     finally:
         workchains.set_chain_observer(previous_observer)
-    trace = recorder.build_trace(artifacts.name, capture_config, run_window)
-    trace.match_states, trace.blank_matches = recorder.match_table(
-        artifacts.database
+    trace = recorder.build_trace(
+        artifacts.name,
+        capture_config,
+        run_window,
+        *recorder.match_table(artifacts.database),
     )
     trace.validate()
     return trace

@@ -15,10 +15,9 @@ gesture decoding and UI composition are replaced by a
   stage pauses);
 * recorded **invalidate** nodes request composition on real vsync
   boundaries, tracking which interned state the screen would show; the
-  lag profile is computed pixel-free from the trace's precomputed match
-  table (:mod:`repro.demand.tablematch`), falling back to painting real
-  frames through the capture card and online matcher when a caller
-  needs them (a ``frame_tap``, or a trace without a table);
+  lag profile is computed pixel-free: the capture's segment state
+  machine runs over state ids and the trace's precomputed match table
+  supplies every verdict (:mod:`repro.demand.tablematch`);
 * recorded **chain** nodes start/stop live
   :class:`~repro.kernel.workchains.PeriodicWorkChain` loops, which fire
   as many times as *this* config's gate timing allows;
@@ -43,11 +42,9 @@ blink) from capture time, none of which can move a match time.
 
 from __future__ import annotations
 
-import zlib
 from functools import partial
 
-import numpy as np
-
+from repro.capture.stream import SegmentStreamer
 from repro.core.errors import MatchError, ReproError
 from repro.demand.compile import (
     OP_CHAIN_START,
@@ -57,7 +54,7 @@ from repro.demand.compile import (
     CompiledDemand,
     compile_trace,
 )
-from repro.demand.tablematch import BLANK_STATE, ShadowStreamer, TableMatcher
+from repro.demand.tablematch import BLANK_STATE, TableMatcher
 from repro.demand.trace import DemandTrace
 from repro.device.display import frame_index_at
 from repro.kernel.task import PRIORITY_FOREGROUND, Task, _task_ids
@@ -80,23 +77,19 @@ class DemandProgram:
     """A demand trace preprocessed for repeated evaluation.
 
     Sweeping N cells over one trace repeats per-cell setup work — the
-    lowering to action tuples, match-set construction, state
-    decompression — that depends only on the trace.  A fleet worker
-    builds one program per trace and evaluates every assigned cell
-    against it.
+    lowering to action tuples and the match-set construction — that
+    depends only on the trace.  A fleet worker builds one program per
+    trace and evaluates every assigned cell against it.
     """
 
     def __init__(self, trace: DemandTrace) -> None:
         self.trace = trace
-        self.match_sets: list[frozenset[int]] | None = None
-        if trace.match_states is not None:
-            blank = frozenset(trace.blank_matches)
-            self.match_sets = [
-                frozenset(states)
-                | ({BLANK_STATE} if index in blank else frozenset())
-                for index, states in enumerate(trace.match_states)
-            ]
-        self._states: list | None = None
+        blank = frozenset(trace.blank_matches)
+        self.match_sets: list[frozenset[int]] = [
+            frozenset(states)
+            | ({BLANK_STATE} if index in blank else frozenset())
+            for index, states in enumerate(trace.match_states)
+        ]
         self._compiled: CompiledDemand | None = None
 
     def compiled(self) -> CompiledDemand:
@@ -104,19 +97,6 @@ class DemandProgram:
         if self._compiled is None:
             self._compiled = compile_trace(self.trace)
         return self._compiled
-
-    def states(self) -> list:
-        """Decompressed framebuffer states (pixel path only, lazy)."""
-        if self._states is None:
-            trace = self.trace
-            shape = (trace.height, trace.width)
-            self._states = [
-                np.frombuffer(
-                    zlib.decompress(blob), dtype=np.uint8
-                ).reshape(shape)
-                for blob in trace.states
-            ]
-        return self._states
 
 
 class _DemandTask(Task):
@@ -159,12 +139,9 @@ class DemandExecutor:
     :func:`functools.partial` over the prebuilt child list, so the walk
     allocates no closures.
 
-    With ``pixels=False`` (the default sweep path) invalidates only
-    track the current interned state id — no state is decompressed and
-    nothing is painted; the caller derives the lag profile from the
-    trace's match table.  With ``pixels=True`` the executor installs a
-    composer that repaints the interned states, so a capture card sees
-    real frames.
+    Invalidates only track the current interned state id — no state is
+    decompressed and nothing is painted; the caller derives the lag
+    profile from the trace's match table.
     """
 
     __slots__ = (
@@ -176,16 +153,13 @@ class DemandExecutor:
         "_setup_actions",
         "_input_actions",
         "_guards",
-        "_pixels",
-        "_states",
-        "_frame",
         "current_state",
         "_chains",
         "_fg_inflight",
         "_next_ordinal",
     )
 
-    def __init__(self, device, program: DemandProgram, pixels: bool) -> None:
+    def __init__(self, device, program: DemandProgram) -> None:
         compiled = program.compiled()
         self._engine = device.engine
         self._scheduler = device.scheduler
@@ -197,23 +171,11 @@ class DemandExecutor:
         self._setup_actions = compiled.setup_actions
         self._input_actions = compiled.input_actions
         self._guards = compiled.guards
-        self._pixels = pixels
-        self._states: list | None = None
-        self._frame = None
-        if pixels:
-            self._states = program.states()
-            device.display.set_composer(self._paint)
         #: Interned state id the screen would show (BLANK_STATE at boot).
         self.current_state = BLANK_STATE
         self._chains: dict[int, PeriodicWorkChain] = {}
         self._fg_inflight: set[int] = set()
         self._next_ordinal = 0
-
-    # --- composition -------------------------------------------------------------
-
-    def _paint(self, framebuffer) -> None:
-        if self._frame is not None:
-            framebuffer[:] = self._frame
 
     # --- trace walking -----------------------------------------------------------
 
@@ -262,10 +224,7 @@ class DemandExecutor:
                 self._submit(_DemandTask(action, self._task_done))
             elif op == OP_INVALIDATE:
                 # (op, state_id)
-                state = action[1]
-                self.current_state = state
-                if self._pixels:
-                    self._frame = self._states[state]
+                self.current_state = action[1]
                 self._invalidate()
             elif op == OP_TIMER:
                 # (op, delay_us, children).  A childless timer produced
@@ -301,21 +260,17 @@ class DemandExecutor:
 class _DemandDriver:
     """The kernel-only pass's two :func:`~repro.harness.experiment.run_cell`
     steps: a :class:`DemandExecutor` stands in for the apps, and the lag
-    profile comes from the trace's match table (or, when a caller needs
-    real frames, from the capture card)."""
+    profile comes from the capture's segment state machine keyed by
+    state id, matched against the trace's verdict table."""
 
-    def __init__(self, program: DemandProgram, database, frame_tap, cell: str):
+    def __init__(self, program: DemandProgram, database, cell: str):
         self._program = program
         self._database = database
-        self._frame_tap = frame_tap
         self._cell = cell
-        # The pixel-free table path needs a precomputed match table; a
-        # frame tap needs real frames, so it forces the pixel path.
-        self._pixels = frame_tap is not None or program.match_sets is None
         self._executor: DemandExecutor | None = None
 
     def install(self, device) -> None:
-        executor = DemandExecutor(device, self._program, self._pixels)
+        executor = DemandExecutor(device, self._program)
         # Same observer order as a full replay: the window manager's
         # decoder registers before the governor's input boost; here the
         # executor takes the decoder's slot.
@@ -324,31 +279,22 @@ class _DemandDriver:
         self._executor = executor
 
     def lag_source(self, device):
-        from repro.harness.experiment import stream_lags
+        matcher = TableMatcher(self._database, self._program.match_sets)
+        display = device.display
+        streamer = SegmentStreamer(display.width, display.height)
+        streamer.add_tap(matcher)
+        executor = self._executor
+        display.add_frame_observer(
+            lambda index, _frame: streamer.record(index, executor.current_state)
+        )
+        # The capture card's start seed: whatever is on screen right
+        # now — nothing has composed yet, so the blank boot frame.
+        streamer.record(frame_index_at(device.engine.now), BLANK_STATE)
 
-        database = self._database
-        if self._pixels:
-            finish = stream_lags(device, database, self._frame_tap)
-        else:
-            matcher = TableMatcher(database, self._program.match_sets)
-            shadow = ShadowStreamer(matcher)
-            executor = self._executor
-            device.display.add_frame_observer(
-                lambda index, _frame: shadow.record(
-                    index, executor.current_state
-                )
-            )
-            # The capture card's start seed: whatever is on screen right
-            # now — nothing has composed yet, so the blank boot frame.
-            shadow.record(frame_index_at(device.engine.now), BLANK_STATE)
-
-            def finish(now: int):
-                shadow.finalize(frame_index_at(now) + 1)
-                return matcher.profile()
-
-        def checked(now: int):
+        def finish(now: int):
             try:
-                return finish(now)
+                streamer.finalize(frame_index_at(now) + 1)
+                return matcher.profile()
             except MatchError as exc:
                 raise DemandFallback(
                     f"cell {self._cell}: replayed frames no longer "
@@ -356,7 +302,7 @@ class _DemandDriver:
                     reason="match_error",
                 ) from None
 
-        return checked
+        return finish
 
 
 def demand_replay_run(
@@ -366,7 +312,6 @@ def demand_replay_run(
     rep: int = 0,
     master_seed: int | None = None,
     device_config=None,
-    frame_tap=None,
     **governor_tunables,
 ):
     """Evaluate one (config, rep) cell over recorded demand.
@@ -385,7 +330,7 @@ def demand_replay_run(
         trace if isinstance(trace, DemandProgram) else DemandProgram(trace)
     )
     driver = _DemandDriver(
-        program, artifacts.database, frame_tap, f"({config!r}, rep {rep})"
+        program, artifacts.database, f"({config!r}, rep {rep})"
     )
     return run_cell(
         artifacts,

@@ -5,20 +5,21 @@ capture time, so the expensive half of lag detection — comparing frame
 pixels against annotation endings — collapses to a set probe against the
 trace's precomputed match table.  What remains timing-dependent is the
 *segmentation* of the frame stream, and that depends only on frame
-indices and content equality: :class:`ShadowStreamer` runs the exact RLE
-state machine of :class:`~repro.capture.stream.SegmentStreamer` over
-``(frame_index, state_id)`` pairs, where state-id equality stands in for
-content-digest equality (interned states are deduplicated by raw bytes,
-so distinct ids are distinct pixels).
+indices and run equality: the pass feeds ``(frame_index, state_id)``
+pairs through the capture's own :class:`~repro.capture.stream.
+SegmentStreamer`, keyed by state id instead of content digest
+(interned states are deduplicated by raw bytes, so distinct ids are
+distinct pixels).
 
 :class:`TableMatcher` subclasses :class:`~repro.analysis.online.
 OnlineMatcher`, overriding only the comparison strategy — window
 activation order, occurrence counting, and the profile/error contract
-are shared code, so the two paths cannot drift.
+are shared code, so the two paths cannot drift.  It reads each
+segment's state id off its ``key``.
 
 One boundary asymmetry is harmless by construction: a state that is
-pixel-equal to the blank power-on frame would be *merged* with it by the
-pixel RLE but kept as a separate run here.  Refining a run of
+pixel-equal to the blank power-on frame would be *merged* with it by a
+digest-keyed stream but kept as a separate run here.  Refining a run of
 pixel-equal content into adjacent segments cannot change any match
 verdict (verdicts are functions of content), cannot change a rising
 edge (the follow-up segment sees ``in_match`` already set), and cannot
@@ -30,95 +31,9 @@ from __future__ import annotations
 
 from repro.analysis.annotation import AnnotationDatabase
 from repro.analysis.online import OnlineMatcher, _ScanState
-from repro.core.errors import CaptureError
 
-#: Shadow state id of the blank power-on framebuffer (never interned).
+#: State id of the blank power-on framebuffer (never interned).
 BLANK_STATE = -1
-
-
-class _ShadowSegment:
-    """A closed run of identical frames ``[start, end)`` by state id.
-
-    ``content`` holds the state id so the segment quacks like a
-    :class:`~repro.capture.video.VideoSegment` to the matcher.
-    """
-
-    __slots__ = ("start", "end", "content")
-
-    def __init__(self, start: int, end: int, content: int) -> None:
-        self.start = start
-        self.end = end
-        self.content = content
-
-
-class ShadowStreamer:
-    """The capture RLE state machine over state ids instead of pixels.
-
-    Mirrors :meth:`SegmentStreamer.record_frame` branch for branch (gap
-    filling, same-vsync replacement, merge-back, the two-pending-run
-    emission rule) with content digests replaced by state ids.
-    """
-
-    def __init__(self, tap: OnlineMatcher) -> None:
-        self._tap = tap
-        self._pending: list[_ShadowSegment] = []
-
-    def record(self, frame_index: int, state: int) -> None:
-        if not self._pending:
-            if frame_index < 0:
-                raise CaptureError("frame index must be >= 0")
-            self._pending.append(
-                _ShadowSegment(frame_index, frame_index + 1, state)
-            )
-            return
-        last = self._pending[-1]
-        if frame_index == last.end - 1:
-            # Same vsync slot composed again: replace.
-            if state == last.content:
-                return
-            if last.end - last.start == 1:
-                removed = self._pending.pop()
-                prev = self._pending[-1] if self._pending else None
-                if prev is not None and prev.content == state:
-                    prev.end = frame_index + 1
-                else:
-                    self._append(
-                        _ShadowSegment(removed.start, removed.end, state)
-                    )
-            else:
-                last.end = frame_index
-                self._append(
-                    _ShadowSegment(frame_index, frame_index + 1, state)
-                )
-            return
-        if frame_index < last.end - 1:
-            raise CaptureError(
-                f"frame {frame_index} recorded after frame {last.end - 1}"
-            )
-        # Fill the still gap, then start a new segment if content changed.
-        last.end = frame_index
-        if state == last.content:
-            last.end = frame_index + 1
-        else:
-            self._append(_ShadowSegment(frame_index, frame_index + 1, state))
-
-    def finalize(self, end_frame_index: int) -> None:
-        if not self._pending:
-            raise CaptureError("cannot finalize an empty video")
-        last = self._pending[-1]
-        if end_frame_index < last.end:
-            raise CaptureError("finalize cannot truncate the video")
-        last.end = end_frame_index
-        tap = self._tap
-        for segment in self._pending:
-            tap.on_segment(segment)
-        self._pending.clear()
-        tap.on_stop(end_frame_index)
-
-    def _append(self, segment: _ShadowSegment) -> None:
-        self._pending.append(segment)
-        while len(self._pending) > 2:
-            self._tap.on_segment(self._pending.pop(0))
 
 
 class TableMatcher(OnlineMatcher):
@@ -142,4 +57,4 @@ class TableMatcher(OnlineMatcher):
         """No pixel mask needed — verdicts were computed under it."""
 
     def _matches(self, scan: _ScanState, segment) -> bool:
-        return segment.content in self._matched[scan.lag_index]
+        return segment.key in self._matched[scan.lag_index]

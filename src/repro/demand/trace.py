@@ -37,7 +37,8 @@ composes interned states, frame comparison reduces to a table lookup:
 database order), exactly which state ids satisfy
 :func:`~repro.analysis.diff.frames_equal` under that annotation's mask
 and tolerance — computed once at capture, so the evaluation pass never
-touches pixels.  The trace is schema-versioned and content-addressed
+touches pixels.  Every trace carries the table; a payload without one is
+rejected.  The trace is schema-versioned and content-addressed
 (:meth:`content_hash`), and serializes to JSON for the fleet's demand
 store and the ``repro-qoe demand`` inspector.
 """
@@ -72,6 +73,17 @@ _INT_FIELDS = ("priority", "delay_us", "state_id", "chain_key", "period_us")
 
 class DemandTraceError(ReproError):
     """A demand trace violates its schema contract."""
+
+
+def _match_table(payload: dict) -> list[tuple[int, ...]]:
+    """A payload's match table; a trace without one is rejected."""
+    table = payload.get("match_states")
+    if table is None:
+        raise DemandTraceError(
+            "demand trace without a match table (match_states is missing "
+            "or null)"
+        )
+    return [tuple(matched) for matched in table]
 
 
 @dataclass(slots=True)
@@ -139,15 +151,15 @@ class DemandTrace:
     width: int
     height: int
     input_events: int
+    #: Per annotation (database order), the state ids whose pixels match
+    #: that annotation's ending image.  Every trace carries it: the
+    #: evaluation pass never compares pixels.
+    match_states: list[tuple[int, ...]]
     nodes: list[DemandNode] = field(default_factory=list)
     #: input ordinal -> sorted tuple of fg task node ids in flight.
     guards: dict[int, tuple[int, ...]] = field(default_factory=dict)
     #: zlib-compressed ``height x width`` uint8 framebuffer states.
     states: list[bytes] = field(default_factory=list)
-    #: Per annotation (database order), the state ids whose pixels match
-    #: that annotation's ending image; ``None`` when the capture did not
-    #: precompute verdicts (the evaluation pass then compares pixels).
-    match_states: list[tuple[int, ...]] | None = None
     #: Annotation indices matched by the blank (power-on) framebuffer.
     blank_matches: tuple[int, ...] = ()
     schema_version: int = DEMAND_TRACE_SCHEMA_VERSION
@@ -200,9 +212,7 @@ class DemandTrace:
             "work_units_cycles": work_units,
             "states": len(self.states),
             "nodes": len(self.nodes),
-            "match_annotations": (
-                None if self.match_states is None else len(self.match_states)
-            ),
+            "match_annotations": len(self.match_states),
         }
 
     # --- contract --------------------------------------------------------------
@@ -314,25 +324,21 @@ class DemandTrace:
                         f"{where}: chain stop for key {node.chain_key} "
                         "before any start"
                     )
-        if self.match_states is not None:
-            for lag_index, matched in enumerate(self.match_states):
-                for state_id in matched:
-                    if not 0 <= state_id < len(self.states):
-                        raise DemandTraceError(
-                            f"match table for annotation {lag_index} "
-                            f"references state {state_id} of "
-                            f"{len(self.states)}"
-                        )
-            for lag_index in self.blank_matches:
-                if not 0 <= lag_index < len(self.match_states):
+        if self.match_states is None:
+            raise DemandTraceError("demand trace without a match table")
+        for lag_index, matched in enumerate(self.match_states):
+            for state_id in matched:
+                if not 0 <= state_id < len(self.states):
                     raise DemandTraceError(
-                        f"blank-frame match references annotation "
-                        f"{lag_index} of {len(self.match_states)}"
+                        f"match table for annotation {lag_index} "
+                        f"references state {state_id} of {len(self.states)}"
                     )
-        elif self.blank_matches:
-            raise DemandTraceError(
-                "blank-frame matches present without a match table"
-            )
+        for lag_index in self.blank_matches:
+            if not 0 <= lag_index < len(self.match_states):
+                raise DemandTraceError(
+                    f"blank-frame match references annotation "
+                    f"{lag_index} of {len(self.match_states)}"
+                )
         for ordinal, guard in self.guards.items():
             if not 0 <= ordinal < self.input_events:
                 raise DemandTraceError(
@@ -371,11 +377,7 @@ class DemandTrace:
             "states": [
                 base64.b64encode(blob).decode("ascii") for blob in self.states
             ],
-            "match_states": (
-                None
-                if self.match_states is None
-                else [list(matched) for matched in self.match_states]
-            ),
+            "match_states": [list(matched) for matched in self.match_states],
             "blank_matches": list(self.blank_matches),
         }
 
@@ -389,6 +391,7 @@ class DemandTrace:
                 width=payload["width"],
                 height=payload["height"],
                 input_events=payload["input_events"],
+                match_states=_match_table(payload),
                 nodes=[DemandNode.from_dict(row) for row in payload["nodes"]],
                 guards={
                     int(ordinal): tuple(guard)
@@ -398,14 +401,6 @@ class DemandTrace:
                     base64.b64decode(blob)
                     for blob in payload.get("states", [])
                 ],
-                match_states=(
-                    None
-                    if payload.get("match_states") is None
-                    else [
-                        tuple(matched)
-                        for matched in payload["match_states"]
-                    ]
-                ),
                 blank_matches=tuple(payload.get("blank_matches", ())),
                 schema_version=payload["schema"],
             )

@@ -85,9 +85,9 @@ class PowerModel:
 class EnergyMeter:
     """Integrates a core's power draw over time as it changes state.
 
-    The meter is updated lazily: callers invoke :meth:`sync` (directly or
-    via :meth:`set_state`) with the current timestamp, and the meter
-    charges the elapsed interval at the power of the *previous* state.
+    The meter is updated lazily: callers invoke :meth:`set_state` with
+    the current timestamp, and the meter charges the elapsed interval at
+    the power of the *previous* state.
     Active power per operating point is computed once from the model:
     busy edges and retunes run tens of thousands of times per replay,
     always among the table's handful of OPPs.
@@ -107,11 +107,11 @@ class EnergyMeter:
 
     @property
     def energy_joules(self) -> float:
-        """Total energy charged so far (without a pending sync)."""
+        """Total energy charged up to the last :meth:`set_state`."""
         return self._energy_j
 
     def busy_energy_at(self, now: int) -> float:
-        """Busy energy including the un-synced tail interval up to ``now``."""
+        """Busy energy including the open tail interval up to ``now``."""
         if not self._busy:
             return self._busy_energy_j
         elapsed_s = (now - self._last_sync) / MICROS_PER_SECOND
@@ -119,23 +119,12 @@ class EnergyMeter:
             raise SimulationError("cannot query energy in the past")
         return self._busy_energy_j + self._power_w * elapsed_s
 
-    def sync(self, now: int) -> None:
-        """Charge the interval since the last sync at the current power."""
-        if now < self._last_sync:
-            raise SimulationError(
-                f"energy meter cannot rewind: {now} < {self._last_sync}"
-            )
-        elapsed_s = (now - self._last_sync) / MICROS_PER_SECOND
-        charge = self._power_w * elapsed_s
-        self._energy_j += charge
-        if self._busy:
-            self._busy_energy_j += charge
-        self._last_sync = now
-
     def set_state(self, now: int, busy: bool, freq_khz: int) -> None:
-        """Record a state change (busy/idle or frequency) at ``now``."""
-        # Inlined sync(): this runs twice per task and once per DVFS
-        # transition.
+        """Record a state change (busy/idle or frequency) at ``now``.
+
+        Charges the interval since the last change at the previous
+        state's power first.
+        """
         if now < self._last_sync:
             raise SimulationError(
                 f"energy meter cannot rewind: {now} < {self._last_sync}"
@@ -149,7 +138,7 @@ class EnergyMeter:
         self._power_w = self._opp_power_w[freq_khz] if busy else self._idle_power_w
 
     def energy_at(self, now: int) -> float:
-        """Total energy including the un-synced tail interval up to ``now``."""
+        """Total energy including the open tail interval up to ``now``."""
         elapsed_s = (now - self._last_sync) / MICROS_PER_SECOND
         if elapsed_s < 0:
             raise SimulationError("cannot query energy in the past")

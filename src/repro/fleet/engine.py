@@ -45,9 +45,10 @@ produced, but
 * **one telemetry model** — :class:`FleetStats` is the only aggregate
   of a run (cache hits, executed cells, per-worker totals, stragglers,
   the demand accounting).  The only progress hook is a
-  :class:`~repro.fleet.progress.ProgressReporter`: the engine tells it
-  the one-time capture time and every completion as it happens, then
-  hands it the run's stats for the ``fleet_summary``.
+  :class:`~repro.fleet.progress.ProgressReporter`: the engine binds it
+  to each spec list it runs, tells it the one-time capture time and
+  every completion as it happens, then hands it the run's stats for
+  the ``fleet_summary``.
 """
 
 from __future__ import annotations
@@ -225,6 +226,8 @@ class FleetEngine:
         """Execute ``specs`` and return records in spec order."""
         stats = FleetStats(total=len(specs), backend=self.backend.name)
         self.last_stats = stats
+        if self.progress is not None:
+            self.progress.bind(specs)
         if self.backend.publishes_results and self.cache is None:
             raise ReproError(
                 f"backend {self.backend.name!r} publishes results to a "

@@ -1,9 +1,9 @@
 """Aggregated progress, ETA and machine-readable telemetry for fleet runs.
 
 A :class:`ProgressReporter` is the fleet engine's only progress hook.
-``run_sweep`` binds it to a spec list before the fleet starts; the
-explorer leaves it unbound, so its totals grow as runs complete.  It
-observes completions (from any worker, in any order), printing
+:meth:`~repro.fleet.engine.FleetEngine.run` binds it to the spec list
+it is handed — a sweep's grid, a study workload's grid or one explore
+batch — before anything runs.  It observes completions (from any worker, in any order), printing
 ``config c/C, rep r/R`` positions, an aggregate ``done/total`` count, an
 ETA extrapolated from completed runs, and a ``[cached]`` marker for cells
 served from the result cache.  Every line is flushed so progress is
@@ -18,7 +18,7 @@ Fleet telemetry (``--progress-jsonl PATH``)
 -------------------------------------------
 
 Alongside the human lines the reporter can stream JSON-lines events to a
-second file: one ``grid_bound`` event when the spec list is learned, a
+second file: one ``grid_bound`` event per engine run, a
 ``run_completed`` event per observation (with the worker's pid, wall and
 CPU seconds when the run executed), rate-limited ``heartbeat`` events
 with the done/total/cached position, and one ``fleet_summary`` per
@@ -78,9 +78,9 @@ class ProgressReporter:
         self._capture_s = 0.0
 
     def bind(self, specs: list[RunSpec]) -> "ProgressReporter":
-        """Learn the grid shape; called by the sweep before dispatch.
+        """Learn the grid shape; called by the engine before dispatch.
 
-        Rebinding (a study's next workload) resets the grid position,
+        Rebinding (a study's next workload, explore's next batch) resets the grid position,
         heartbeat pacing and the demand-capture allowance.  Only ``seq``
         survives: the JSONL stream is one ordered sequence.
         """
@@ -112,21 +112,15 @@ class ProgressReporter:
         cached: bool = False,
         telemetry: dict | None = None,
     ) -> None:
-        """Observe one completed run.
+        """Observe one completed run of the bound spec list.
 
-        An unbound reporter (the explorer's, fed many small batches)
-        grows its totals as observations arrive instead of claiming a
-        grid shape it doesn't know.  ``telemetry`` is the worker-side
-        measurement of an executed run (``pid``, ``wall_s``, ``cpu_s``);
-        cached cells have none.
+        ``telemetry`` is the worker-side measurement of an executed run
+        (``pid``, ``wall_s``, ``cpu_s``); cached cells have none.
         """
-        if self._started_at is None:
-            self._started_at = self._clock()
         self._done += 1
         if cached:
             self._cached += 1
         self._reps = max(self._reps, spec.rep + 1)
-        self._total = max(self._total, self._done)
         config_pos = (
             self._config_index.setdefault(spec.config, len(self._config_index))
             + 1

@@ -186,8 +186,8 @@ def run_sweep(
     swaps the execution backend (a
     :class:`~repro.fleet.backends.registry.FleetBackend`, e.g. the
     distributed work queue).  All of them leave the result bit-identical
-    to the serial, uncached path.  ``progress`` is bound to the sweep's
-    spec list before the fleet starts.
+    to the serial, uncached path.  The engine binds ``progress`` to the
+    sweep's spec list before the fleet starts.
 
     By default the OPP table and power model come from the workload's
     device profile, so a scenario on ``quad_ls`` sweeps (and composes
@@ -205,8 +205,6 @@ def run_sweep(
     if master_seed is None:
         master_seed = artifacts.recording_master_seed
     specs = enumerate_sweep_specs(artifacts.name, configs, reps, master_seed)
-    if progress is not None:
-        progress.bind(specs)
     engine = FleetEngine(
         jobs=jobs, cache=cache, progress=progress, backend=backend
     )

@@ -245,6 +245,7 @@ def _demand_kernel_trace(windows: int, states: int = 4):
         width=8,
         height=8,
         input_events=windows,
+        match_states=[],
         nodes=nodes,
         states=[zlib.compress(bytes(64))] * states,
     )
@@ -284,7 +285,7 @@ def run_demand_kernel(windows: int = _DEMAND_KERNEL_WINDOWS) -> Engine:
 
     program = _demand_kernel_program(windows)
     device = Device()
-    executor = DemandExecutor(device, program, pixels=False)
+    executor = DemandExecutor(device, program)
     executor.run_setup()
     device.set_governor("fixed:960000")
     spacing = 20_000

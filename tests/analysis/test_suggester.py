@@ -149,7 +149,7 @@ def reference_segments_between(video, start, end):
                 max(segment.start, start),
                 min(segment.end, end),
                 segment.content,
-                segment.digest,
+                segment.key,
             )
         )
     return clipped
@@ -239,7 +239,7 @@ def _boundaries(video):
 
 
 def _spans(segments):
-    return [(s.start, s.end, s.content.tobytes(), s.digest) for s in segments]
+    return [(s.start, s.end, s.content.tobytes(), s.key) for s in segments]
 
 
 @settings(max_examples=200, deadline=None)

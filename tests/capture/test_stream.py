@@ -30,7 +30,7 @@ class CollectTap:
 
     def on_segment(self, segment):
         assert self.end_frame is None, "segment after stop"
-        self.segments.append((segment.start, segment.end, segment.digest))
+        self.segments.append((segment.start, segment.end, segment.key))
 
     def on_stop(self, end_frame):
         self.end_frame = end_frame
@@ -73,7 +73,7 @@ def test_streamed_segments_equal_video_segments(schedule):
     streamer.add_tap(tap)
     drive(streamer, ops, end)
 
-    want = [(s.start, s.end, s.digest) for s in video.segments()]
+    want = [(s.start, s.end, s.key) for s in video.segments()]
     assert tap.segments == want
     assert tap.end_frame == end
 
@@ -100,7 +100,7 @@ def test_frame_digest_tap_matches_manual_segment_digest():
     for segment in video.segments():
         manual.update(segment.start.to_bytes(8, "big"))
         manual.update(segment.end.to_bytes(8, "big"))
-        manual.update(segment.digest)
+        manual.update(segment.key)
 
     streamer = SegmentStreamer(8, 8)
     tap = FrameDigestTap()

@@ -120,5 +120,5 @@ def test_rle_equals_frame_by_frame(values):
     segments = video.segments()
     assert sum(s.length for s in segments) == len(values)
     for a, b in zip(segments, segments[1:]):
-        assert a.digest != b.digest
+        assert a.key != b.key
         assert a.end == b.start

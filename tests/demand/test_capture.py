@@ -6,15 +6,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.diff import build_mask, frames_equal
-from repro.capture import FrameDigestTap
-from repro.demand import (
-    DemandProgram,
-    DemandTraceStore,
-    capture_demand,
-    demand_replay_run,
-)
+from repro.demand import DemandProgram, DemandTraceStore, capture_demand
 from repro.fleet.cache import ResultCache
-from repro.harness.experiment import replay_run
 
 
 @pytest.fixture(scope="module")
@@ -56,27 +49,6 @@ def test_match_table_equals_brute_force_pixel_comparison(
             blank, annotation.image, mask, annotation.tolerance_px
         )
         assert (lag_index in trace_ds03.blank_matches) == blank_matches
-
-
-def test_pixel_and_table_evaluation_paths_agree(artifacts_ds03, trace_ds03):
-    """A frame tap forces the pixel path; both demand paths and a full
-    replay must produce the same record.  (The demand *frame stream* is
-    not byte-identical to a full replay's — animation ticks are elided,
-    so transient frames differ — but every match verdict, and hence the
-    record, is.)"""
-    program = DemandProgram(trace_ds03)
-    table_record = demand_replay_run(artifacts_ds03, program, "ondemand")
-    pixel_tap = FrameDigestTap()
-    pixel_record = demand_replay_run(
-        artifacts_ds03, program, "ondemand", frame_tap=pixel_tap
-    )
-    full_record = replay_run(artifacts_ds03, "ondemand")
-    assert pixel_record.to_json_dict() == table_record.to_json_dict()
-    assert pixel_record.to_json_dict() == full_record.to_json_dict()
-    # The pixel path itself is deterministic.
-    rerun_tap = FrameDigestTap()
-    demand_replay_run(artifacts_ds03, program, "ondemand", frame_tap=rerun_tap)
-    assert rerun_tap.hexdigest() == pixel_tap.hexdigest()
 
 
 def test_program_precomputes_match_sets(trace_ds03):

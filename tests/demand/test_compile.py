@@ -44,6 +44,7 @@ def _trace(nodes, input_events=0, guards=None, states=2):
         width=WIDTH,
         height=HEIGHT,
         input_events=input_events,
+        match_states=[],
         nodes=nodes,
         states=[STATE] * states,
         guards=guards or {},
@@ -197,11 +198,10 @@ class InterpretedExecutor:
 
     Issues the same scheduler submissions and engine timers in the same
     order as :class:`DemandExecutor` walking the lowered action tuples,
-    so both must leave the engine in the same state.  Pixel-free only.
+    so both must leave the engine in the same state.
     """
 
-    def __init__(self, device, program: DemandProgram, pixels: bool) -> None:
-        assert not pixels
+    def __init__(self, device, program: DemandProgram) -> None:
         self._engine = device.engine
         self._scheduler = device.scheduler
         self._display = device.display
@@ -306,7 +306,7 @@ def _evaluate(cls, program, inputs):
         submit(task)
 
     device.scheduler.submit = recording_submit
-    executor = cls(device, program, False)
+    executor = cls(device, program)
     executor.run_setup()
     device.set_governor("fixed:960000")
     outcome = []

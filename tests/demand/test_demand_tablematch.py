@@ -1,4 +1,10 @@
-"""ShadowStreamer vs the pixel RLE, and the verdict-table matcher."""
+"""One segment state machine, two keyings; and the verdict-table matcher.
+
+The demand pass's *shadow* stream is the capture's own
+:class:`SegmentStreamer` keyed by interned state id instead of content
+digest.  Fed the same frame sequence, both keyings must segment it
+identically.
+"""
 
 import random
 
@@ -7,18 +13,18 @@ import pytest
 
 from repro.capture.stream import SegmentStreamer
 from repro.core.errors import CaptureError
-from repro.demand.tablematch import BLANK_STATE, ShadowStreamer, TableMatcher
+from repro.demand.tablematch import BLANK_STATE, TableMatcher
 
 
 class _Collector:
-    """A FrameTap double recording (start, end, content) triples."""
+    """A FrameTap double recording (start, end, segment) triples."""
 
     def __init__(self) -> None:
         self.segments = []
         self.end_frame = None
 
     def on_segment(self, segment) -> None:
-        self.segments.append((segment.start, segment.end, segment.content))
+        self.segments.append((segment.start, segment.end, segment))
 
     def on_stop(self, end_frame) -> None:
         self.end_frame = end_frame
@@ -34,23 +40,35 @@ def _distinct_frames(count: int, width: int = 4, height: int = 4):
     return frames
 
 
+def _shadow(tap):
+    """A streamer keyed by state id, as the demand pass runs it."""
+    streamer = SegmentStreamer(4, 4)
+    streamer.add_tap(tap)
+    return streamer
+
+
 def _run_both(events, end_frame, states=8):
-    """Feed the same (frame_index, state_id) sequence to both RLEs."""
+    """Feed the same (frame_index, state_id) sequence to both keyings."""
     frames = _distinct_frames(states)
     pixel_tap, shadow_tap = _Collector(), _Collector()
     pixel = SegmentStreamer(4, 4)
     pixel.add_tap(pixel_tap)
-    shadow = ShadowStreamer(shadow_tap)
+    shadow = _shadow(shadow_tap)
     for frame_index, state in events:
         pixel.record_frame(frame_index, frames[state])
         shadow.record(frame_index, state)
     pixel.finalize(end_frame)
     shadow.finalize(end_frame)
     pixel_segments = [
-        (start, end, int(content[0, 0]) - 1)
-        for start, end, content in pixel_tap.segments
+        (start, end, int(segment.content[0, 0]) - 1)
+        for start, end, segment in pixel_tap.segments
     ]
-    return pixel_segments, shadow_tap.segments, pixel_tap, shadow_tap
+    shadow_segments = [
+        (start, end, segment.key) for start, end, segment in shadow_tap.segments
+    ]
+    # The state-id keying never holds pixels.
+    assert all(segment.content is None for _s, _e, segment in shadow_tap.segments)
+    return pixel_segments, shadow_segments, pixel_tap, shadow_tap
 
 
 def test_shadow_matches_pixel_rle_on_a_simple_run():
@@ -82,11 +100,11 @@ def test_shadow_matches_pixel_rle_on_random_sequences():
 
 def test_shadow_rejects_negative_first_frame():
     with pytest.raises(CaptureError):
-        ShadowStreamer(_Collector()).record(-1, 0)
+        _shadow(_Collector()).record(-1, 0)
 
 
 def test_shadow_rejects_out_of_order_frames():
-    shadow = ShadowStreamer(_Collector())
+    shadow = _shadow(_Collector())
     shadow.record(5, 0)
     with pytest.raises(CaptureError):
         shadow.record(3, 1)
@@ -94,8 +112,8 @@ def test_shadow_rejects_out_of_order_frames():
 
 def test_shadow_finalize_contract():
     with pytest.raises(CaptureError):
-        ShadowStreamer(_Collector()).finalize(3)
-    shadow = ShadowStreamer(_Collector())
+        _shadow(_Collector()).finalize(3)
+    shadow = _shadow(_Collector())
     shadow.record(0, 0)
     shadow.record(4, 1)
     with pytest.raises(CaptureError):
@@ -103,10 +121,10 @@ def test_shadow_finalize_contract():
 
 
 class _FakeSegment:
-    def __init__(self, start, end, content):
+    def __init__(self, start, end, key):
         self.start = start
         self.end = end
-        self.content = content
+        self.key = key
 
 
 def test_table_matcher_consults_the_verdict_table(gallery_database):

@@ -1,10 +1,12 @@
 """DemandTrace schema: roundtrip, content addressing, contract checks."""
 
+import json
 import zlib
 
 import pytest
 
 from repro.demand import DemandNode, DemandTrace, DemandTraceError
+from repro.demand import store as store_module
 from repro.demand.trace import (
     KIND_CHAIN_START,
     KIND_CHAIN_STOP,
@@ -133,3 +135,25 @@ def test_chain_stop_before_start_rejected():
     trace = make_trace(nodes=[DemandNode(0, KIND_CHAIN_STOP, chain_key=1)])
     with pytest.raises(DemandTraceError, match="before any start"):
         trace.validate()
+
+
+@pytest.mark.parametrize("table", ["missing", "null"])
+def test_trace_without_a_match_table_fails_loudly(table, tmp_path, monkeypatch):
+    """No pixel fallback exists: a payload without verdicts is rejected
+    with one line, and the demand store counts it as a miss."""
+    payload = make_trace().to_json_dict()
+    if table == "missing":
+        del payload["match_states"]
+    else:
+        payload["match_states"] = None
+    with pytest.raises(DemandTraceError, match="without a match table") as info:
+        DemandTrace.from_json_dict(payload)
+    assert "\n" not in str(info.value)
+    with pytest.raises(DemandTraceError, match="without a match table"):
+        make_trace(match_states=None).validate()
+
+    monkeypatch.setattr(store_module, "demand_trace_key", lambda _a: "key")
+    store = store_module.DemandTraceStore(tmp_path)
+    store.path_for("key").write_text(json.dumps(payload), encoding="utf-8")
+    assert store.load(object()) is None
+    assert (store.hits, store.misses) == (0, 1)

@@ -47,14 +47,15 @@ class TestPowerModel:
 class TestEnergyMeter:
     def test_idle_energy_accumulates(self, model, table):
         meter = EnergyMeter(model, table)
-        meter.sync(1_000_000)
+        assert meter.energy_at(1_000_000) == pytest.approx(model.idle_power())
+        meter.set_state(1_000_000, False, table.min_khz)
         assert meter.energy_joules == pytest.approx(model.idle_power())
 
     def test_busy_energy_at_frequency(self, model, table):
         meter = EnergyMeter(model, table)
         point = table.point(960_000)
         meter.set_state(0, True, point.freq_khz)
-        meter.sync(2_000_000)
+        meter.set_state(2_000_000, True, point.freq_khz)
         expected = 2 * model.active_power(point.freq_khz, point.volts)
         assert meter.energy_joules == pytest.approx(expected)
         assert meter.busy_energy_at(2_000_000) == pytest.approx(expected)
@@ -70,21 +71,21 @@ class TestEnergyMeter:
 
     def test_meter_cannot_rewind(self, model, table):
         meter = EnergyMeter(model, table)
-        meter.sync(100)
+        meter.set_state(100, False, table.min_khz)
         with pytest.raises(SimulationError):
-            meter.sync(50)
+            meter.set_state(50, False, table.min_khz)
 
     def test_mixed_busy_idle_split(self, model, table):
         meter = EnergyMeter(model, table)
         point = table.point(960_000)
         meter.set_state(0, True, point.freq_khz)
         meter.set_state(1_000_000, False, point.freq_khz)
-        meter.sync(2_000_000)
+        meter.set_state(2_000_000, False, point.freq_khz)
         active = model.active_power(point.freq_khz, point.volts)
         assert meter.busy_energy_at(2_000_000) == pytest.approx(active)
         assert meter.energy_joules == pytest.approx(active + model.idle_power())
 
     def test_busy_energy_at_while_idle_is_static(self, model, table):
         meter = EnergyMeter(model, table)
-        meter.sync(1_000_000)
+        meter.set_state(1_000_000, False, table.min_khz)
         assert meter.busy_energy_at(2_000_000) == meter.busy_energy_at(1_000_000)

@@ -71,23 +71,39 @@ def test_explore_jsonl_summaries_count_each_batch_once(tmp_path, capsys):
     assert rc == 0
     events = [json.loads(line) for line in path.read_text().splitlines()]
     assert [event["seq"] for event in events] == list(range(len(events)))
-    assert all(event["event"] != "grid_bound" for event in events)
     summaries = [e for e in events if e["event"] == "fleet_summary"]
     assert len(summaries) >= 2  # the oracle batch, then the candidates
     for summary in summaries:
         worker_runs = sum(worker["runs"] for worker in summary["workers"])
         straggler_runs = (summary["stragglers"] or {"runs": 0})["runs"]
         assert worker_runs == summary["executed"] == straggler_runs
-    # --verbose lines use the shared progress format
+    # The engine binds the reporter to every batch: one grid_bound
+    # each, followed by that batch's summary with the same total.
+    framing = [
+        e for e in events if e["event"] in ("grid_bound", "fleet_summary")
+    ]
+    assert [e["event"] for e in framing] == [
+        "grid_bound", "fleet_summary"
+    ] * len(summaries)
+    totals = [e["total"] for e in framing[::2]]
+    assert totals == [s["total"] for s in summaries]
+    # --verbose lines use the shared progress format: k/n within each
+    # batch, with an ETA until the batch's last run.
     lines = [line for line in err.splitlines() if "explore:" in line]
-    assert len(lines) == sum(s["total"] for s in summaries)
-    assert all(
-        re.fullmatch(
-            r"  explore: \S+ \(config \d+/\d+, rep 1/1\) — (\d+)/\1 runs",
+    got = []
+    for line in lines:
+        match = re.fullmatch(
+            r"  explore: \S+ \(config \d+/\d+, rep 1/1\) — "
+            r"(\d+)/(\d+) runs(, ETA \d+s)?",
             line,
         )
-        for line in lines
-    )
+        assert match, line
+        got.append((int(match[1]), int(match[2]), match[3] is not None))
+    assert got == [
+        (done, total, done < total)
+        for total in totals
+        for done in range(1, total + 1)
+    ]
 
 
 def test_explore_unknown_governor_fails_cleanly(capsys):

@@ -54,6 +54,28 @@ def test_progress_hook_sees_every_spec(artifacts_ds03, small_specs):
     assert all(not event["cached"] for event in observed)
 
 
+def test_engine_binds_the_reporter_to_each_batch(artifacts_ds03, small_specs):
+    """A caller feeding the engine batches (the explorer) hands it one
+    reporter; every run binds it to that batch, so each batch gets a
+    ``grid_bound``, ``k/n runs`` lines with an ETA and a summary whose
+    total matches."""
+    jsonl, stream = io.StringIO(), io.StringIO()
+    reporter = ProgressReporter("explore", stream=stream, jsonl_stream=jsonl)
+    engine = FleetEngine(jobs=1, progress=reporter)
+    for batch in (small_specs[:1], small_specs[1:3]):
+        engine.run(artifacts_ds03, batch)
+    events = [json.loads(line) for line in jsonl.getvalue().splitlines()]
+    bounds = [event for event in events if event["event"] == "grid_bound"]
+    summaries = [event for event in events if event["event"] == "fleet_summary"]
+    assert [event["total"] for event in bounds] == [1, 2]
+    assert [event["total"] for event in summaries] == [1, 2]
+    lines = stream.getvalue().splitlines()
+    assert [line.split(" — ")[1].split(",")[0] for line in lines] == [
+        "1/1 runs", "1/2 runs", "2/2 runs"
+    ]
+    assert "ETA" in lines[1]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_worker_failure_is_captured_and_raised(artifacts_ds03, small_specs, jobs):
     bad = RunSpec(artifacts_ds03.name, "warp-drive", 0, 2014)

@@ -55,14 +55,6 @@ def test_eta_appears_once_real_runs_complete():
     assert "ETA" in line
 
 
-def test_unbound_reporter_does_not_crash():
-    stream = io.StringIO()
-    reporter = ProgressReporter("02", stream=stream)
-    specs = enumerate_sweep_specs("02", ["a"], 1, 2014)
-    reporter.observe(specs[0], cached=False)
-    assert "1/1 runs" in stream.getvalue()
-
-
 # --- edge cases ---------------------------------------------------------------------
 
 
