@@ -3,6 +3,9 @@
 Sweeps the tunables that drive the paper's qualitative findings:
 conservative's sampling rate (its slowness is what irritates) and
 interactive's hispeed_freq (its boost target is what burns energy).
+Each point is a config string (``conservative:sampling=…``), the one
+way a governor is parameterised, so it has its own RNG stream and cache
+cell like any other configuration.
 """
 
 from repro.harness.experiment import replay_run
@@ -10,9 +13,7 @@ from repro.harness.experiment import replay_run
 
 def test_conservative_sampling_rate(benchmark, artifacts_ds02):
     def run(rate_us):
-        return replay_run(
-            artifacts_ds02, "conservative", sampling_rate_us=rate_us
-        )
+        return replay_run(artifacts_ds02, f"conservative:sampling={rate_us}")
 
     benchmark.pedantic(lambda: run(200_000), rounds=1, iterations=1)
 
@@ -36,9 +37,7 @@ def test_conservative_sampling_rate(benchmark, artifacts_ds02):
 
 def test_interactive_hispeed_freq(benchmark, artifacts_ds02):
     def run(hispeed):
-        return replay_run(
-            artifacts_ds02, "interactive", hispeed_freq_khz=hispeed
-        )
+        return replay_run(artifacts_ds02, f"interactive:hispeed={hispeed}")
 
     benchmark.pedantic(lambda: run(1_190_400), rounds=1, iterations=1)
 
@@ -64,7 +63,9 @@ def test_interactive_hispeed_freq(benchmark, artifacts_ds02):
 
 def test_ondemand_up_threshold(benchmark, artifacts_ds02):
     def run(threshold):
-        return replay_run(artifacts_ds02, "ondemand", up_threshold=threshold)
+        return replay_run(
+            artifacts_ds02, f"ondemand:up_threshold={threshold}"
+        )
 
     benchmark.pedantic(lambda: run(95), rounds=1, iterations=1)
 

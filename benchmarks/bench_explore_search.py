@@ -20,6 +20,7 @@ from repro.explore.evaluator import ExploreEvaluator
 from repro.explore.space import builtin_space
 from repro.explore.strategies import RandomSearch
 from repro.fleet.cache import ResultCache
+from repro.scenarios.profiles import frequency_table_for
 
 JOB_COUNTS = (1, 4, 8)
 BUDGET = 12
@@ -27,7 +28,7 @@ SEED = 2014
 
 
 def _search(artifacts, jobs, cache):
-    space = builtin_space("qoe_aware")
+    space = builtin_space("qoe_aware", frequency_table_for(artifacts.spec))
     evaluator = ExploreEvaluator(artifacts, jobs=jobs, cache=cache)
     scores = RandomSearch().search(
         space, evaluator.evaluate, BUDGET, random.Random(SEED)

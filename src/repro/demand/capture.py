@@ -370,7 +370,7 @@ class DemandRecorder:
         )
 
 
-def capture_demand(artifacts, device_config=None) -> DemandTrace:
+def capture_demand(artifacts) -> DemandTrace:
     """Run one instrumented full replay and return its demand trace.
 
     The capture runs at the pinned recording frequency with background
@@ -388,8 +388,7 @@ def capture_demand(artifacts, device_config=None) -> DemandTrace:
     from repro.scenarios.profiles import device_config_for
     from repro.uifw.view import WindowManager
 
-    if device_config is None:
-        device_config = device_config_for(artifacts.spec)
+    device_config = device_config_for(artifacts.spec)
     capture_config = f"fixed:{device_config.frequency_table.min_khz}"
     device = Device(device_config)
     recorder = DemandRecorder(device)

@@ -311,8 +311,6 @@ def demand_replay_run(
     config: str,
     rep: int = 0,
     master_seed: int | None = None,
-    device_config=None,
-    **governor_tunables,
 ):
     """Evaluate one (config, rep) cell over recorded demand.
 
@@ -337,8 +335,6 @@ def demand_replay_run(
         config,
         rep,
         DEFAULT_MASTER_SEED if master_seed is None else master_seed,
-        device_config,
-        governor_tunables,
         install=driver.install,
         lag_source=driver.lag_source,
     )

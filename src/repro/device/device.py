@@ -87,17 +87,18 @@ class Device:
             scheduler=self.scheduler,
         )
 
-    def set_governor(self, name: str, **tunables):
-        """Install and start a governor by sysfs-style name.
+    def set_governor(self, name: str):
+        """Install and start a governor by its config string.
 
         ``fixed:<khz>`` pins the userspace governor at a frequency, which
-        is how the paper's 14 fixed-frequency configurations are run.
+        is how the paper's 14 fixed-frequency configurations are run;
+        ``name:key=value,...`` sets a governor's parameters.
         """
         from repro.governors.base import create_governor
 
         if self._governor is not None:
             self._governor.stop()
-        governor = create_governor(name, self.governor_context(), **tunables)
+        governor = create_governor(name, self.governor_context())
         governor.start()
         self._governor = governor
         return governor

@@ -15,10 +15,12 @@ through one :class:`~repro.fleet.engine.FleetEngine`, so
 * results merge in spec order, so scores are bit-identical for any
   ``jobs`` value.
 
-The oracle (paper §III-B) is composed once, from the 14 fixed-frequency
-runs dispatched through the same engine and cache that the candidates
-use — an exploration therefore shares cells with any earlier ``sweep``
-of the same dataset.
+The oracle (paper §III-B) is composed once, from one fixed-frequency
+run per OPP of the workload's device profile (14 on the stock table),
+dispatched through the same engine and cache that the candidates use —
+an exploration therefore shares cells with any earlier ``sweep`` of the
+same dataset.  The evaluator takes no table, power model or HCI model:
+each is what the workload already determines.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.device.frequencies import FrequencyTable
-from repro.device.power import PowerModel
 from repro.fleet.cache import ResultCache
 from repro.fleet.engine import FleetEngine
 from repro.fleet.progress import ProgressReporter
@@ -36,7 +36,6 @@ from repro.governors.config import canonical_config
 from repro.harness.experiment import WorkloadArtifacts
 from repro.results import RunRecord
 from repro.harness.sweep import compose_oracle_from_runs, fixed_configs
-from repro.metrics.hci import HciModel
 from repro.oracle.builder import OracleResult
 
 #: Default exchange rate for scalarising (energy, irritation) when a
@@ -100,7 +99,12 @@ def dominant_cause_of_runs(runs: Sequence[RunRecord]) -> str | None:
 
 
 class ExploreEvaluator:
-    """Score candidate config strings against the dataset's oracle."""
+    """Score candidate config strings against the dataset's oracle.
+
+    Everything the workload determines comes from it: the OPP table and
+    power model from its device profile (:mod:`repro.scenarios.profiles`),
+    the irritation thresholds from its annotation database.
+    """
 
     def __init__(
         self,
@@ -109,18 +113,13 @@ class ExploreEvaluator:
         cache: ResultCache | None = None,
         master_seed: int | None = None,
         oracle_reps: int = 1,
-        table: FrequencyTable | None = None,
-        power_model: PowerModel | None = None,
-        hci_model: HciModel | None = None,
         progress: ProgressReporter | None = None,
         backend=None,
     ) -> None:
-        from repro.scenarios.profiles import frequency_table_for, power_model_for
+        from repro.scenarios.profiles import frequency_table_for
 
         self.artifacts = artifacts
-        self.table = table or frequency_table_for(artifacts.spec)
-        self.power_model = power_model or power_model_for(artifacts.spec)
-        self.hci_model = hci_model
+        self.table = frequency_table_for(artifacts.spec)
         self.master_seed = (
             artifacts.recording_master_seed
             if master_seed is None
@@ -143,9 +142,7 @@ class ExploreEvaluator:
             specs = self._specs(configs, self.oracle_reps)
             results = self._run(specs)
             runs = group_results_by_config(specs, results, configs)
-            self._oracle = compose_oracle_from_runs(
-                self.artifacts, runs, self.table, self.power_model
-            )
+            self._oracle = compose_oracle_from_runs(self.artifacts, runs)
         return self._oracle
 
     def evaluate(
@@ -170,15 +167,13 @@ class ExploreEvaluator:
             for config in todo:
                 runs = grouped[config]
                 mean_energy = sum(r.dynamic_energy_j for r in runs) / len(runs)
-                irritation = sum(
-                    r.irritation_seconds(self.hci_model) for r in runs
-                ) / len(runs)
+                irritation = sum(r.irritation_seconds() for r in runs)
                 self._scores[(config, reps)] = CandidateScore(
                     config=config,
                     reps=reps,
                     mean_energy_j=mean_energy,
                     energy_norm=mean_energy / oracle.energy_j,
-                    irritation_s=irritation,
+                    irritation_s=irritation / len(runs),
                     dominant_cause=dominant_cause_of_runs(runs),
                 )
         return [self._scores[(config, reps)] for config in canonical]

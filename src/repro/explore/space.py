@@ -23,7 +23,7 @@ from typing import Iterator
 
 import repro.governors  # noqa: F401  — populate the governor registry
 from repro.core.errors import ReproError
-from repro.device.frequencies import FrequencyTable, snapdragon_8074_table
+from repro.device.frequencies import FrequencyTable
 from repro.governors.base import check_config_params, governor_factory
 from repro.governors.config import format_config, parse_config
 
@@ -71,15 +71,18 @@ class ParamSpec:
 
 
 class GovernorSpace:
-    """A finite, enumerable parameter grid for one registered governor."""
+    """A finite, enumerable parameter grid for one registered governor.
+
+    ``table`` is the OPP table of the device the workload runs on; its
+    frequency-valued parameters must be operating points of it.
+    """
 
     def __init__(
         self,
         governor: str,
         params: tuple[ParamSpec, ...] | list[ParamSpec],
-        table: FrequencyTable | None = None,
+        table: FrequencyTable,
     ) -> None:
-        table = table or snapdragon_8074_table()
         factory = governor_factory(governor)
         ordered = tuple(sorted(params, key=lambda p: p.key))
         seen: set[str] = set()
@@ -167,11 +170,12 @@ class GovernorSpace:
             )
 
 
-def builtin_space(
-    governor: str, table: FrequencyTable | None = None
-) -> GovernorSpace:
-    """The stock search space for one of the studied governors."""
-    table = table or snapdragon_8074_table()
+def builtin_space(governor: str, table: FrequencyTable) -> GovernorSpace:
+    """The built-in search space for one of the studied governors.
+
+    Frequency-valued parameters draw from ``table`` — the workload's own
+    OPP table (:func:`repro.scenarios.profiles.frequency_table_for`).
+    """
     try:
         params = _BUILTIN_PARAMS[governor](table)
     except KeyError:

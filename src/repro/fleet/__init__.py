@@ -40,7 +40,7 @@ from repro.fleet.engine import (
     execute_spec,
 )
 from repro.fleet.progress import ProgressReporter
-from repro.fleet.spec import RunSpec, enumerate_sweep_specs, freeze_tunables
+from repro.fleet.spec import RunSpec, enumerate_sweep_specs
 
 __all__ = [
     "DistributedBackend",
@@ -57,7 +57,6 @@ __all__ = [
     "create_backend",
     "enumerate_sweep_specs",
     "execute_spec",
-    "freeze_tunables",
     "parse_backend_spec",
     "workload_fingerprint",
 ]

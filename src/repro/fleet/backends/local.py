@@ -89,7 +89,6 @@ def run_spec_cell(item: tuple[int, RunSpec]) -> CellResult:
                     spec.config,
                     rep=spec.rep,
                     master_seed=spec.master_seed,
-                    **spec.tunables_dict(),
                 )
                 mode = "demand"
             except DemandFallback as fallback:

@@ -179,7 +179,6 @@ def execute_spec(artifacts: "WorkloadArtifacts", spec: RunSpec) -> RunRecord:
         spec.config,
         rep=spec.rep,
         master_seed=spec.master_seed,
-        **spec.tunables_dict(),
     )
 
 

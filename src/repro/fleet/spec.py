@@ -13,60 +13,24 @@ same spec are therefore bit-identical wherever they run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-
-Tunables = tuple[tuple[str, object], ...]
-
-
-def _canonical_tunable_value(value: object) -> object:
-    """Collapse numerically equal tunable spellings onto one identity.
-
-    ``boost=1`` and ``boost=1.0`` drive the identical replay (the
-    governor arithmetic does not distinguish them), so they must share
-    one cache key and one RNG-irrelevant spec identity: integral floats
-    become ints.  Bools are left alone — ``True == 1`` numerically, but
-    a flag-valued tunable is not a frequency and must not alias one.
-    """
-    if isinstance(value, float) and not isinstance(value, bool):
-        if value.is_integer():
-            return int(value)
-    return value
-
-
-def freeze_tunables(tunables: dict[str, object] | Tunables | None) -> Tunables:
-    """Normalise governor tunables to a sorted, hashable tuple of pairs.
-
-    Values are canonicalised (``1.0`` → ``1``) so numerically equal
-    spellings of the same replay share one cache identity.
-    """
-    if not tunables:
-        return ()
-    if isinstance(tunables, dict):
-        items = tunables.items()
-    else:
-        items = tunables
-    return tuple(
-        sorted((str(k), _canonical_tunable_value(v)) for k, v in items)
-    )
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
 class RunSpec:
     """One replay of one workload under one configuration.
 
-    ``config`` is a governor name (``ondemand``, …) or ``fixed:<khz>``;
-    ``tunables`` are governor keyword overrides, stored as sorted pairs so
-    that specs stay hashable and their cache tokens canonical.
+    ``config`` is a config string (``ondemand``, ``fixed:<khz>``,
+    ``interactive:hispeed=652800``, …), canonicalised by the sweep and
+    the explorer.  It is the cell's whole governor identity: a governor's
+    parameters live in the string, so the string alone names the RNG
+    stream and the cache cell.
     """
 
     dataset: str
     config: str
     rep: int
     master_seed: int
-    tunables: Tunables = field(default=())
-
-    def tunables_dict(self) -> dict[str, object]:
-        return dict(self.tunables)
 
     def label(self) -> str:
         return f"{self.dataset}:{self.config}:rep{self.rep}"
@@ -82,7 +46,6 @@ class RunSpec:
             "config": self.config,
             "rep": self.rep,
             "master_seed": self.master_seed,
-            "tunables": [list(pair) for pair in self.tunables],
         }
 
     @classmethod
@@ -93,9 +56,6 @@ class RunSpec:
             config=wire["config"],
             rep=wire["rep"],
             master_seed=wire["master_seed"],
-            tunables=freeze_tunables(
-                [(key, value) for key, value in wire["tunables"]]
-            ),
         )
 
 
@@ -119,21 +79,18 @@ def enumerate_sweep_specs(
     configs: list[str],
     reps: int,
     master_seed: int,
-    tunables: dict[str, object] | Tunables | None = None,
 ) -> list[RunSpec]:
     """The study grid in serial order: config-major, then repetition.
 
     This is the exact nesting the serial sweep used, so an ordered merge
     of fleet results reproduces the serial output bit for bit.
     """
-    frozen = freeze_tunables(tunables)
     return [
         RunSpec(
             dataset=dataset,
             config=config,
             rep=rep,
             master_seed=master_seed,
-            tunables=frozen,
         )
         for config in configs
         for rep in range(reps)

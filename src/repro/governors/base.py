@@ -191,27 +191,22 @@ class Governor(ABC):
 
     @classmethod
     def from_params(
-        cls, context: GovernorContext, params: dict[str, int], **tunables
+        cls, context: GovernorContext, params: dict[str, int]
     ) -> "Governor":
         """Construct from parsed config-string parameters.
 
-        ``params`` uses the short keys of :attr:`config_params`;
-        ``tunables`` are direct constructor kwargs (the programmatic API).
-        Constructor validation failures surface as one-line
+        ``params`` uses the short keys of :attr:`config_params`; the
+        config string is the only way a configuration names its
+        parameters, so one spelling means one replay.  Constructor
+        validation failures surface as one-line
         :class:`GovernorError`\\ s so a bad ``--config`` dies cleanly.
         """
         check_config_params(cls.name, cls, params)
         kwargs: dict[str, object] = {
             cls.config_params[key]: value for key, value in params.items()
         }
-        overlap = sorted(set(kwargs) & set(tunables))
-        if overlap:
-            raise GovernorError(
-                f"governor {cls.name!r}: {', '.join(overlap)} given both "
-                "as config-string parameter and keyword"
-            )
         try:
-            return cls(context, **kwargs, **tunables)
+            return cls(context, **kwargs)
         except (TypeError, ValueError) as exc:
             raise GovernorError(f"governor {cls.name!r}: {exc}") from exc
 
@@ -293,25 +288,25 @@ def governor_factory(name: str) -> Callable[..., Governor]:
         ) from None
 
 
-def create_governor(name: str, context: GovernorContext, **tunables) -> Governor:
-    """Instantiate a governor from a config string, passing tunables through.
+def create_governor(name: str, context: GovernorContext) -> Governor:
+    """Instantiate a governor from its config string.
 
     ``name`` is any config string :func:`repro.governors.config.parse_config`
     accepts: a bare governor name, ``fixed:<khz>`` (the userspace governor
     pinned at a frequency), or a parameterized form such as
     ``qoe_aware:boost=1_036_800,settle=40000`` whose parameters are routed
-    through the governor's :meth:`Governor.from_params` hook.
+    through the governor's :meth:`Governor.from_params` hook.  Code that
+    needs other constructor arguments builds the governor class directly.
     """
     base, params = parse_config(name)
     if base == "fixed":
-        factory = _REGISTRY["userspace"]
-        return factory(context, fixed_khz=params["khz"], **tunables)
+        return _REGISTRY["userspace"](context, fixed_khz=params["khz"])
     factory = governor_factory(base)
     from_params = getattr(factory, "from_params", None)
     if from_params is not None:
-        return from_params(context, params, **tunables)
+        return from_params(context, params)
     if params:
         raise GovernorError(
             f"governor {base!r} takes no config-string parameters"
         )
-    return factory(context, **tunables)
+    return factory(context)

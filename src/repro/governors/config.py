@@ -12,7 +12,10 @@ Parameter keys are the short aliases each governor declares in its
 integers and may use ``_`` digit separators.  :func:`canonical_config`
 normalises a string — parameters sorted by key, separators stripped — so
 that every spelling of the same configuration maps to one cache cell and
-one RNG stream.
+one RNG stream.  The config string is the only way to parameterise a
+governor wherever a configuration is named (``replay_run``, the fleet's
+``RunSpec``, ``sweep --config``, the explorer), so the RNG fork and the
+cache key see every parameter.
 
 This module is deliberately free of simulator imports: the fleet layer
 and the design-space explorer both canonicalise config strings without

@@ -75,6 +75,7 @@ from repro.harness.sweep import (
     parse_sweep_configs,
     run_sweep,
 )
+from repro.scenarios.profiles import frequency_table_for
 from repro.workloads.datasets import dataset, dataset_names
 
 DEFAULT_CACHE_DIR = "~/.cache/repro-qoe"
@@ -233,13 +234,17 @@ def _add_scenario_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _canonical_workload(name: str) -> str:
+    """A workload name in its one spelling: scenario strings canonicalised
+    (:func:`dataset` resolves either form)."""
+    from repro.scenarios.config import canonical_scenario, is_scenario_name
+
+    return canonical_scenario(name) if is_scenario_name(name) else name
+
+
 def _workload_name(args) -> str:
     """The workload to run: a canonicalised --scenario, else --dataset."""
-    from repro.scenarios.config import canonical_scenario
-
-    if getattr(args, "scenario", None):
-        return canonical_scenario(args.scenario)
-    return args.dataset
+    return _canonical_workload(getattr(args, "scenario", None) or args.dataset)
 
 
 def _print_cache_summary(cache: ResultCache | None, stream=None) -> None:
@@ -285,8 +290,6 @@ def _sweep_configs_from_args(args, table) -> list[str] | None:
 
 
 def cmd_sweep(args) -> int:
-    from repro.scenarios.profiles import frequency_table_for
-
     t0 = time.time()
     seed = _master_seed(args)
     backend, cache = _fleet_backend(args)
@@ -301,7 +304,6 @@ def cmd_sweep(args) -> int:
             reps=args.reps,
             configs=configs,
             master_seed=seed,
-            table=table,
             jobs=args.jobs,
             cache=cache,
             progress=_progress(artifacts.name, args.verbose, jsonl),
@@ -329,13 +331,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_study(args) -> int:
-    from repro.scenarios.config import canonical_scenario
-
     seed = _master_seed(args)
     backend, cache = _fleet_backend(args)
     names = list(args.datasets)
     if args.scenarios:
-        names.extend(canonical_scenario(s) for s in args.scenarios)
+        names.extend(_canonical_workload(s) for s in args.scenarios)
     sweeps = {}
     artifacts_list = []
     # One reporter across every per-workload sweep: the JSONL stream is a
@@ -387,13 +387,16 @@ def cmd_explore(args) -> int:
     seed = _master_seed(args)
     backend, cache = _fleet_backend(args)
     args.dataset = _workload_name(args)  # canonicalised before recording
-    space = builtin_space(args.governor)  # validated before recording
+    spec = dataset(args.dataset)
+    # The space draws its OPPs from the workload's own device profile,
+    # validated before recording.
+    space = builtin_space(args.governor, frequency_table_for(spec))
     strategy = make_strategy(
         args.strategy,
         reps=args.reps,
         irritation_weight=args.irritation_weight,
     )
-    artifacts = record_workload(dataset(args.dataset), master_seed=seed)
+    artifacts = record_workload(spec, master_seed=seed)
     jsonl = _progress_jsonl(args)
     try:
         evaluator = ExploreEvaluator(
@@ -483,14 +486,9 @@ def cmd_trace(args) -> int:
     """Replay one workload with full observability and export the trace."""
     from repro import obs
     from repro.harness.experiment import replay_run
-    from repro.scenarios.config import canonical_scenario
 
     seed = _master_seed(args)
-    name = (
-        canonical_scenario(args.workload)
-        if "=" in args.workload
-        else args.workload
-    )
+    name = _canonical_workload(args.workload)
     artifacts = record_workload(dataset(name), master_seed=seed)
     session = obs.ObsSession.for_tracing()
     with obs.observed(session):
@@ -541,14 +539,9 @@ def cmd_attribute(args) -> int:
         attribute_record,
         render_report,
     )
-    from repro.scenarios.config import canonical_scenario
 
     seed = _master_seed(args)
-    name = (
-        canonical_scenario(args.workload)
-        if "=" in args.workload
-        else args.workload
-    )
+    name = _canonical_workload(args.workload)
     artifacts = record_workload(dataset(name), master_seed=seed)
     session = obs.ObsSession.for_tracing()
     with obs.observed(session):
@@ -586,18 +579,17 @@ def cmd_demand(args) -> int:
     import json as json_module
 
     from repro.demand import DemandTrace, DemandTraceError, capture_demand
-    from repro.scenarios.config import canonical_scenario
 
     seed = _master_seed(args)
-    name = (
-        canonical_scenario(args.workload)
-        if "=" in args.workload
-        else args.workload
-    )
+    name = _canonical_workload(args.workload)
     if args.input:
-        trace = DemandTrace.loads(
-            Path(args.input).read_text(encoding="utf-8")
-        )
+        try:
+            trace = DemandTrace.loads(
+                Path(args.input).read_text(encoding="utf-8")
+            )
+        except DemandTraceError as exc:
+            print(f"repro-qoe: demand trace invalid: {exc}", file=sys.stderr)
+            return 1
         print(f"# demand trace <- {args.input}", file=sys.stderr)
     else:
         artifacts = record_workload(dataset(name), master_seed=seed)

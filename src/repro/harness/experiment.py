@@ -36,7 +36,7 @@ from repro.capture import CaptureCard
 from repro.core.errors import WorkloadError
 from repro.core.rng import RngStreams
 from repro.core.simtime import seconds
-from repro.device.device import Device, DeviceConfig
+from repro.device.device import Device
 from repro.metrics.hci import SHNEIDERMAN_MODEL, HciModel
 from repro.obs import session as obs_session
 from repro.replay import GeteventRecorder, ReplayAgent
@@ -79,12 +79,10 @@ def record_workload(
     spec: DatasetSpec,
     master_seed: int = DEFAULT_MASTER_SEED,
     hci_model: HciModel = SHNEIDERMAN_MODEL,
-    device_config: DeviceConfig | None = None,
 ) -> WorkloadArtifacts:
     """Record, capture and annotate one dataset (paper Fig. 4, part A)."""
     streams = RngStreams(master_seed).fork(f"dataset:{spec.name}")
-    if device_config is None:
-        device_config = device_config_for(spec)
+    device_config = device_config_for(spec)
     device = Device(device_config)
     wm = WindowManager(device)
     install_standard_apps(wm)
@@ -170,8 +168,6 @@ def run_cell(
     config: str,
     rep: int,
     master_seed: int,
-    device_config: DeviceConfig | None,
-    governor_tunables: dict,
     install,
     lag_source,
 ) -> RunRecord:
@@ -202,14 +198,12 @@ def run_cell(
         streams = RngStreams(master_seed).fork(
             f"replay:{artifacts.name}:{config}:{rep}"
         )
-        if device_config is None:
-            device_config = device_config_for(artifacts.spec)
-        device = Device(device_config)
+        device = Device(device_config_for(artifacts.spec))
         install(device)
         BackgroundServices(
             device.engine, device.scheduler, streams.stream("services")
         ).start()
-        device.set_governor(config, **governor_tunables)
+        device.set_governor(config)
         device.cpu.enable_busy_trace()
         ReplayAgent(device.engine, device.input_subsystem).schedule(
             artifacts.trace
@@ -255,15 +249,16 @@ def replay_run(
     config: str,
     rep: int = 0,
     master_seed: int = DEFAULT_MASTER_SEED,
-    device_config: DeviceConfig | None = None,
     frame_tap=None,
-    **governor_tunables,
 ) -> RunRecord:
     """Replay a recorded workload under a configuration (part B).
 
-    ``config`` is a governor name (``ondemand``, ``conservative``,
-    ``interactive``, …) or ``fixed:<khz>`` for one of the 14 operating
-    points.
+    ``config`` is a config string: a governor name (``ondemand``,
+    ``conservative``, ``interactive``, …), ``fixed:<khz>`` for one of
+    the device's operating points, or a parameterised governor such as
+    ``interactive:hispeed=652800``.  The config string is the cell's
+    whole governor identity — it names the RNG stream and the cache
+    cell — so a governor's parameters are set only through it.
 
     ``frame_tap``, if given, is a :class:`~repro.capture.stream.FrameTap`
     subscribed to the capture — the golden-equivalence tests digest the
@@ -274,8 +269,6 @@ def replay_run(
         config,
         rep,
         master_seed,
-        device_config,
-        governor_tunables,
         install=lambda device: install_standard_apps(WindowManager(device)),
         lag_source=lambda device: stream_lags(
             device, artifacts.database, frame_tap

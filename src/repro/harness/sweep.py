@@ -29,7 +29,6 @@ from repro.fleet.spec import (
 )
 from repro.harness.experiment import WorkloadArtifacts
 from repro.results import RunRecord
-from repro.metrics.hci import HciModel
 from repro.oracle.builder import OracleResult, build_oracle
 
 GOVERNORS = ("conservative", "interactive", "ondemand")
@@ -143,9 +142,10 @@ class SweepResult:
         results = self._results(config)
         return sum(r.dynamic_energy_j for r in results) / len(results)
 
-    def mean_irritation_s(self, config: str, model: HciModel | None = None) -> float:
+    def mean_irritation_s(self, config: str) -> float:
+        """Mean irritation at the thresholds annotated at recording."""
         results = self._results(config)
-        return sum(r.irritation_seconds(model) for r in results) / len(results)
+        return sum(r.irritation_seconds() for r in results) / len(results)
 
     def energy_normalised_to_oracle(self, config: str) -> float:
         return self.mean_energy_j(config) / self.oracle.energy_j
@@ -172,8 +172,6 @@ def run_sweep(
     reps: int = 5,
     configs: list[str] | None = None,
     master_seed: int | None = None,
-    power_model: PowerModel | None = None,
-    table: FrequencyTable | None = None,
     progress: ProgressReporter | None = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
@@ -189,14 +187,13 @@ def run_sweep(
     to the serial, uncached path.  The engine binds ``progress`` to the
     sweep's spec list before the fleet starts.
 
-    By default the OPP table and power model come from the workload's
-    device profile, so a scenario on ``quad_ls`` sweeps (and composes
-    its oracle over) that device's table, not the stock one.
+    The OPP table and power model are the workload's own device
+    profile's, so a scenario on ``quad_ls`` sweeps (and composes its
+    oracle over) that device's table, not the stock one.
     """
-    from repro.scenarios.profiles import frequency_table_for, power_model_for
+    from repro.scenarios.profiles import frequency_table_for
 
-    table = table or frequency_table_for(artifacts.spec)
-    power_model = power_model or power_model_for(artifacts.spec)
+    table = frequency_table_for(artifacts.spec)
     # Canonicalise up front so every spelling of a configuration shares
     # one cache cell, one RNG stream and one results key.
     configs = parse_sweep_configs(
@@ -210,7 +207,7 @@ def run_sweep(
     )
     results = engine.run(artifacts, specs)
     runs = group_results_by_config(specs, results, configs)
-    oracle = compose_oracle_from_runs(artifacts, runs, table, power_model)
+    oracle = compose_oracle_from_runs(artifacts, runs)
     return SweepResult(
         workload=artifacts.name, runs=runs, oracle=oracle, table=table
     )
@@ -222,9 +219,12 @@ def compose_oracle_from_runs(
     table: FrequencyTable | None = None,
     power_model: PowerModel | None = None,
 ) -> OracleResult:
-    """Build the oracle from the sweep's fixed-frequency runs."""
-    table = table or snapdragon_8074_table()
-    power_model = power_model or PowerModel()
+    """Build the oracle from the sweep's fixed-frequency runs, on the
+    workload's own device profile unless ``table``/``power_model`` say."""
+    from repro.scenarios.profiles import frequency_table_for, power_model_for
+
+    table = table or frequency_table_for(artifacts.spec)
+    power_model = power_model or power_model_for(artifacts.spec)
     fixed_profiles = {}
     fixed_busy = {}
     fixed_energy = {}

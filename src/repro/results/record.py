@@ -54,7 +54,6 @@ from repro.analysis.lagprofile import LagMeasurement, LagProfile
 from repro.results.pairs import IntPairs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.metrics.hci import HciModel
     from repro.oracle.builder import BusyTimeline
 
 #: Version of the canonical row layout.  Bump on ANY change to the
@@ -139,8 +138,9 @@ class RunRecord:
             self._timeline = BusyTimeline(self.busy_intervals)
         return self._timeline
 
-    def irritation_seconds(self, model: "HciModel | None" = None) -> float:
-        return self.lag_profile.irritation(model).total_seconds
+    def irritation_seconds(self) -> float:
+        """Irritation at the thresholds annotated at recording time."""
+        return self.lag_profile.irritation().total_seconds
 
     # --- serialization ----------------------------------------------------------
 

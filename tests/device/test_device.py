@@ -36,7 +36,7 @@ def test_fixed_governor_shorthand(device):
 
 
 def test_governor_tunables_forwarded(device):
-    governor = device.set_governor("ondemand", up_threshold=60)
+    governor = device.set_governor("ondemand:up_threshold=60")
     assert governor.up_threshold == 60
 
 

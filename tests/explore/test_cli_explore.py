@@ -106,6 +106,34 @@ def test_explore_jsonl_summaries_count_each_batch_once(tmp_path, capsys):
     ]
 
 
+def test_explore_space_uses_the_scenarios_own_opps(capsys):
+    """Regression: the explorer built its space on the stock table, so a
+    quad_ls scenario proposed hispeed values up to 1.96 GHz on a device
+    whose table tops out at 1.19 GHz."""
+    import re
+
+    from repro.scenarios.profiles import device_profile
+
+    rc, out, _err = run_cli(
+        capsys,
+        "explore",
+        "--scenario", "persona=gamer,seed=7,duration=45s,profile=quad_ls",
+        "--governor", "interactive",
+        "--strategy", "random",
+        "--budget", "2",
+        "--reps", "1",
+        "--no-baselines",
+        "--no-cache",
+    )
+    assert rc == 0
+    opps = set(device_profile("quad_ls").freqs_khz)
+    # [:,] anchors the key, so go_hispeed=99 is not read as a frequency.
+    pattern = r"[:,](?:hispeed|boost)=(\d+)"
+    proposed = [int(value) for value in re.findall(pattern, out)]
+    assert len(proposed) == 2
+    assert set(proposed) <= opps
+
+
 def test_explore_unknown_governor_fails_cleanly(capsys):
     rc, _out, err = run_cli(
         capsys, "explore", "--governor", "warp", "--no-cache"

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.errors import ReproError
+from repro.device.frequencies import snapdragon_8074_table
 from repro.explore.space import (
     GovernorSpace,
     ParamSpec,
@@ -42,6 +43,7 @@ def small_space() -> GovernorSpace:
             ParamSpec("boost", (960_000, 1_036_800, 1_190_400), unit="khz"),
             ParamSpec("settle", (20_000, 40_000), unit="us"),
         ],
+        snapdragon_8074_table(),
     )
 
 
@@ -94,16 +96,24 @@ class TestGovernorSpace:
 
     def test_unknown_governor_rejected(self):
         with pytest.raises(ReproError, match="warp"):
-            GovernorSpace("warp", [ParamSpec("x", (1,))])
+            GovernorSpace(
+                "warp", [ParamSpec("x", (1,))], snapdragon_8074_table()
+            )
 
     def test_undeclared_tunable_rejected(self):
         with pytest.raises(ReproError, match="bogus"):
-            GovernorSpace("qoe_aware", [ParamSpec("bogus", (1,))])
+            GovernorSpace(
+                "qoe_aware",
+                [ParamSpec("bogus", (1,))],
+                snapdragon_8074_table(),
+            )
 
     def test_out_of_table_frequency_rejected(self):
         with pytest.raises(ReproError, match="123"):
             GovernorSpace(
-                "qoe_aware", [ParamSpec("boost", (123,), unit="khz")]
+                "qoe_aware",
+                [ParamSpec("boost", (123,), unit="khz")],
+                snapdragon_8074_table(),
             )
 
 
@@ -118,7 +128,7 @@ class TestBuiltinSpaces:
 
     @pytest.mark.parametrize("governor", builtin_space_names())
     def test_candidates_construct_real_governors(self, governor, device):
-        space = builtin_space(governor)
+        space = builtin_space(governor, snapdragon_8074_table())
         assert space.size > 1
         candidate = next(space.grid())
         installed = device.set_governor(space.config(candidate))
@@ -126,4 +136,4 @@ class TestBuiltinSpaces:
 
     def test_unknown_space_rejected(self):
         with pytest.raises(ReproError, match="powersave"):
-            builtin_space("powersave")
+            builtin_space("powersave", snapdragon_8074_table())

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.errors import ReproError
+from repro.device.frequencies import snapdragon_8074_table
 from repro.explore.evaluator import CandidateScore
 from repro.explore.space import GovernorSpace, ParamSpec
 from repro.explore.strategies import (
@@ -28,6 +29,7 @@ def space() -> GovernorSpace:
             ParamSpec("boost", BOOSTS, unit="khz"),
             ParamSpec("settle", SETTLES, unit="us"),
         ],
+        snapdragon_8074_table(),
     )
 
 

@@ -115,9 +115,8 @@ def test_cache_hits_reported_as_cached_progress(tmp_path, artifacts_ds03, specs)
 def test_key_incorporates_governor_parameters(tmp_path, artifacts_ds03):
     """Regression: two parameterizations of one governor must never collide.
 
-    Governor parameters reach a spec two ways — embedded in the config
-    string or as the ``tunables`` field — and both must distinguish the
-    cache cell from the bare governor name.
+    Governor parameters reach a spec only inside the config string, and
+    they must distinguish the cache cell from the bare governor name.
     """
     cache = ResultCache(tmp_path)
     fingerprint = workload_fingerprint(artifacts_ds03)
@@ -129,15 +128,45 @@ def test_key_incorporates_governor_parameters(tmp_path, artifacts_ds03):
     other_string = RunSpec(
         artifacts_ds03.name, "qoe_aware:boost=1036800,settle=60000", 0, seed
     )
-    as_tunables = RunSpec(
-        artifacts_ds03.name, "qoe_aware", 0, seed,
-        tunables=(("boost_freq_khz", 1036800),),
-    )
     keys = [
         cache.key_for(spec, fingerprint)
-        for spec in (bare, in_string, other_string, as_tunables)
+        for spec in (bare, in_string, other_string)
     ]
     assert len(set(keys)) == len(keys)
+
+
+def test_parameterised_config_has_one_record_and_one_key(
+    tmp_path, artifacts_ds03
+):
+    """A governor's parameters have one spelling, the config string.
+
+    The RNG fork and the cache token see only the config string, so a
+    keyword spelling replayed a different record under the same key;
+    it is gone, and the one spelling gives one record on every path.
+    """
+    from repro.governors.config import canonical_config
+    from repro.harness.experiment import replay_run
+
+    with pytest.raises(TypeError):
+        replay_run(artifacts_ds03, "interactive", hispeed_freq_khz=652_800)
+
+    seed = artifacts_ds03.recording_master_seed
+    config = canonical_config("interactive:hispeed=652_800")
+    spec = RunSpec(artifacts_ds03.name, config, 0, seed)
+    direct = replay_run(artifacts_ds03, config, master_seed=seed)
+    assert execute_spec(artifacts_ds03, spec) == direct
+    cache = ResultCache(tmp_path)
+    assert FleetEngine(jobs=1, cache=cache).run(artifacts_ds03, [spec]) == [
+        direct
+    ]
+    assert FleetEngine(jobs=2).run(artifacts_ds03, [spec]) == [direct]
+    key = cache.key_for(spec, workload_fingerprint(artifacts_ds03))
+    rows = [
+        path.stem
+        for path in tmp_path.glob("*/*.json")
+        if path.parent.name != "demand"
+    ]
+    assert rows == [key]
 
 
 def test_scenario_identity_flows_into_cache_keys(tmp_path):

@@ -1,8 +1,9 @@
 """Tests for run specs and the sweep-grid enumerator."""
 
+import dataclasses
 import pickle
 
-from repro.fleet.spec import RunSpec, enumerate_sweep_specs, freeze_tunables
+from repro.fleet.spec import RunSpec, enumerate_sweep_specs
 
 
 def test_enumerator_is_config_major_serial_order():
@@ -15,70 +16,50 @@ def test_enumerator_is_config_major_serial_order():
 
 
 def test_spec_is_hashable_and_picklable():
-    spec = RunSpec("02", "ondemand", 1, 2014, (("up_threshold", 80),))
+    spec = RunSpec("02", "ondemand:up_threshold=80", 1, 2014)
     assert pickle.loads(pickle.dumps(spec)) == spec
     assert len({spec, spec}) == 1
 
 
-def test_freeze_tunables_sorts_and_normalises():
-    assert freeze_tunables(None) == ()
-    assert freeze_tunables({}) == ()
-    frozen = freeze_tunables({"b": 2, "a": 1})
-    assert frozen == (("a", 1), ("b", 2))
-    assert freeze_tunables(frozen) == frozen
-
-
 def test_cache_token_is_canonical():
-    one = RunSpec("02", "ondemand", 1, 2014, freeze_tunables({"b": 2, "a": 1}))
-    two = RunSpec("02", "ondemand", 1, 2014, freeze_tunables({"a": 1, "b": 2}))
+    one = RunSpec("02", "ondemand", 1, 2014)
+    two = RunSpec("02", "ondemand", 1, 2014)
     assert one.cache_token() == two.cache_token()
     # Every identity field must reach the token.
     assert one.cache_token() != RunSpec("02", "ondemand", 2, 2014).cache_token()
     assert one.cache_token() != RunSpec("02", "ondemand", 1, 7).cache_token()
     assert one.cache_token() != RunSpec("03", "ondemand", 1, 2014).cache_token()
+    tuned = RunSpec("02", "ondemand:up_threshold=80", 1, 2014)
+    assert one.cache_token() != tuned.cache_token()
+
+
+def test_spec_identity_is_four_fields():
+    """The config string carries every governor parameter; a spec has no
+    second place for them."""
+    assert [f.name for f in dataclasses.fields(RunSpec)] == [
+        "dataset", "config", "rep", "master_seed",
+    ]
+    assert set(RunSpec("02", "ondemand", 0, 2014).to_wire()) == {
+        "dataset", "config", "rep", "master_seed",
+    }
 
 
 def test_label_names_the_cell():
     assert RunSpec("02", "fixed:300000", 4, 2014).label() == "02:fixed:300000:rep4"
 
 
-def test_integral_float_tunables_share_the_int_cache_identity():
-    """Regression: boost=1 and boost=1.0 replay identically (governors
-    coerce numerics) but froze to distinct tunable tuples, so the same
-    cell occupied two cache keys and two RNG streams."""
-    as_int = freeze_tunables({"boost": 1, "settle": 40000})
-    as_float = freeze_tunables({"boost": 1.0, "settle": 40000.0})
-    assert as_int == as_float
-    one = RunSpec("02", "qoe_aware", 0, 2014, as_int)
-    two = RunSpec("02", "qoe_aware", 0, 2014, as_float)
-    assert one.cache_token() == two.cache_token()
-    # Genuinely fractional values keep their own identity…
-    assert freeze_tunables({"x": 1.5}) != freeze_tunables({"x": 1})
-    # …and bools never canonicalise to ints: a flag-valued tunable keeps
-    # its JSON identity (true/false) distinct from a numeric one.
-    flag = RunSpec("02", "g", 0, 2014, freeze_tunables({"x": True}))
-    numeric = RunSpec("02", "g", 0, 2014, freeze_tunables({"x": 1}))
-    assert freeze_tunables({"x": True}) == (("x", True),)
-    assert flag.cache_token() != numeric.cache_token()
-
-
 def test_cache_token_wire_format_is_pinned():
     """The token is the cache-key payload: changing its shape silently
     orphans every previously cached cell.  Pin the literal bytes."""
-    spec = RunSpec(
-        "02", "qoe_aware", 0, 2014,
-        freeze_tunables({"boost": 1036800, "settle": 40000}),
-    )
+    spec = RunSpec("02", "qoe_aware:boost=1036800,settle=40000", 0, 2014)
     assert spec.cache_token() == (
-        '{"config":"qoe_aware","dataset":"02","master_seed":2014,'
-        '"rep":0,"tunables":[["boost",1036800],["settle",40000]]}'
+        '{"config":"qoe_aware:boost=1036800,settle=40000","dataset":"02",'
+        '"master_seed":2014,"rep":0}'
     )
 
 
 def test_wire_round_trip_preserves_identity():
-    spec = RunSpec(
-        "02", "ondemand", 3, 2014, freeze_tunables({"up_threshold": 80.0})
-    )
+    spec = RunSpec("02", "ondemand:up_threshold=80", 3, 2014)
     clone = RunSpec.from_wire(spec.to_wire())
     assert clone == spec
     assert clone.cache_token() == spec.cache_token()

@@ -77,3 +77,28 @@ def test_sweep_verbose_progress_shows_counts(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "(config 1/17, rep 1/1)" in err
     assert "17/17 runs" in err
+
+
+def test_demand_input_that_fails_to_load_exits_1(tmp_path, capsys):
+    """Regression: a trace that failed to load (here: no match table)
+    exited 2 through the generic error handler, while a schema violation
+    found by validation exited 1; both are invalid traces."""
+    import json
+
+    exported = tmp_path / "trace.json"
+    assert main(["demand", "03", "-o", str(exported)]) == 0
+    capsys.readouterr()
+    payload = json.loads(exported.read_text(encoding="utf-8"))
+    payload["match_states"] = None
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(payload), encoding="utf-8")
+
+    assert main(["demand", "03", "-i", str(broken)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    invalid = [
+        line for line in captured.err.splitlines()
+        if "demand trace invalid:" in line
+    ]
+    assert len(invalid) == 1
+    assert "match table" in invalid[0]

@@ -84,10 +84,6 @@ def test_replay_same_rep_is_deterministic(artifacts_ds03):
 
 
 def test_governor_tunables_passthrough(artifacts_ds03):
-    hot = replay_run(
-        artifacts_ds03, "interactive", hispeed_freq_khz=2_150_400
-    )
-    cold = replay_run(
-        artifacts_ds03, "interactive", hispeed_freq_khz=652_800
-    )
+    hot = replay_run(artifacts_ds03, "interactive:hispeed=2150400")
+    cold = replay_run(artifacts_ds03, "interactive:hispeed=652800")
     assert hot.dynamic_energy_j > cold.dynamic_energy_j
