@@ -482,20 +482,31 @@ def cmd_perf(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
-    """Replay one workload with full observability and export the trace."""
+def _traced_replay(args):
+    """Record ``args.workload`` and replay it once under ``--config`` with
+    full observability; returns ``(run_label, record, session)``.
+
+    ``--config`` is canonicalised and checked against the workload's own
+    OPP table before recording, as ``sweep --config`` is: an off-table
+    frequency parameter would otherwise clamp silently at runtime.
+    """
     from repro import obs
     from repro.harness.experiment import replay_run
 
     seed = _master_seed(args)
     name = _canonical_workload(args.workload)
-    artifacts = record_workload(dataset(name), master_seed=seed)
+    spec = dataset(name)
+    config = parse_sweep_configs([args.config], frequency_table_for(spec))[0]
+    artifacts = record_workload(spec, master_seed=seed)
     session = obs.ObsSession.for_tracing()
     with obs.observed(session):
-        record = replay_run(
-            artifacts, args.config, rep=args.rep, master_seed=seed
-        )
-    run_label = f"{name} [{args.config}]"
+        record = replay_run(artifacts, config, rep=args.rep, master_seed=seed)
+    return f"{name} [{config}]", record, session
+
+
+def cmd_trace(args) -> int:
+    """Replay one workload with full observability and export the trace."""
+    run_label, record, session = _traced_replay(args)
     session.tracer.write(args.output, run_label)
     # Summary on stderr only: like every other command, stdout stays
     # reserved for deterministic study output.
@@ -532,25 +543,15 @@ def cmd_attribute(args) -> int:
     """
     import json as json_module
 
-    from repro import obs
-    from repro.harness.experiment import replay_run
     from repro.obs.attribution import (
         annotate_document,
         attribute_record,
         render_report,
     )
 
-    seed = _master_seed(args)
-    name = _canonical_workload(args.workload)
-    artifacts = record_workload(dataset(name), master_seed=seed)
-    session = obs.ObsSession.for_tracing()
-    with obs.observed(session):
-        record = replay_run(
-            artifacts, args.config, rep=args.rep, master_seed=seed
-        )
+    run_label, record, session = _traced_replay(args)
     attribution = attribute_record(record, boosts=session.decisions.boosts)
     if args.output:
-        run_label = f"{name} [{args.config}]"
         document = annotate_document(
             session.tracer.to_chrome_trace(run_label), attribution
         )
@@ -767,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trace.add_argument(
         "--config", default="interactive", metavar="CFG",
-        help="governor or fixed:<khz> to replay under (default: interactive)",
+        help="config string to replay under (default: interactive)",
     )
     p_trace.add_argument(
         "-o", "--output", default="trace.json", metavar="PATH",
@@ -800,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_attr.add_argument(
         "--config", default="interactive", metavar="CFG",
-        help="governor or fixed:<khz> to replay under (default: interactive)",
+        help="config string to replay under (default: interactive)",
     )
     p_attr.add_argument(
         "-o", "--output", default=None, metavar="PATH",

@@ -92,3 +92,22 @@ def test_progress_jsonl_dash_streams_to_stderr(capsys):
     # stdout carries only the deterministic study output.
     assert "grid_bound" not in captured.out
     assert "Fig. 12" in captured.out
+
+
+@pytest.mark.parametrize("command", ["trace", "attribute"])
+def test_replay_commands_check_config_against_the_workloads_table(
+    tmp_path, capsys, command
+):
+    """Regression: ``trace``/``attribute`` replayed an off-table
+    ``hispeed`` (1.96 GHz on the 1.19 GHz quad_ls device), which clamps
+    silently at runtime; ``sweep --config`` already refused it."""
+    argv = [
+        command, "persona=gamer,seed=7,duration=45s,profile=quad_ls",
+        "--config", "interactive:hispeed=1958400",
+        "-o", str(tmp_path / "out.json"),
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "hispeed=1958400 is not an operating point" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
