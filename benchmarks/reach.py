@@ -31,9 +31,16 @@ live function stays unmarked.
 
 Child processes are not profiled, so code that runs only in fleet
 workers is listed as never entered; its name is referenced, so it is
-not marked.  Exit status 1 means an entry point failed; the list is
-printed only when all of them ran clean.  A full scan takes about five
-minutes on a two-core machine.
+not marked.
+
+``benchmarks/reach_keep.txt`` is the committed keep list: one
+``src/<path>.py:<qualname>  <reason>`` per line (``#`` starts a
+comment).  Every unreferenced function must be on it with the reason it
+stays; a function that is only never entered, but referenced, stays off
+it.  Exit status 1 means an entry point failed (the list is printed
+only when all of them ran clean), an unreferenced function is not on
+the keep list, or a keep line has no reason or names no unreferenced
+function.  A full scan takes about five minutes on a two-core machine.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 #: Where a name must occur as code (besides its definition) to count as used.
 REFERENCE_ROOTS = ("src", "perfbench", "benchmarks", "examples")
+KEEP_FILE = ROOT / "benchmarks" / "reach_keep.txt"
 
 SCENARIO = "persona=reader,seed=3,duration=45s"
 
@@ -281,7 +289,33 @@ def _fstring_names(literal: str):
             yield node.attr
 
 
-def report(entered: set[tuple[str, int]]) -> None:
+def read_keep_list(path: Path) -> tuple[dict[str, str], list[str]]:
+    """``({"file:qualname": reason}, problems)`` from the keep file."""
+    keep: dict[str, str] = {}
+    problems = []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        key, *reason = line.split(None, 1)
+        if not reason:
+            problems.append(f"{path.name}:{number}: {key} has no reason")
+        elif key in keep:
+            problems.append(f"{path.name}:{number}: {key} is listed twice")
+        else:
+            keep[key] = reason[0]
+    return keep, problems
+
+
+def complain(problems: list[str]) -> int:
+    """Print each problem; the exit status they call for."""
+    for problem in problems:
+        print(f"reach: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+def report(entered: set[tuple[str, int]], keep: dict[str, str]) -> list:
+    """Print the never-entered functions; the keep-list violations."""
     names = reference_names()
     functions = list(src_functions())
     unreached = [
@@ -300,17 +334,34 @@ def report(entered: set[tuple[str, int]]) -> None:
         f"them unreferenced ({marked_lines} lines)"
     )
     current = None
+    unlisted, kept = [], set()
     for path, first, name, lines in unreached:
         if path != current:
             current = path
             print(path.relative_to(ROOT))
-        flag = "  unreferenced" if (path, first) in marked else ""
+        flag = ""
+        if (path, first) in marked:
+            key = f"{path.relative_to(ROOT)}:{name}"
+            flag = "  unreferenced"
+            if key in keep:
+                kept.add(key)
+                flag += " (kept)"
+            else:
+                unlisted.append(key)
         print(f"  {first:5d}  {name} ({lines} lines){flag}")
+    problems = [f"{key} is unreferenced and not in {KEEP_FILE.name}"
+                for key in unlisted]
+    problems += [f"{KEEP_FILE.name} lists {key}, which is no unreferenced "
+                 "src function" for key in keep if key not in kept]
+    return problems
 
 
 def main() -> int:
     sys.path.insert(0, str(SRC))
     os.chdir(ROOT)
+    keep, problems = read_keep_list(KEEP_FILE)
+    if problems:
+        return complain(problems)
     scan = _Scan()
     with tempfile.TemporaryDirectory(prefix="reach-") as work:
         failures = run_entry_points(scan, Path(work))
@@ -322,11 +373,8 @@ def main() -> int:
               file=sys.stderr)
         return 1
     if failures:
-        for failure in failures:
-            print(f"reach: {failure}", file=sys.stderr)
-        return 1
-    report(entered)
-    return 0
+        return complain(failures)
+    return complain(report(entered, keep))
 
 
 if __name__ == "__main__":

@@ -31,17 +31,8 @@ class NaiveBoostGovernor(Governor):
             for node in self.context.input_subsystem.nodes():
                 node.add_observer(self._on_input)
 
-    def _on_stop(self) -> None:
-        if self.context.input_subsystem is not None:
-            for node in self.context.input_subsystem.nodes():
-                try:
-                    node.remove_observer(self._on_input)
-                except ValueError:
-                    pass
-
     def _on_input(self, _event) -> None:
-        if self.active:
-            self.policy.set_target(self.policy.max_khz, RELATION_HIGH)
+        self.policy.set_target(self.policy.max_khz, RELATION_HIGH)
 
 
 register_governor("naive_boost", NaiveBoostGovernor)

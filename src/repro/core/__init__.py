@@ -20,7 +20,6 @@ from repro.core.rng import RngStreams
 from repro.core.simtime import (
     MICROS_PER_MILLI,
     MICROS_PER_SECOND,
-    micros,
     millis,
     seconds,
     to_millis,
@@ -40,7 +39,6 @@ __all__ = [
     "RngStreams",
     "MICROS_PER_MILLI",
     "MICROS_PER_SECOND",
-    "micros",
     "millis",
     "seconds",
     "to_millis",

@@ -14,11 +14,6 @@ MICROS_PER_MINUTE = 60 * MICROS_PER_SECOND
 MICROS_PER_HOUR = 60 * MICROS_PER_MINUTE
 
 
-def micros(value: float) -> int:
-    """Convert a value already in microseconds to the canonical int form."""
-    return int(round(value))
-
-
 def millis(value: float) -> int:
     """Convert milliseconds to integer microseconds."""
     return int(round(value * MICROS_PER_MILLI))

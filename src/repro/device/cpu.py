@@ -80,9 +80,6 @@ class CpuCore:
         """
         self._busy_listeners.append(listener)
 
-    def remove_busy_listener(self, listener: Callable[[], None]) -> None:
-        self._busy_listeners.remove(listener)
-
     def add_idle_listener(self, listener: Callable[[], None]) -> None:
         """``listener`` fires on every busy-to-idle transition.
 
@@ -91,9 +88,6 @@ class CpuCore:
         first sample window that could observe load below 100.
         """
         self._idle_listeners.append(listener)
-
-    def remove_idle_listener(self, listener: Callable[[], None]) -> None:
-        self._idle_listeners.remove(listener)
 
     def busy_time_total(self) -> int:
         """Cumulative busy microseconds, including the open interval."""

@@ -90,14 +90,21 @@ class Device:
     def set_governor(self, name: str):
         """Install and start a governor by its config string.
 
-        ``fixed:<khz>`` pins the userspace governor at a frequency, which
-        is how the paper's 14 fixed-frequency configurations are run;
-        ``name:key=value,...`` sets a governor's parameters.
+        A device takes one governor for its lifetime, as each of the
+        paper's replays runs under one configuration; a second call
+        raises :class:`GovernorError`.  ``fixed:<khz>`` pins the userspace
+        governor at a frequency and is the only spelling of a pinned
+        frequency, which is how the paper's 14 fixed-frequency
+        configurations are run; ``name:key=value,...`` sets a governor's
+        parameters.
         """
         from repro.governors.base import create_governor
 
         if self._governor is not None:
-            self._governor.stop()
+            raise GovernorError(
+                f"device already runs governor {self._governor.name!r}; "
+                "a device takes one governor"
+            )
         governor = create_governor(name, self.governor_context())
         governor.start()
         self._governor = governor

@@ -131,11 +131,6 @@ class FrequencyTable:
         index = self._freqs.index(self.ceil(freq_khz))
         return self._freqs[min(index + steps, len(self._freqs) - 1)]
 
-    def step_down(self, freq_khz: int, steps: int = 1) -> int:
-        """The frequency ``steps`` table entries below ``freq_khz``."""
-        index = self._freqs.index(self.floor(freq_khz))
-        return self._freqs[max(index - steps, 0)]
-
 
 def snapdragon_8074_table() -> FrequencyTable:
     """The 14-point OPP table of the paper's experiment platform."""

@@ -1,8 +1,8 @@
 """DVFS governors.
 
 Faithful state machines for the three governors the paper characterises
-(ondemand, conservative, interactive) plus the trivial policies
-(performance, powersave, userspace/fixed) and a QoE-aware governor
+(ondemand, conservative, interactive), the userspace governor that
+``fixed:<khz>`` pins at one operating point, and a QoE-aware governor
 implementing the paper's proposed future-work direction.
 """
 
@@ -10,7 +10,6 @@ from repro.governors.base import Governor, GovernorContext, create_governor
 from repro.governors.conservative import ConservativeGovernor
 from repro.governors.interactive import InteractiveGovernor
 from repro.governors.ondemand import OndemandGovernor
-from repro.governors.performance import PerformanceGovernor, PowersaveGovernor
 from repro.governors.qoe_aware import QoeAwareGovernor
 from repro.governors.userspace import UserspaceGovernor
 
@@ -21,8 +20,6 @@ __all__ = [
     "OndemandGovernor",
     "ConservativeGovernor",
     "InteractiveGovernor",
-    "PerformanceGovernor",
-    "PowersaveGovernor",
     "UserspaceGovernor",
     "QoeAwareGovernor",
 ]

@@ -83,16 +83,6 @@ class TickElisionMixin:
             self._core.add_busy_listener(self._on_core_busy)
             self._core.add_idle_listener(self._on_core_idle)
 
-    def _elision_detach(self) -> None:
-        """Call from ``_on_stop``: drop park state and listeners."""
-        self._park_mode = None
-        if self._fastpath:
-            try:
-                self._core.remove_busy_listener(self._on_core_busy)
-                self._core.remove_idle_listener(self._on_core_idle)
-            except ValueError:
-                pass
-
     def _park(self, mode: str, wake_time: int | None = None) -> None:
         self._park_mode = mode
         if wake_time is None:
@@ -219,7 +209,12 @@ class Governor(ABC):
         return self.context.policy
 
     def start(self) -> None:
-        """Activate the governor (cpufreq ``GOV_START``)."""
+        """Activate the governor (cpufreq ``GOV_START``).
+
+        A governor runs from here until its device's simulation ends:
+        there is no ``GOV_STOP``, since a device takes one governor for
+        its lifetime.
+        """
         if self._active:
             raise GovernorError(f"governor {self.name} already started")
         self._active = True
@@ -228,20 +223,9 @@ class Governor(ABC):
             obs.governor_started(self.context.engine.clock._now, self.name)
         self._on_start()
 
-    def stop(self) -> None:
-        """Deactivate the governor (cpufreq ``GOV_STOP``)."""
-        if not self._active:
-            return
-        self._active = False
-        self._on_stop()
-
     @abstractmethod
     def _on_start(self) -> None:
         """Subclass hook: arm timers, set the initial frequency."""
-
-    @abstractmethod
-    def _on_stop(self) -> None:
-        """Subclass hook: cancel timers, detach notifiers."""
 
 
 def check_config_params(
@@ -282,7 +266,10 @@ def governor_factory(name: str) -> Callable[..., Governor]:
     try:
         return _REGISTRY[name]
     except KeyError:
-        known = ", ".join(registered_governors())
+        known = ", ".join(
+            "fixed:<khz>" if other == "fixed" else other
+            for other in registered_governors()
+        )
         raise GovernorError(
             f"unknown governor {name!r} (known: {known})"
         ) from None
@@ -293,14 +280,15 @@ def create_governor(name: str, context: GovernorContext) -> Governor:
 
     ``name`` is any config string :func:`repro.governors.config.parse_config`
     accepts: a bare governor name, ``fixed:<khz>`` (the userspace governor
-    pinned at a frequency), or a parameterized form such as
-    ``qoe_aware:boost=1_036_800,settle=40000`` whose parameters are routed
-    through the governor's :meth:`Governor.from_params` hook.  Code that
-    needs other constructor arguments builds the governor class directly.
+    pinned at a frequency, and the only spelling of a pinned frequency),
+    or a parameterized form such as
+    ``qoe_aware:boost=1_036_800,settle=40000``.  Parameters are routed
+    through the governor's :meth:`Governor.from_params` hook.  The
+    governor is not started: a device installs and starts one governor
+    for its lifetime.  Code that needs other constructor arguments builds
+    the governor class directly.
     """
     base, params = parse_config(name)
-    if base == "fixed":
-        return _REGISTRY["userspace"](context, fixed_khz=params["khz"])
     factory = governor_factory(base)
     from_params = getattr(factory, "from_params", None)
     if from_params is not None:

@@ -96,22 +96,10 @@ class InteractiveGovernor(TickElisionMixin, Governor):
             for node in self.context.input_subsystem.nodes():
                 node.add_observer(self._on_input_event)
 
-    def _on_stop(self) -> None:
-        self._timer.stop()
-        self._elision_detach()
-        if self.input_boost and self.context.input_subsystem is not None:
-            for node in self.context.input_subsystem.nodes():
-                try:
-                    node.remove_observer(self._on_input_event)
-                except ValueError:
-                    pass
-
     # --- input notifier ---------------------------------------------------------
 
     def _on_input_event(self, event: InputEvent) -> None:
         """Boost to hispeed on any user input, ignoring the load."""
-        if not self._active:
-            return
         if self._park_mode is not None:
             self._wake()
         policy = self._policy

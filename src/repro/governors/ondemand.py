@@ -70,10 +70,6 @@ class OndemandGovernor(TickElisionMixin, Governor):
         self._timer.start()
         self._elision_attach()
 
-    def _on_stop(self) -> None:
-        self._timer.stop()
-        self._elision_detach()
-
     def _sample(self) -> None:
         load = self._load_tracker.sample()
         self.samples_taken += 1

@@ -80,24 +80,12 @@ class QoeAwareGovernor(TickElisionMixin, Governor):
             for node in self.context.input_subsystem.nodes():
                 node.add_observer(self._on_input_event)
 
-    def _on_stop(self) -> None:
-        self._timer.stop()
-        self._elision_detach()
-        if self.context.input_subsystem is not None:
-            for node in self.context.input_subsystem.nodes():
-                try:
-                    node.remove_observer(self._on_input_event)
-                except ValueError:
-                    pass
-
     def _account_elided(
         self, elided: int, last_tick: int, busy_total: int | None
     ) -> None:
         """No per-tick counters or load tracker: waking is just re-arming."""
 
     def _on_input_event(self, event: InputEvent) -> None:
-        if not self._active:
-            return
         if self._park_mode is not None:
             self._wake()
         self.input_boosts += 1

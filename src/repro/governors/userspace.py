@@ -2,7 +2,9 @@
 
 The paper replays every workload at each of the 14 operating points with
 the frequency "fixed for the whole runtime"; this governor is how those
-fixed-frequency configurations are realised.
+fixed-frequency configurations are realised.  It is registered as
+``fixed``, and ``fixed:<khz>`` is the only config string that pins a
+frequency.
 """
 
 from __future__ import annotations
@@ -13,25 +15,21 @@ from repro.governors.base import Governor, GovernorContext, register_governor
 
 
 class UserspaceGovernor(Governor):
-    """Hold one fixed frequency until told otherwise."""
+    """Hold one fixed frequency for the whole run."""
 
     name = "userspace"
 
-    def __init__(self, context: GovernorContext, fixed_khz: int | None = None) -> None:
-        super().__init__(context)
-        self._fixed_khz = fixed_khz if fixed_khz is not None else context.policy.min_khz
-        if not context.policy.core.table.contains(self._fixed_khz):
-            raise GovernorError(f"{self._fixed_khz} kHz is not an operating point")
+    config_params = {"khz": "fixed_khz"}
+    freq_params = ("khz",)
 
-    @property
-    def fixed_khz(self) -> int:
-        return self._fixed_khz
+    def __init__(self, context: GovernorContext, fixed_khz: int) -> None:
+        super().__init__(context)
+        if not context.policy.core.table.contains(fixed_khz):
+            raise GovernorError(f"{fixed_khz} kHz is not an operating point")
+        self.fixed_khz = fixed_khz
 
     def _on_start(self) -> None:
-        self.policy.set_target(self._fixed_khz, RELATION_HIGH)
-
-    def _on_stop(self) -> None:
-        pass
+        self.policy.set_target(self.fixed_khz, RELATION_HIGH)
 
 
-register_governor("userspace", UserspaceGovernor)
+register_governor("fixed", UserspaceGovernor)

@@ -79,46 +79,38 @@ def _trial_governor_context(table: FrequencyTable):
 
 
 def parse_sweep_configs(
-    configs: list[str], table: FrequencyTable | None = None
+    configs: list[str], table: FrequencyTable
 ) -> list[str]:
     """Validate and canonicalise user-supplied config strings.
 
-    Every string must parse, name a registered governor (or ``fixed`` at
-    an in-table OPP), use only parameter keys the governor declares, and
-    carry values the governor accepts: frequency-valued parameters
-    (:attr:`Governor.freq_params`) must be table OPPs — they would
-    silently clamp at runtime otherwise — and each governor config is
-    trial-constructed once so range violations (thresholds, timer
-    periods) fail here.  All failures raise one-line
+    ``table`` is the OPP table of the workload's own device.  Every
+    string must parse, name a registered governor (``fixed`` among
+    them), use only parameter keys the governor declares, and carry
+    values the governor accepts: frequency-valued parameters
+    (:attr:`Governor.freq_params`, a ``fixed:<khz>`` frequency included)
+    must be table OPPs — they would silently clamp at runtime otherwise —
+    and each config is trial-constructed once so range violations
+    (thresholds, timer periods) fail here.  All failures raise one-line
     :class:`ReproError`\\ s before any recording or replay starts.
     Duplicates (after canonicalisation) collapse.
     """
     import repro.governors  # noqa: F401  — populate the governor registry
     from repro.governors.base import create_governor, governor_factory
 
-    table = table or snapdragon_8074_table()
     trial_context = None
     out: list[str] = []
     for config in configs:
         base, params = parse_config(config)
-        if base == "fixed":
-            khz = params["khz"]
-            if not table.contains(khz):
+        factory = governor_factory(base)
+        for key in getattr(factory, "freq_params", ()):
+            if key in params and not table.contains(params[key]):
                 raise ReproError(
-                    f"config {config!r}: {khz} kHz is not an operating "
-                    "point of the table"
+                    f"config {config!r}: {key}={params[key]} is not "
+                    "an operating point of the table"
                 )
-        else:
-            factory = governor_factory(base)
-            for key in getattr(factory, "freq_params", ()):
-                if key in params and not table.contains(params[key]):
-                    raise ReproError(
-                        f"config {config!r}: {key}={params[key]} is not "
-                        "an operating point of the table"
-                    )
-            if trial_context is None:
-                trial_context = _trial_governor_context(table)
-            create_governor(config, trial_context)
+        if trial_context is None:
+            trial_context = _trial_governor_context(table)
+        create_governor(config, trial_context)
         canonical = format_config(base, params)
         if canonical not in out:
             out.append(canonical)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from math import ceil
-from typing import Callable
 
 from repro.core.engine import PRIORITY_TASK, Engine, ScheduledEvent
 from repro.core.errors import SimulationError
@@ -48,7 +47,6 @@ class Scheduler:
         self._spare: ScheduledEvent | None = None
         self._completed_tasks = 0
         self._completed_cycles = 0.0
-        self._idle_listeners: list[Callable[[], None]] = []
 
     # --- introspection -----------------------------------------------------------
 
@@ -67,10 +65,6 @@ class Scheduler:
     @property
     def queued_tasks(self) -> int:
         return len(self._foreground) + len(self._background)
-
-    def add_idle_listener(self, listener: Callable[[], None]) -> None:
-        """``listener`` fires whenever the run queue drains completely."""
-        self._idle_listeners.append(listener)
 
     # --- task submission ----------------------------------------------------------
 
@@ -111,8 +105,6 @@ class Scheduler:
             task = self._background.popleft()
         else:
             self._core.set_busy(False)
-            for listener in self._idle_listeners:
-                listener()
             return
         now = self._clock._now
         self._current = task

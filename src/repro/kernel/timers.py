@@ -9,7 +9,7 @@ from repro.core.errors import SimulationError
 
 
 class PeriodicTimer:
-    """Fires a callback every ``period_us`` microseconds until stopped.
+    """Fires a callback every ``period_us`` microseconds once started.
 
     Expirations stay aligned to the start time (no drift accumulation),
     like a kernel timer re-armed from its expiry rather than from ``now``.
@@ -46,10 +46,6 @@ class PeriodicTimer:
         self.on_elided: Callable[[int, int], None] | None = None
 
     @property
-    def running(self) -> bool:
-        return self._running
-
-    @property
     def parked(self) -> bool:
         """Whether the timer is running but idling in the parked state."""
         return self._running and self._parked_next is not None
@@ -62,20 +58,12 @@ class PeriodicTimer:
         if self._running:
             return
         self._running = True
-        self._parked_next = None
         self._event = self._engine.schedule_periodic(
             self._engine.now + self._period,
             self._period,
             self._callback,
             priority=PRIORITY_TIMER,
         )
-
-    def stop(self) -> None:
-        self._running = False
-        self._parked_next = None
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
 
     def _next_expiry_of(self, event: ScheduledEvent) -> int:
         """The expiry that would follow ``event``.
@@ -103,8 +91,6 @@ class PeriodicTimer:
         if not self._running or self._parked_next is not None:
             return
         event = self._event
-        if event is None:
-            return
         self._parked_next = self._next_expiry_of(event)
         event.cancel()
         self._event = None
@@ -121,8 +107,6 @@ class PeriodicTimer:
         if not self._running or self._parked_next is not None:
             return
         event = self._event
-        if event is None:
-            return
         next_expiry = self._next_expiry_of(event)
         if (wake_time - next_expiry) % self._period:
             raise SimulationError(
@@ -142,10 +126,8 @@ class PeriodicTimer:
         """The :meth:`park_until` wake expiry: credit elided ticks, sample."""
         next_expiry = self._parked_next
         self._parked_next = None
-        event = self._event
-        if event is not None:
-            # Subsequent re-arms of this event fire the regular callback.
-            event.callback = self._callback
+        # Subsequent re-arms of this event fire the regular callback.
+        self._event.callback = self._callback
         now = self._engine.now
         if next_expiry is not None and next_expiry < now:
             elided = -((next_expiry - now) // self._period)

@@ -37,21 +37,6 @@ class HciModel:
                 f"(known: {known})"
             ) from None
 
-    def categories(self) -> list[str]:
-        return sorted(self.thresholds_us)
-
-    def scaled(self, factor: float, name: str | None = None) -> "HciModel":
-        """A model with every threshold multiplied by ``factor``.
-
-        Used by the threshold-sensitivity ablation.
-        """
-        if factor <= 0:
-            raise ReproError("scale factor must be positive")
-        return HciModel(
-            name or f"{self.name}*{factor:g}",
-            {cat: int(t * factor) for cat, t in self.thresholds_us.items()},
-        )
-
 
 SHNEIDERMAN_MODEL = HciModel(
     "shneiderman",

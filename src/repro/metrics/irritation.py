@@ -55,10 +55,6 @@ class IrritationResult:
     def lag_count(self) -> int:
         return len(self.penalties)
 
-    def worst(self, n: int = 5) -> list[LagPenalty]:
-        """The ``n`` most irritating lags (diagnostics)."""
-        return sorted(self.penalties, key=lambda p: -p.penalty_us)[:n]
-
 
 def irritation(
     lags: list[tuple[str, int, int]],

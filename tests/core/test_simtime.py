@@ -20,10 +20,6 @@ def test_minutes_and_hours():
     assert simtime.hours(24) == 24 * 3600 * 1_000_000
 
 
-def test_micros_rounds_fractions():
-    assert simtime.micros(1.6) == 2
-
-
 def test_to_millis_roundtrip():
     assert simtime.to_millis(simtime.millis(123)) == pytest.approx(123)
 

@@ -24,10 +24,10 @@ def test_default_configuration(device):
 def test_governor_lifecycle(device):
     governor = device.set_governor("ondemand")
     assert governor.active
-    replacement = device.set_governor("performance")
-    assert not governor.active
-    assert replacement.active
-    assert device.policy.current_khz == device.policy.max_khz
+    with pytest.raises(GovernorError, match="one governor"):
+        device.set_governor("fixed:2150400")
+    assert device.governor is governor
+    assert governor.active
 
 
 def test_fixed_governor_shorthand(device):
@@ -51,6 +51,7 @@ def test_run_for_negative_rejected(device):
 
 
 def test_frequency_change_reschedules_running_task(device):
+    from repro.device.cpufreq import RELATION_HIGH
     from repro.kernel.task import Task
 
     device.set_governor("fixed:300000")
@@ -59,7 +60,8 @@ def test_frequency_change_reschedules_running_task(device):
         Task("t", 600e6, on_complete=lambda t: done.append(device.engine.now))
     )
     device.engine.schedule_at(
-        seconds(1), lambda: device.set_governor("fixed:2150400")
+        seconds(1),
+        lambda: device.policy.set_target(2_150_400, RELATION_HIGH),
     )
     device.run_for(seconds(3))
     # 1 s at 0.3 GHz + remaining 300e6 at 2.1504 GHz.

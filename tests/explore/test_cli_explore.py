@@ -171,6 +171,8 @@ def test_sweep_accepts_parameterized_config(tmp_path, capsys):
         ("qoe_aware:bogus=1", "no tunable 'bogus'"),
         ("qoe_aware:boost", "key=value"),
         ("fixed:999", "not an operating point"),
+        ("fixed:123456", "not an operating point"),
+        ("fixed:960000,x=1", "one integer frequency"),
         ("fixed", "needs a frequency"),
         ("warp:speed=9", "unknown governor"),
     ],
@@ -184,3 +186,18 @@ def test_sweep_rejects_bad_configs_before_running(capsys, config, message):
     assert rc == 2
     assert message in err
     assert err.count("\n") == 1  # one clean line
+
+
+@pytest.mark.parametrize("alias", ["performance", "powersave", "userspace"])
+def test_sweep_rejects_pinned_frequency_aliases(capsys, alias):
+    """``fixed:<khz>`` is the only spelling of a pinned frequency; the
+    error for any other spelling says what to write instead."""
+    rc, _out, err = run_cli(
+        capsys,
+        "sweep", "--dataset", "03", "--reps", "1", "--no-cache",
+        "--config", alias,
+    )
+    assert rc == 2
+    assert f"unknown governor {alias!r}" in err
+    assert "fixed:<khz>" in err
+    assert err.count("\n") == 1

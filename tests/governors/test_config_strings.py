@@ -4,7 +4,8 @@ import pytest
 
 import repro.governors  # noqa: F401  — populate the registry
 from repro.core.errors import GovernorError
-from repro.governors.base import create_governor
+from repro.governors import base as governor_base
+from repro.governors.base import Governor, create_governor
 from repro.governors.config import (
     canonical_config,
     format_config,
@@ -116,9 +117,16 @@ class TestCreateGovernor:
         with pytest.raises(GovernorError, match="'warp'"):
             create_governor("warp:speed=9", rig.context())
 
-    def test_params_on_parameterless_governor_rejected(self, rig):
-        with pytest.raises(GovernorError, match="performance"):
-            create_governor("performance:x=1", rig.context())
+    def test_params_on_parameterless_governor_rejected(self, rig, monkeypatch):
+        class StillGovernor(Governor):
+            name = "still"
+
+            def _on_start(self) -> None:
+                pass
+
+        monkeypatch.setitem(governor_base._REGISTRY, "still", StillGovernor)
+        with pytest.raises(GovernorError, match="'still' has no tunable 'x'"):
+            create_governor("still:x=1", rig.context())
 
     def test_fixed_still_pins_userspace(self, rig):
         governor = create_governor("fixed:960000", rig.context())

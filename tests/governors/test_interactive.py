@@ -81,11 +81,3 @@ def test_invalid_tunables_rejected(rig):
         InteractiveGovernor(rig.context(), go_hispeed_load=0)
     with pytest.raises(ValueError):
         InteractiveGovernor(rig.context(), target_load=101)
-
-
-def test_stop_detaches_input_notifier(rig):
-    governor = make(rig, hispeed_freq_khz=1_190_400)
-    governor.stop()
-    touch(rig)
-    assert governor.input_boosts == 0
-    assert rig.policy.current_khz == rig.policy.min_khz

@@ -66,12 +66,3 @@ def test_invalid_tunables_rejected(rig):
         OndemandGovernor(rig.context(), up_threshold=0)
     with pytest.raises(ValueError):
         OndemandGovernor(rig.context(), sampling_down_factor=0)
-
-
-def test_stop_cancels_sampling(rig):
-    governor = make(rig, sampling_rate_us=20_000)
-    rig.run(100_000)
-    samples = governor.samples_taken
-    governor.stop()
-    rig.run(100_000)
-    assert governor.samples_taken == samples

@@ -1,24 +1,10 @@
-"""Tests for performance, powersave and userspace governors + registry."""
+"""Tests for the userspace governor (``fixed:<khz>``) + registry."""
 
 import pytest
 
 from repro.core.errors import GovernorError
 from repro.governors.base import create_governor, registered_governors
-from repro.governors.performance import PerformanceGovernor, PowersaveGovernor
 from repro.governors.userspace import UserspaceGovernor
-
-
-def test_performance_pins_max(rig):
-    governor = PerformanceGovernor(rig.context())
-    governor.start()
-    assert rig.policy.current_khz == rig.policy.max_khz
-
-
-def test_powersave_pins_min(rig):
-    rig.policy.set_target(rig.policy.max_khz)
-    governor = PowersaveGovernor(rig.context())
-    governor.start()
-    assert rig.policy.current_khz == rig.policy.min_khz
 
 
 def test_userspace_holds_fixed_frequency(rig):
@@ -41,9 +27,7 @@ def test_registry_contains_all_governors():
         "ondemand",
         "conservative",
         "interactive",
-        "performance",
-        "powersave",
-        "userspace",
+        "fixed",
         "qoe_aware",
     ):
         assert expected in names
@@ -66,7 +50,16 @@ def test_create_unknown_rejected(rig):
 
 
 def test_double_start_rejected(rig):
-    governor = PerformanceGovernor(rig.context())
+    governor = create_governor("fixed:960000", rig.context())
     governor.start()
     with pytest.raises(GovernorError):
         governor.start()
+
+
+def test_fixed_is_the_only_pinned_spelling(rig):
+    governor = create_governor("fixed:2150400", rig.context())
+    assert isinstance(governor, UserspaceGovernor)
+    assert governor.name == "userspace"
+    for alias in ("performance", "powersave", "userspace"):
+        with pytest.raises(GovernorError, match="fixed:<khz>"):
+            create_governor(alias, rig.context())

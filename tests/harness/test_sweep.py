@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.errors import ReproError
+from repro.device.frequencies import snapdragon_8074_table
 from repro.harness.sweep import (
     SweepResult,
     config_label,
@@ -94,6 +95,8 @@ def test_normalisation_to_oracle(small_sweep):
 class TestConfigParsing:
     """Edge cases of config_label / parse_sweep_configs (user input)."""
 
+    table = snapdragon_8074_table()
+
     def test_parameterized_label_is_canonical(self):
         assert (
             config_label("qoe_aware:settle=40_000,boost=1_036_800")
@@ -118,7 +121,8 @@ class TestConfigParsing:
                 "qoe_aware:settle=40_000,boost=1_036_800",
                 "qoe_aware:boost=1036800,settle=40000",
                 "fixed:960_000",
-            ]
+            ],
+            self.table,
         )
         assert out == [
             "qoe_aware:boost=1036800,settle=40000",
@@ -129,25 +133,25 @@ class TestConfigParsing:
         from repro.harness.sweep import parse_sweep_configs
 
         with pytest.raises(ReproError, match="unknown governor 'warp'"):
-            parse_sweep_configs(["warp:speed=9"])
+            parse_sweep_configs(["warp:speed=9"], self.table)
 
     def test_parse_sweep_configs_unknown_tunable(self):
         from repro.harness.sweep import parse_sweep_configs
 
         with pytest.raises(ReproError, match="no tunable 'bogus'"):
-            parse_sweep_configs(["qoe_aware:bogus=1"])
+            parse_sweep_configs(["qoe_aware:bogus=1"], self.table)
 
     def test_parse_sweep_configs_malformed_pair(self):
         from repro.harness.sweep import parse_sweep_configs
 
         with pytest.raises(ReproError, match="key=value"):
-            parse_sweep_configs(["ondemand:up_threshold"])
+            parse_sweep_configs(["ondemand:up_threshold"], self.table)
 
     def test_parse_sweep_configs_out_of_table_fixed(self):
         from repro.harness.sweep import parse_sweep_configs
 
         with pytest.raises(ReproError, match="not an operating point"):
-            parse_sweep_configs(["fixed:123456"])
+            parse_sweep_configs(["fixed:123456"], self.table)
 
     def test_parse_sweep_configs_out_of_table_frequency_param(self):
         from repro.harness.sweep import parse_sweep_configs
@@ -155,19 +159,19 @@ class TestConfigParsing:
         # Off-table boost/hispeed values would silently clamp at runtime,
         # mislabelling the study data; they must be rejected pre-flight.
         with pytest.raises(ReproError, match="boost=103680"):
-            parse_sweep_configs(["qoe_aware:boost=103680"])
+            parse_sweep_configs(["qoe_aware:boost=103680"], self.table)
         with pytest.raises(ReproError, match="hispeed=999"):
-            parse_sweep_configs(["interactive:hispeed=999"])
+            parse_sweep_configs(["interactive:hispeed=999"], self.table)
 
     def test_parse_sweep_configs_rejects_out_of_range_values(self):
         from repro.harness.sweep import parse_sweep_configs
 
         with pytest.raises(ReproError, match="up_threshold"):
-            parse_sweep_configs(["ondemand:up_threshold=0"])
+            parse_sweep_configs(["ondemand:up_threshold=0"], self.table)
         with pytest.raises(ReproError, match="timer period"):
-            parse_sweep_configs(["qoe_aware:timer=-5"])
+            parse_sweep_configs(["qoe_aware:timer=-5"], self.table)
         with pytest.raises(ReproError, match="down_threshold"):
-            parse_sweep_configs(["conservative:up_threshold=10"])
+            parse_sweep_configs(["conservative:up_threshold=10"], self.table)
 
     def test_run_sweep_rejects_bad_config_before_replaying(self, artifacts_ds03):
         with pytest.raises(ReproError, match="no tunable"):

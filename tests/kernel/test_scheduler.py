@@ -101,15 +101,6 @@ def test_completed_cycles_accounted(rig):
     assert scheduler.completed_cycles == pytest.approx(120e6)
 
 
-def test_idle_listener_fires_when_queue_drains(rig):
-    engine, _core, _policy, scheduler = rig
-    idles = []
-    scheduler.add_idle_listener(lambda: idles.append(engine.now))
-    scheduler.submit(Task("t", 30e6))
-    engine.run_until(1_000_000)
-    assert len(idles) == 1
-
-
 def test_resubmit_completed_task_rejected(rig):
     engine, _core, _policy, scheduler = rig
     task = Task("t", 30e6)

@@ -103,7 +103,7 @@ def test_park_until_rejects_misaligned_wake():
             timer.park_until(engine.now + 15_000)  # off the 10ms grid
         except SimulationError as exc:
             errors.append(exc)
-        timer.stop()
+        timer.park()
 
     timer = PeriodicTimer(engine, 10_000, tick)
     holder["timer"] = timer
@@ -120,15 +120,3 @@ def test_early_unpark_cancels_deadline():
     engine.schedule_at(25_000, lambda: timer.unpark())
     engine.run_until(40_000)
     assert ticks == [10_000, 30_000, 40_000]
-
-
-def test_stop_while_parked_is_clean():
-    engine = Engine()
-    timer, ticks = make_timer(engine, park_at=10_000)
-    engine.run_until(10_000)
-    assert timer.parked
-    timer.stop()
-    assert not timer.running
-    assert not timer.parked
-    engine.run_until(100_000)
-    assert ticks == [10_000]

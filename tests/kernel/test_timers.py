@@ -16,16 +16,6 @@ def test_fires_at_fixed_period():
     assert ticks == [10_000, 20_000, 30_000]
 
 
-def test_stop_cancels_future_fires():
-    engine = Engine()
-    ticks = []
-    timer = PeriodicTimer(engine, 10_000, lambda: ticks.append(engine.now))
-    timer.start()
-    engine.schedule_at(25_000, timer.stop)
-    engine.run_until(100_000)
-    assert ticks == [10_000, 20_000]
-
-
 def test_no_drift_accumulation():
     engine = Engine()
     ticks = []
@@ -48,18 +38,3 @@ def test_double_start_is_noop():
     timer.start()
     engine.run_until(10_000)
     assert ticks == [10_000]
-
-
-def test_callback_stopping_timer_mid_fire():
-    engine = Engine()
-    ticks = []
-
-    def tick():
-        ticks.append(engine.now)
-        if len(ticks) == 2:
-            timer.stop()
-
-    timer = PeriodicTimer(engine, 10_000, tick)
-    timer.start()
-    engine.run_until(100_000)
-    assert ticks == [10_000, 20_000]

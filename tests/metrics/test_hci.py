@@ -27,23 +27,6 @@ def test_unknown_category_rejected():
         SHNEIDERMAN_MODEL.threshold_us("heroic")
 
 
-def test_categories_sorted():
-    assert SHNEIDERMAN_MODEL.categories() == sorted(
-        [CATEGORY_TYPING, CATEGORY_SIMPLE, CATEGORY_COMMON, CATEGORY_COMPLEX]
-    )
-
-
 def test_custom_model():
     model = HciModel("strict", {CATEGORY_TYPING: 50_000})
     assert model.threshold_us(CATEGORY_TYPING) == 50_000
-
-
-def test_scaled_model():
-    scaled = SHNEIDERMAN_MODEL.scaled(2.0)
-    assert scaled.threshold_us(CATEGORY_TYPING) == 300_000
-    assert scaled.name == "shneiderman*2"
-
-
-def test_scaled_rejects_nonpositive():
-    with pytest.raises(ReproError):
-        SHNEIDERMAN_MODEL.scaled(0)

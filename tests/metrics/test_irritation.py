@@ -37,16 +37,6 @@ def test_total_seconds():
     assert irritation([("a", 2_000_000, 1_000_000)]).total_seconds == 1.0
 
 
-def test_worst_ranks_by_penalty():
-    rows = [
-        ("small", 1_100_000, 1_000_000),
-        ("big", 9_000_000, 1_000_000),
-        ("none", 100_000, 1_000_000),
-    ]
-    worst = irritation(rows).worst(2)
-    assert [p.label for p in worst] == ["big", "small"]
-
-
 def test_negative_duration_rejected():
     with pytest.raises(ReproError):
         irritation([("a", -1, 100)])

@@ -33,7 +33,6 @@ def test_irritation_of_zero_lags_is_zero():
     assert result.total_seconds == 0.0
     assert result.lag_count == 0
     assert result.irritating_lag_count == 0
-    assert result.worst() == []
 
 
 def test_lag_exactly_at_threshold_is_not_irritating():
