@@ -34,8 +34,8 @@ workers is listed as never entered; its name is referenced, so it is
 not marked.
 
 ``benchmarks/reach_keep.txt`` is the committed keep list: one
-``src/<path>.py:<qualname>  <reason>`` per line (``#`` starts a
-comment).  Every unreferenced function must be on it with the reason it
+``src/<path>.py:<qualname>  <reason>`` per line (a line that starts
+with ``#`` is a comment).  Every unreferenced function must be on it with the reason it
 stays; a function that is only never entered, but referenced, stays off
 it.  Exit status 1 means an entry point failed (the list is printed
 only when all of them ran clean), an unreferenced function is not on
@@ -314,7 +314,9 @@ def complain(problems: list[str]) -> int:
     return 1 if problems else 0
 
 
-def report(entered: set[tuple[str, int]], keep: dict[str, str]) -> list:
+def report(
+    entered: set[tuple[str, int]], keep: dict[str, str]
+) -> list[str]:
     """Print the never-entered functions; the keep-list violations."""
     names = reference_names()
     functions = list(src_functions())
