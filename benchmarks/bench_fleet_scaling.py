@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import time
 
+from repro.device.frequencies import snapdragon_8074_table
 from repro.fleet.cache import ResultCache
 from repro.fleet.engine import FleetEngine
 from repro.fleet.spec import enumerate_sweep_specs
@@ -24,7 +25,7 @@ JOB_COUNTS = (1, 2, 4, 8)
 def _specs(artifacts):
     return enumerate_sweep_specs(
         artifacts.name,
-        sweep_configs(),
+        sweep_configs(snapdragon_8074_table()),
         reps=1,
         master_seed=artifacts.recording_master_seed,
     )

@@ -26,7 +26,8 @@ import os
 KNOWN_FLAGS: dict[str, tuple[bool, str]] = {
     "REPRO_FASTPATH": (
         True,
-        "governor tick-elision fast path (0 = A/B-verify the slow path)",
+        "governor tick elision and chain run-ahead "
+        "(0 = A/B-verify the slow path)",
     ),
     "REPRO_TRACE": (
         False,

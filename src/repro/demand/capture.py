@@ -17,7 +17,7 @@ half hands demand to the kernel half:
   scratch buffer *at invalidate time* captures exactly what the next
   vsync would show; states are deduplicated and interned.
 
-Two demand sources are deliberately **not** recorded:
+Three demand sources are deliberately **not** recorded action by action:
 
 * The window manager's minute/animation ticks.  They invalidate without
   submitting CPU work, and only repaint content that is either masked
@@ -29,6 +29,11 @@ Two demand sources are deliberately **not** recorded:
   evaluation pass re-runs the loop live, because at a faster config the
   gate can close after fewer firings — unrolling the capture's firings
   would bake the capture config's timing into the trace.
+* :func:`~repro.kernel.workchains.submit_chunked` chains.  The call is
+  recorded as one ``chunked`` node with its arguments, and its chunk
+  tasks and IO gaps are not recorded; the evaluation pass makes the same
+  call, so both passes run a chain through one code path (including the
+  scheduler's run-ahead at pinned frequencies).
 
 Any default-priority demand arriving outside a recorded context is a
 capture bug, not a recoverable condition: :class:`DemandCaptureError`
@@ -49,6 +54,7 @@ from repro.core.simtime import seconds
 from repro.demand.trace import (
     KIND_CHAIN_START,
     KIND_CHAIN_STOP,
+    KIND_CHUNKED,
     KIND_INVALIDATE,
     KIND_TASK,
     KIND_TIMER,
@@ -89,7 +95,7 @@ class DemandRecorder:
     (or :data:`SUPPRESS`); the top entry attributes every intercepted
     demand action.  Recorded task completions and timer expiries push
     their node id, input injections push their ordinal, chain
-    transitions push :data:`SUPPRESS`.
+    transitions and chunk chains push :data:`SUPPRESS`.
     """
 
     def __init__(self, device) -> None:
@@ -308,6 +314,18 @@ class DemandRecorder:
 
     def chain_firing(self, chain):
         return self.scope(SUPPRESS)
+
+    def chunked_submitted(
+        self, name, total_cycles, chunk_cycles, gap_us, priority
+    ) -> None:
+        self._add_node(
+            KIND_CHUNKED,
+            name=name,
+            cycles=total_cycles,
+            chunk_cycles=chunk_cycles,
+            delay_us=gap_us,
+            priority=priority,
+        )
 
     # --- result ------------------------------------------------------------------
 

@@ -18,6 +18,10 @@ A :class:`CompiledDemand` holds:
   capture's callback order, exactly as
   :meth:`~repro.demand.trace.DemandTrace.children_by_parent` returns it;
 * ``guards`` as a dense list indexed by input ordinal.
+
+A ``chunked`` node lowers to its :func:`~repro.kernel.workchains.
+submit_chunked` arguments verbatim; the executor makes that call, so a
+chunk chain runs on the same code path as in a full replay.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from typing import NamedTuple
 from repro.demand.trace import (
     KIND_CHAIN_START,
     KIND_CHAIN_STOP,
+    KIND_CHUNKED,
     KIND_INVALIDATE,
     KIND_TASK,
     KIND_TIMER,
@@ -40,6 +45,7 @@ OP_TIMER = 1
 OP_INVALIDATE = 2
 OP_CHAIN_START = 3
 OP_CHAIN_STOP = 4
+OP_CHUNKED = 5
 
 _OPCODES: dict[str, int] = {
     KIND_TASK: OP_TASK,
@@ -47,6 +53,7 @@ _OPCODES: dict[str, int] = {
     KIND_INVALIDATE: OP_INVALIDATE,
     KIND_CHAIN_START: OP_CHAIN_START,
     KIND_CHAIN_STOP: OP_CHAIN_STOP,
+    KIND_CHUNKED: OP_CHUNKED,
 }
 
 
@@ -106,6 +113,15 @@ def compile_trace(trace: DemandTrace) -> CompiledDemand:
                 sys.intern(node.name),
                 node.period_us,
                 node.cycles,
+                node.priority,
+            )
+        elif op == OP_CHUNKED:
+            action = (
+                op,
+                sys.intern(node.name),
+                node.cycles,
+                node.chunk_cycles,
+                node.delay_us,
                 node.priority,
             )
         else:

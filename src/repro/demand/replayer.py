@@ -21,6 +21,9 @@ gesture decoding and UI composition are replaced by a
 * recorded **chain** nodes start/stop live
   :class:`~repro.kernel.workchains.PeriodicWorkChain` loops, which fire
   as many times as *this* config's gate timing allows;
+* recorded **chunked** nodes call
+  :func:`~repro.kernel.workchains.submit_chunked` with the captured
+  arguments, exactly as the apps do in a full replay;
 * background services run **live** with the same per-cell RNG stream a
   full replay would use — they are response-side noise, not demand.
 
@@ -48,6 +51,7 @@ from repro.capture.stream import SegmentStreamer
 from repro.core.errors import MatchError, ReproError
 from repro.demand.compile import (
     OP_CHAIN_START,
+    OP_CHAIN_STOP,
     OP_INVALIDATE,
     OP_TASK,
     OP_TIMER,
@@ -58,7 +62,7 @@ from repro.demand.tablematch import BLANK_STATE, TableMatcher
 from repro.demand.trace import DemandTrace
 from repro.device.display import frame_index_at
 from repro.kernel.task import PRIORITY_FOREGROUND, Task, _task_ids
-from repro.kernel.workchains import PeriodicWorkChain
+from repro.kernel.workchains import PeriodicWorkChain, submit_chunked
 
 
 class DemandFallback(ReproError):
@@ -251,10 +255,17 @@ class DemandExecutor:
                     )
                     self._chains[key] = chain
                 chain.start()
-            else:  # OP_CHAIN_STOP: (op, chain_key)
+            elif op == OP_CHAIN_STOP:
+                # (op, chain_key)
                 chain = self._chains.get(action[1])
                 if chain is not None:
                     chain.stop()
+            else:  # OP_CHUNKED
+                # (op, name, total_cycles, chunk_cycles, gap_us, priority)
+                submit_chunked(
+                    self._engine, self._scheduler, action[1], action[2],
+                    action[3], action[4], action[5],
+                )
 
 
 class _DemandDriver:

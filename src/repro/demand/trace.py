@@ -15,8 +15,10 @@ causal nodes:
   ordinal** (the k-th getevent record delivered to the touchscreen);
 * a node is a **task** submission, an engine **timer** (IO gap, think
   pause), a display **invalidate** carrying the id of an interned
-  framebuffer state, or the **start/stop** of a
-  :class:`~repro.kernel.workchains.PeriodicWorkChain`;
+  framebuffer state, the **start/stop** of a
+  :class:`~repro.kernel.workchains.PeriodicWorkChain`, or a **chunked**
+  chain (one :func:`~repro.kernel.workchains.submit_chunked` call with
+  its arguments; its chunks and IO gaps are not nodes);
 * a node's children are exactly the demand actions its completion
   callback performed, in callback order — replaying a node therefore
   means re-submitting the same work and running the children when the
@@ -53,16 +55,19 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import ReproError
 
-DEMAND_TRACE_SCHEMA_VERSION = 1
+#: 2: a ``submit_chunked`` chain is one ``chunked`` node instead of its
+#: unrolled chunk tasks and gap timers.
+DEMAND_TRACE_SCHEMA_VERSION = 2
 
 KIND_TASK = "task"
 KIND_TIMER = "timer"
 KIND_INVALIDATE = "invalidate"
 KIND_CHAIN_START = "chain_start"
 KIND_CHAIN_STOP = "chain_stop"
+KIND_CHUNKED = "chunked"
 
 _KINDS = (KIND_TASK, KIND_TIMER, KIND_INVALIDATE, KIND_CHAIN_START,
-          KIND_CHAIN_STOP)
+          KIND_CHAIN_STOP, KIND_CHUNKED)
 
 #: Kinds whose completion/expiry callbacks may record children.
 _PARENT_KINDS = (KIND_TASK, KIND_TIMER)
@@ -96,7 +101,9 @@ class DemandNode:
     ``kind``: tasks have ``name``/``cycles``/``priority``, timers have
     ``delay_us``, invalidates have ``state_id``, chain starts have
     ``chain_key``/``name``/``period_us``/``cycles``/``priority``, chain
-    stops have ``chain_key``.
+    stops have ``chain_key``, chunked chains have ``name``, total
+    ``cycles``, ``chunk_cycles``, ``priority`` and the IO gap in
+    ``delay_us``.
     """
 
     node_id: int
@@ -110,6 +117,7 @@ class DemandNode:
     state_id: int | None = None
     chain_key: int | None = None
     period_us: int | None = None
+    chunk_cycles: float | None = None
 
     def as_dict(self) -> dict:
         row: dict = {"id": self.node_id, "kind": self.kind}
@@ -118,7 +126,7 @@ class DemandNode:
         if self.input_ordinal is not None:
             row["input"] = self.input_ordinal
         for key in ("name", "cycles", "priority", "delay_us", "state_id",
-                    "chain_key", "period_us"):
+                    "chain_key", "period_us", "chunk_cycles"):
             value = getattr(self, key)
             if value is not None:
                 row[key] = value
@@ -138,6 +146,7 @@ class DemandNode:
             state_id=row.get("state_id"),
             chain_key=row.get("chain_key"),
             period_us=row.get("period_us"),
+            chunk_cycles=row.get("chunk_cycles"),
         )
 
 
@@ -194,7 +203,7 @@ class DemandTrace:
         work_units = 0.0
         for node in self.nodes:
             kinds[node.kind] += 1
-            if node.kind == KIND_TASK:
+            if node.kind in (KIND_TASK, KIND_CHUNKED):
                 work_units += node.cycles or 0.0
         _setup, by_input, _by_node = self.children_by_parent()
         return {
@@ -209,6 +218,7 @@ class DemandTrace:
             "frame_deadlines": kinds[KIND_INVALIDATE],
             "chain_starts": kinds[KIND_CHAIN_START],
             "chain_stops": kinds[KIND_CHAIN_STOP],
+            "chunk_chains": kinds[KIND_CHUNKED],
             "work_units_cycles": work_units,
             "states": len(self.states),
             "nodes": len(self.nodes),
@@ -318,6 +328,22 @@ class DemandTrace:
                         "period and cycles, and a valid priority"
                     )
                 seen_chains.add(node.chain_key)
+            elif node.kind == KIND_CHUNKED:
+                if (
+                    not node.name
+                    or not node.cycles
+                    or node.cycles <= 0
+                    or not node.chunk_cycles
+                    or node.chunk_cycles <= 0
+                    or node.delay_us is None
+                    or node.delay_us < 0
+                    or node.priority not in (0, 1)
+                ):
+                    raise DemandTraceError(
+                        f"{where}: chunked chain needs a name, positive "
+                        "cycles and chunk cycles, a non-negative gap and a "
+                        "valid priority"
+                    )
             elif node.kind == KIND_CHAIN_STOP:
                 if node.chain_key not in seen_chains:
                     raise DemandTraceError(

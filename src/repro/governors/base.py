@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterable, Type
+from typing import Iterable
 
 from repro.core.engine import Engine
 from repro.core.env import env_flag
@@ -39,14 +39,17 @@ class GovernorContext:
 
 
 def idle_fastpath_enabled() -> bool:
-    """Whether the governors' idle tick-elision fast path is active.
+    """Whether the simulator's fast paths are active (``REPRO_FASTPATH``).
 
-    The fast path parks a governor's sampling timer while every sample is
-    provably a no-op (core idle at the governor's resting frequency) and
-    reconciles counters on wake-up, eliding the per-tick work entirely.
-    It is semantics-preserving — study output (energy, irritation, frame
-    digests) is bit-identical either way; ``REPRO_FASTPATH=0`` disables it
-    for A/B verification and benchmarking.
+    Two consumers read it.  The governors' tick elision parks a sampling
+    timer while every sample is provably a no-op (core idle at the
+    governor's resting frequency) and reconciles counters on wake-up,
+    eliding the per-tick work entirely.  The scheduler's chain run-ahead
+    (:meth:`~repro.kernel.scheduler.Scheduler.run_chunks_inline`) plays
+    background chunks in place at a pinned frequency.  Both are
+    semantics-preserving — study output (energy, irritation, frame
+    digests) is bit-identical either way; ``REPRO_FASTPATH=0`` disables
+    both for A/B verification and benchmarking.
     """
     return env_flag("REPRO_FASTPATH", default=True)
 
@@ -229,7 +232,7 @@ class Governor(ABC):
 
 
 def check_config_params(
-    name: str, factory: Callable[..., "Governor"], params: Iterable[str]
+    name: str, factory: type[Governor], params: Iterable[str]
 ) -> None:
     """Reject parameter keys a governor does not declare in config_params.
 
@@ -238,7 +241,7 @@ def check_config_params(
     ``parse_sweep_configs`` and ``GovernorSpace`` — one place to keep the
     error message and the alias contract consistent.
     """
-    declared = getattr(factory, "config_params", {})
+    declared = factory.config_params
     for key in params:
         if key not in declared:
             known = ", ".join(sorted(declared)) or "none"
@@ -247,11 +250,11 @@ def check_config_params(
             )
 
 
-_REGISTRY: dict[str, Callable[..., Governor]] = {}
+_REGISTRY: dict[str, type[Governor]] = {}
 
 
-def register_governor(name: str, factory: Callable[..., Governor]) -> None:
-    """Register a governor under its sysfs-style name."""
+def register_governor(name: str, factory: type[Governor]) -> None:
+    """Register a governor class under its sysfs-style name."""
     if name in _REGISTRY:
         raise GovernorError(f"governor {name!r} already registered")
     _REGISTRY[name] = factory
@@ -261,8 +264,8 @@ def registered_governors() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def governor_factory(name: str) -> Callable[..., Governor]:
-    """The registered factory for ``name``, or a one-line GovernorError."""
+def governor_factory(name: str) -> type[Governor]:
+    """The registered class for ``name``, or a one-line GovernorError."""
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -289,12 +292,4 @@ def create_governor(name: str, context: GovernorContext) -> Governor:
     the governor class directly.
     """
     base, params = parse_config(name)
-    factory = governor_factory(base)
-    from_params = getattr(factory, "from_params", None)
-    if from_params is not None:
-        return from_params(context, params)
-    if params:
-        raise GovernorError(
-            f"governor {base!r} takes no config-string parameters"
-        )
-    return factory(context)
+    return governor_factory(base).from_params(context, params)

@@ -227,7 +227,11 @@ def run_cell(
             lags=profile.lags,
         )
         if obs is not None:
-            snapshot = obs.harvest_run(device.engine, governor=device.governor)
+            snapshot = obs.harvest_run(
+                device.engine,
+                governor=device.governor,
+                scheduler=device.scheduler,
+            )
             if obs.decisions is not None:
                 # The attribution engine consumes only mode-invariant
                 # record state + boost timestamps, so the harvested cause

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.errors import ReproError
-from repro.device.frequencies import FrequencyTable, snapdragon_8074_table
+from repro.device.frequencies import FrequencyTable
 from repro.device.power import PowerModel
 from repro.governors.config import format_config, parse_config
 from repro.fleet.cache import ResultCache
@@ -38,17 +38,18 @@ def governor_configs() -> list[str]:
     return list(GOVERNORS)
 
 
-def fixed_configs(table: FrequencyTable | None = None) -> list[str]:
-    table = table or snapdragon_8074_table()
+def fixed_configs(table: FrequencyTable) -> list[str]:
+    """One ``fixed:<khz>`` config per OPP of ``table``."""
     return [f"fixed:{khz}" for khz in table.frequencies_khz]
 
 
-def sweep_configs(table: FrequencyTable | None = None) -> list[str]:
-    """The 17 configurations of the study: 14 fixed + 3 governors."""
+def sweep_configs(table: FrequencyTable) -> list[str]:
+    """The study's configurations: every OPP of ``table`` pinned, then the
+    3 governors (17 on the stock 14-OPP table)."""
     return fixed_configs(table) + governor_configs()
 
 
-def config_label(config: str, table: FrequencyTable | None = None) -> str:
+def config_label(config: str, table: FrequencyTable) -> str:
     """Axis label: '0.96 GHz' for fixed configs, the canonical name otherwise.
 
     Malformed strings and out-of-table frequencies raise one-line
@@ -56,7 +57,6 @@ def config_label(config: str, table: FrequencyTable | None = None) -> str:
     """
     base, params = parse_config(config)
     if base == "fixed":
-        table = table or snapdragon_8074_table()
         return table.point(params["khz"]).label
     return format_config(base, params)
 
@@ -101,8 +101,7 @@ def parse_sweep_configs(
     out: list[str] = []
     for config in configs:
         base, params = parse_config(config)
-        factory = governor_factory(base)
-        for key in getattr(factory, "freq_params", ()):
+        for key in governor_factory(base).freq_params:
             if key in params and not table.contains(params[key]):
                 raise ReproError(
                     f"config {config!r}: {key}={params[key]} is not "

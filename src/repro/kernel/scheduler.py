@@ -5,6 +5,15 @@ band; a foreground arrival preempts running background work.  The scheduler
 drives the core's busy state and recomputes the running task's completion
 time whenever the governor retunes the frequency — the mechanism through
 which DVFS decisions become interaction lag.
+
+Background chunk chains (:func:`~repro.kernel.workchains.submit_chunked`)
+may *run ahead*: when a chunk completes on an otherwise empty scheduler,
+on a core nobody listens to (a pinned governor), and the engine proves
+that nothing else is due before the next chunk would finish,
+:meth:`Scheduler.run_chunks_inline` plays that chunk's IO gap and busy
+stretch in place — the same seqs, task id, busy edges, energy charges
+and completion counts, with no queue traffic and no ``Task``.
+``REPRO_FASTPATH=0`` turns it off.
 """
 
 from __future__ import annotations
@@ -12,10 +21,15 @@ from __future__ import annotations
 from collections import deque
 from math import ceil
 
-from repro.core.engine import PRIORITY_TASK, Engine, ScheduledEvent
+from repro.core.engine import (
+    PRIORITY_DEFAULT,
+    PRIORITY_TASK,
+    Engine,
+    ScheduledEvent,
+)
 from repro.core.errors import SimulationError
 from repro.device.cpu import CpuCore
-from repro.kernel.task import PRIORITY_FOREGROUND, Task
+from repro.kernel.task import PRIORITY_FOREGROUND, Task, _task_ids
 
 
 class Scheduler:
@@ -47,6 +61,13 @@ class Scheduler:
         self._spare: ScheduledEvent | None = None
         self._completed_tasks = 0
         self._completed_cycles = 0.0
+        # Imported here: the governors package imports the kernel.
+        from repro.governors.base import idle_fastpath_enabled
+
+        self._run_ahead = idle_fastpath_enabled()
+        #: Chain chunks run in place by :meth:`run_chunks_inline`; each
+        #: one is two events (gap expiry, completion) never dispatched.
+        self.chunks_inlined = 0
 
     # --- introspection -----------------------------------------------------------
 
@@ -95,6 +116,51 @@ class Scheduler:
             return
         self._charge_current_progress()
         self._schedule_completion()
+
+    def run_chunks_inline(self, cycles: float, gap_us: int, limit: int) -> int:
+        """Run up to ``limit`` chain chunks in place; returns how many ran.
+
+        Called from a chain chunk's completion callback.  Each chunk is an
+        IO gap of ``gap_us`` followed by ``cycles`` of work, replayed
+        exactly as the gap expiry (default priority) and the chunk's
+        completion (task priority) would have fired — provided nothing
+        else could observe or interleave with them: no task runs (so none
+        is queued: a dispatch only leaves the core idle on empty queues),
+        the core has no busy or idle listener, and the engine shows no
+        live event due up to the chunk's end within the running window.
+        The first chunk that fails the check is left for the caller to
+        schedule as usual.
+        """
+        core = self._core
+        if (
+            not self._run_ahead
+            or self._current is not None
+            or core._busy_listeners
+            or core._idle_listeners
+        ):
+            return 0
+        engine = self._engine
+        clock = self._clock
+        # Same arithmetic as _schedule_completion for a fresh chunk.
+        delay = ceil(cycles / (core._freq_khz / 1_000.0))
+        if delay < 1:
+            delay = 1
+        ran = 0
+        while ran < limit:
+            start = clock._now + gap_us
+            end = start + delay
+            if not engine.clear_until(end):
+                break
+            engine.pass_event(start, PRIORITY_DEFAULT)
+            next(_task_ids)
+            core.set_busy(True)
+            engine.pass_event(end, PRIORITY_TASK)
+            self._completed_tasks += 1
+            self._completed_cycles += cycles
+            core.set_busy(False)
+            ran += 1
+        self.chunks_inlined += ran
+        return ran
 
     # --- internals ------------------------------------------------------------------
 

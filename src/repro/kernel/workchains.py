@@ -5,7 +5,14 @@ flash writes, socket waits), so the load a governor samples from them sits
 well below 100%.  ``submit_chunked`` models this: a total cycle demand is
 split into fixed-size chunks separated by IO gaps.  Foreground interaction
 work stays unchunked — user-triggered bursts are what race governors to
-high frequencies.
+high frequencies.  When a chunk completes, the chain first offers its
+following chunks to the scheduler's run-ahead
+(:meth:`~repro.kernel.scheduler.Scheduler.run_chunks_inline`), which
+plays them in place while nothing else can be due — in practice at a
+pinned frequency — and only the first chunk it declines costs an engine
+event and a ``Task``.  A demand recorder records the call as one
+``chunked`` node and the demand walk makes the same call, so both passes
+run a chain through this one code path.
 
 :class:`PeriodicWorkChain` is the second background shape: a gated timer
 loop submitting one fixed work unit per period (music decode, widget
@@ -44,31 +51,80 @@ def submit_chunked(
 ) -> int:
     """Submit ``total_cycles`` of work as an IO-interleaved chunk chain.
 
-    Returns the number of chunks the chain will run.
+    Returns the number of chunks the chain will run.  Under a demand
+    recorder the call is recorded as one ``chunked`` node carrying these
+    arguments, and the chain's own chunks and gaps are not recorded.
     """
     if total_cycles <= 0:
         raise SimulationError(f"chunked task {name!r} needs positive cycles")
     if chunk_cycles <= 0 or gap_us < 0:
         raise SimulationError("invalid chunking parameters")
-    chunk_count = max(1, round(total_cycles / chunk_cycles))
-    per_chunk = total_cycles / chunk_count
+    chain = _ChunkChain(
+        engine, scheduler, name, total_cycles, chunk_cycles, gap_us, priority
+    )
+    observer = _chain_observer
+    if observer is not None:
+        observer.chunked_submitted(
+            name, total_cycles, chunk_cycles, gap_us, priority
+        )
+        with observer.chain_firing(chain):
+            chain.submit_next()
+    else:
+        chain.submit_next()
+    return chain.count
 
-    def run(index: int) -> None:
-        def completed(_task: Task) -> None:
-            if index + 1 < chunk_count:
-                engine.schedule_after(gap_us, lambda: run(index + 1))
 
-        scheduler.submit(
+class _ChunkChain:
+    """One :func:`submit_chunked` chain: submit a chunk, wait for its
+    completion, wait the IO gap, repeat.
+
+    A completed chunk first offers the following chunks to
+    :meth:`~repro.kernel.scheduler.Scheduler.run_chunks_inline`; only the
+    first chunk it declines goes through the engine and the run queue.
+    """
+
+    __slots__ = ("_engine", "_scheduler", "_name", "count", "_cycles",
+                 "_gap_us", "_priority", "_index")
+
+    def __init__(
+        self,
+        engine: Engine,
+        scheduler: Scheduler,
+        name: str,
+        total_cycles: float,
+        chunk_cycles: float,
+        gap_us: int,
+        priority: int,
+    ) -> None:
+        self._engine = engine
+        self._scheduler = scheduler
+        self._name = name
+        self.count = max(1, round(total_cycles / chunk_cycles))
+        self._cycles = total_cycles / self.count
+        self._gap_us = gap_us
+        self._priority = priority
+        self._index = 0
+
+    def submit_next(self) -> None:
+        self._scheduler.submit(
             Task(
-                f"{name}[{index}/{chunk_count}]",
-                per_chunk,
-                priority=priority,
-                on_complete=completed,
+                f"{self._name}[{self._index}/{self.count}]",
+                self._cycles,
+                priority=self._priority,
+                on_complete=self._completed,
             )
         )
 
-    run(0)
-    return chunk_count
+    def _completed(self, _task: Task) -> None:
+        index = self._index + 1
+        count = self.count
+        if index < count:
+            index += self._scheduler.run_chunks_inline(
+                self._cycles, self._gap_us, count - index
+            )
+            if index < count:
+                self._index = index
+                self._engine.schedule_after(self._gap_us, self.submit_next)
 
 
 # The demand recorder (repro.demand.capture) installs itself here for the

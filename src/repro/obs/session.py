@@ -336,17 +336,20 @@ class ObsSession:
 
     # --- harvest --------------------------------------------------------------
 
-    def harvest_run(self, engine, governor=None) -> dict:
+    def harvest_run(self, engine, governor=None, scheduler=None) -> dict:
         """The run's ``obs`` row section: registry snapshot + engine stats.
 
-        Engine totals are *read once here* rather than counted per event
-        — the dispatch loop is the hottest code in the simulator and
-        already keeps these counters for its own accounting.
+        Engine totals (and the scheduler's inlined chain chunks) are
+        *read once here* rather than counted per event — the dispatch
+        loop is the hottest code in the simulator and already keeps these
+        counters for its own accounting.
         """
         metrics = self.metrics if self.metrics is not None else MetricsRegistry()
         metrics.inc("engine.events_dispatched", engine.events_fired)
         metrics.inc("engine.events_scheduled", engine.events_scheduled)
         metrics.inc("engine.heap_compactions", engine.heap_compactions)
+        if scheduler is not None:
+            metrics.inc("kernel.chunks_inlined", scheduler.chunks_inlined)
         if governor is not None:
             samples = getattr(governor, "samples_taken", None)
             if samples is not None:

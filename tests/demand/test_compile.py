@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.demand.compile import (
     OP_CHAIN_START,
     OP_CHAIN_STOP,
+    OP_CHUNKED,
     OP_INVALIDATE,
     OP_TASK,
     OP_TIMER,
@@ -21,6 +22,7 @@ from repro.demand.tablematch import BLANK_STATE
 from repro.demand.trace import (
     KIND_CHAIN_START,
     KIND_CHAIN_STOP,
+    KIND_CHUNKED,
     KIND_INVALIDATE,
     KIND_TASK,
     KIND_TIMER,
@@ -30,7 +32,7 @@ from repro.demand.trace import (
 )
 from repro.device.device import Device
 from repro.kernel.task import PRIORITY_FOREGROUND, Task
-from repro.kernel.workchains import PeriodicWorkChain
+from repro.kernel.workchains import PeriodicWorkChain, submit_chunked
 
 WIDTH = HEIGHT = 4
 STATE = zlib.compress(bytes(WIDTH * HEIGHT))
@@ -87,10 +89,20 @@ def _rich_trace():
             priority=0,
         ),
         DemandNode(node_id=6, kind=KIND_INVALIDATE, parent=5, state_id=1),
-        DemandNode(node_id=7, kind=KIND_TIMER, parent=3, delay_us=500),
-        DemandNode(node_id=8, kind=KIND_CHAIN_STOP, input_ordinal=1, chain_key=7),
         DemandNode(
-            node_id=9,
+            node_id=7,
+            kind=KIND_CHUNKED,
+            parent=5,
+            name="aftermath:tap",
+            cycles=4.5e6,
+            chunk_cycles=1.5e6,
+            delay_us=3_000,
+            priority=1,
+        ),
+        DemandNode(node_id=8, kind=KIND_TIMER, parent=3, delay_us=500),
+        DemandNode(node_id=9, kind=KIND_CHAIN_STOP, input_ordinal=1, chain_key=7),
+        DemandNode(
+            node_id=10,
             kind=KIND_TASK,
             input_ordinal=1,
             name="tap2",
@@ -111,18 +123,23 @@ def test_actions_fuse_payloads_and_children():
     assert tap[3] == 3e6 and isinstance(tap[3], float)
     assert tap[4] == 0
     # Children embed as the child nodes' own action tuples, in order.
-    assert tap[5] == [compiled.actions[4], compiled.actions[7]]
-    timer = compiled.actions[7]
+    assert tap[5] == [compiled.actions[4], compiled.actions[8]]
+    timer = compiled.actions[8]
     assert timer == (OP_TIMER, 500, None)  # childless timer
+    # A chunk chain lowers to its submit_chunked arguments verbatim.
+    assert compiled.actions[7] == (
+        OP_CHUNKED, "aftermath:tap", 4.5e6, 1.5e6, 3_000, 1
+    )
+    assert compiled.actions[5][5] == [compiled.actions[6], compiled.actions[7]]
     assert compiled.actions[2] == (OP_INVALIDATE, 0)
     assert compiled.actions[0] == (
         OP_CHAIN_START, 7, "svc:poll", 40_000, 2.5e6, 1
     )
-    assert compiled.actions[8] == (OP_CHAIN_STOP, 7)
+    assert compiled.actions[9] == (OP_CHAIN_STOP, 7)
     assert compiled.setup_actions == [compiled.actions[0], compiled.actions[1]]
     assert compiled.input_actions == [
         [compiled.actions[3]],
-        [compiled.actions[8], compiled.actions[9]],
+        [compiled.actions[9], compiled.actions[10]],
     ]
     # Dense guard list: recorded ordinals verbatim, the rest quiescent.
     assert compiled.guards == [(), ()]
@@ -169,6 +186,16 @@ def _random_trace(rng):
                     grow(child, depth + 1)
             elif roll < 0.7:
                 add(KIND_INVALIDATE, parent=parent, state_id=rng.randrange(2))
+            elif roll < 0.8:
+                add(
+                    KIND_CHUNKED,
+                    parent=parent,
+                    name=f"c{len(nodes)}",
+                    cycles=float(rng.randrange(1, 8)) * 5e5,
+                    chunk_cycles=float(rng.randrange(1, 4)) * 5e5,
+                    delay_us=rng.randrange(0, 3_000),
+                    priority=1,
+                )
             else:
                 child = add(
                     KIND_TIMER,
@@ -287,6 +314,16 @@ class InterpretedExecutor:
             chain = self._chains.get(node.chain_key)
             if chain is not None:
                 chain.stop()
+        elif kind == KIND_CHUNKED:
+            submit_chunked(
+                self._engine,
+                self._scheduler,
+                node.name,
+                node.cycles,
+                node.chunk_cycles,
+                node.delay_us,
+                node.priority,
+            )
 
 
 def _evaluate(cls, program, inputs):

@@ -8,8 +8,10 @@ import pytest
 from repro.demand import DemandNode, DemandTrace, DemandTraceError
 from repro.demand import store as store_module
 from repro.demand.trace import (
+    DEMAND_TRACE_SCHEMA_VERSION,
     KIND_CHAIN_START,
     KIND_CHAIN_STOP,
+    KIND_CHUNKED,
     KIND_INVALIDATE,
     KIND_TASK,
     KIND_TIMER,
@@ -157,3 +159,82 @@ def test_trace_without_a_match_table_fails_loudly(table, tmp_path, monkeypatch):
     store.path_for("key").write_text(json.dumps(payload), encoding="utf-8")
     assert store.load(object()) is None
     assert (store.hits, store.misses) == (0, 1)
+
+
+def _chunked_node(node_id: int = 5, **overrides) -> DemandNode:
+    fields = dict(parent=1, name="aftermath:open", cycles=4.5e7,
+                  chunk_cycles=15e6, delay_us=60_000, priority=1)
+    fields.update(overrides)
+    return DemandNode(node_id, KIND_CHUNKED, **fields)
+
+
+def with_chunked(node: DemandNode) -> DemandTrace:
+    return make_trace(nodes=make_trace().nodes + [node])
+
+
+def test_chunked_node_validates_round_trips_and_is_counted():
+    trace = with_chunked(_chunked_node())
+    trace.validate()
+    clone = DemandTrace.loads(trace.dumps())
+    clone.validate()
+    assert clone.to_json_dict() == trace.to_json_dict()
+    assert clone.nodes[5] == trace.nodes[5]
+    assert clone.nodes[5].chunk_cycles == 15e6
+    assert clone.nodes[5].delay_us == 60_000
+    stats = clone.stats()
+    assert stats["chunk_chains"] == 1
+    assert stats["task_arrivals"] == 1
+    assert stats["work_units_cycles"] == 1e6 + 4.5e7
+    assert make_trace().stats()["chunk_chains"] == 0
+
+
+@pytest.mark.parametrize(
+    "overrides, pattern",
+    [
+        ({"name": None}, "chunked chain needs"),
+        ({"cycles": 0.0}, "chunked chain needs"),
+        ({"chunk_cycles": None}, "chunked chain needs"),
+        ({"chunk_cycles": -1.0}, "chunked chain needs"),
+        ({"delay_us": None}, "chunked chain needs"),
+        ({"delay_us": -1}, "chunked chain needs"),
+        ({"delay_us": 60_000.0}, "delay_us must be an integer"),
+        ({"priority": 2}, "chunked chain needs"),
+    ],
+)
+def test_invalid_chunked_nodes_are_rejected(overrides, pattern):
+    with pytest.raises(DemandTraceError, match=pattern):
+        with_chunked(_chunked_node(**overrides)).validate()
+
+
+def test_chunked_node_cannot_parent_children():
+    trace = with_chunked(_chunked_node())
+    trace.nodes.append(DemandNode(6, KIND_TIMER, parent=5, delay_us=1))
+    with pytest.raises(DemandTraceError, match="cannot have children"):
+        trace.validate()
+
+
+def test_schema_1_trace_is_a_store_miss(tmp_path, monkeypatch):
+    """A trace written before chunk chains were one node is never served:
+    its store key differs, and a schema-1 payload under the current key
+    fails validation — both are plain misses."""
+    import repro.fleet.cache as cache_module
+
+    assert DEMAND_TRACE_SCHEMA_VERSION == 2
+    monkeypatch.setattr(cache_module, "code_fingerprint", lambda: "code")
+    monkeypatch.setattr(
+        cache_module, "workload_fingerprint", lambda _artifacts: "workload"
+    )
+    current_key = store_module.demand_trace_key(None)
+    monkeypatch.setattr(store_module, "DEMAND_TRACE_SCHEMA_VERSION", 1)
+    old_key = store_module.demand_trace_key(None)
+    monkeypatch.setattr(store_module, "DEMAND_TRACE_SCHEMA_VERSION", 2)
+    assert old_key != current_key
+
+    store = store_module.DemandTraceStore(tmp_path)
+    payload = make_trace(schema_version=1).dumps()
+    store.root.mkdir(parents=True, exist_ok=True)
+    store.path_for(old_key).write_text(payload, encoding="utf-8")
+    assert store.load(None) is None
+    store.path_for(current_key).write_text(payload, encoding="utf-8")
+    assert store.load(None) is None
+    assert (store.hits, store.misses) == (0, 2)

@@ -5,9 +5,10 @@ import pytest
 from repro.explore.evaluator import ExploreEvaluator
 from repro.fleet.cache import ResultCache
 from repro.harness.experiment import replay_run
+from repro.device.frequencies import snapdragon_8074_table
 from repro.harness.sweep import fixed_configs
 
-ORACLE_RUNS = len(fixed_configs())
+ORACLE_RUNS = len(fixed_configs(snapdragon_8074_table()))
 CANDIDATE = "qoe_aware:boost=1036800,settle=40000"
 
 

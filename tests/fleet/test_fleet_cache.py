@@ -219,21 +219,23 @@ def test_differently_spelled_configs_share_a_sweep_cache_cell(
     tmp_path, artifacts_ds03
 ):
     """The sweep canonicalises spellings, so both hit the same cell."""
+    from repro.device.frequencies import snapdragon_8074_table
     from repro.harness.sweep import fixed_configs, run_sweep
 
     cache = ResultCache(tmp_path)
     canonical = "qoe_aware:boost=1036800,settle=40000"
-    grid = fixed_configs() + ["qoe_aware:settle=40_000,boost=1_036_800"]
+    fixed = fixed_configs(snapdragon_8074_table())
+    grid = fixed + ["qoe_aware:settle=40_000,boost=1_036_800"]
     spelled = run_sweep(artifacts_ds03, reps=1, cache=cache, configs=grid)
     assert canonical in spelled.runs
 
     hits_before = cache.hits
     rerun = run_sweep(
         artifacts_ds03, reps=1, cache=cache,
-        configs=fixed_configs() + [canonical],
+        configs=fixed + [canonical],
     )
     # Every cell — including the re-spelled candidate — was already cached.
-    assert cache.hits - hits_before == len(fixed_configs()) + 1
+    assert cache.hits - hits_before == len(fixed) + 1
     assert rerun.runs[canonical] == spelled.runs[canonical]
 
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.device.frequencies import snapdragon_8074_table
 from repro.fleet.cache import ResultCache
 from repro.fleet.progress import ProgressReporter
 from repro.harness.sweep import run_sweep, sweep_configs
@@ -24,7 +25,7 @@ def test_parallel_sweep_identical_and_warm_rerun_all_cached(
     assert parallel.runs == serial_sweep.runs
     assert parallel.oracle.energy_j == serial_sweep.oracle.energy_j
     assert cache.hits == 0
-    total = len(sweep_configs())
+    total = len(sweep_configs(snapdragon_8074_table()))
 
     rerun = run_sweep(artifacts_ds03, reps=1, jobs=4, cache=cache)
     assert cache.hits == total  # every completed cell skipped execution
@@ -53,12 +54,12 @@ def test_run_sweep_reports_each_cell_in_grid_order(
         for event in events
         if event["event"] == "run_completed"
     ]
-    assert calls == [(config, 0) for config in sweep_configs()]
+    assert calls == [(config, 0) for config in sweep_configs(snapdragon_8074_table())]
 
 
 def test_progress_reporter_binds_to_the_sweep_grid(reported_sweep):
     _result, lines, events = reported_sweep
-    total = len(sweep_configs())
+    total = len(sweep_configs(snapdragon_8074_table()))
     assert events[0]["event"] == "grid_bound"
     assert (events[0]["total"], events[0]["configs"]) == (total, total)
     assert len(lines) == total

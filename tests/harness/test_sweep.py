@@ -20,19 +20,20 @@ def small_sweep(artifacts_ds03):
 
 
 def test_seventeen_configurations():
-    configs = sweep_configs()
+    configs = sweep_configs(snapdragon_8074_table())
     assert len(configs) == 17
-    assert len(fixed_configs()) == 14
+    assert len(fixed_configs(snapdragon_8074_table())) == 14
     assert governor_configs() == ["conservative", "interactive", "ondemand"]
 
 
 def test_config_labels():
-    assert config_label("fixed:960000") == "0.96 GHz"
-    assert config_label("ondemand") == "ondemand"
+    table = snapdragon_8074_table()
+    assert config_label("fixed:960000", table) == "0.96 GHz"
+    assert config_label("ondemand", table) == "ondemand"
 
 
 def test_sweep_runs_every_config(small_sweep):
-    assert set(small_sweep.configs()) == set(sweep_configs())
+    assert set(small_sweep.configs()) == set(sweep_configs(small_sweep.table))
     for config in small_sweep.configs():
         assert len(small_sweep.runs[config]) == 1
 
@@ -48,7 +49,8 @@ def test_oracle_base_is_efficient_opp(small_sweep):
 
 def test_fixed_energy_curve_is_u_shaped(small_sweep):
     energies = [
-        small_sweep.mean_energy_j(config) for config in fixed_configs()
+        small_sweep.mean_energy_j(config)
+        for config in fixed_configs(small_sweep.table)
     ]
     best = energies.index(min(energies))
     assert 0 < best < len(energies) - 1
@@ -56,7 +58,8 @@ def test_fixed_energy_curve_is_u_shaped(small_sweep):
 
 def test_irritation_decreases_with_frequency(small_sweep):
     irritations = [
-        small_sweep.mean_irritation_s(config) for config in fixed_configs()
+        small_sweep.mean_irritation_s(config)
+        for config in fixed_configs(small_sweep.table)
     ]
     # Allow small non-monotonicities from frame quantisation.
     assert irritations[0] > irritations[-1]
@@ -99,19 +102,19 @@ class TestConfigParsing:
 
     def test_parameterized_label_is_canonical(self):
         assert (
-            config_label("qoe_aware:settle=40_000,boost=1_036_800")
+            config_label("qoe_aware:settle=40_000,boost=1_036_800", self.table)
             == "qoe_aware:boost=1036800,settle=40000"
         )
 
     def test_label_rejects_out_of_table_frequency(self):
         with pytest.raises(ReproError, match="999"):
-            config_label("fixed:999")
+            config_label("fixed:999", self.table)
 
     def test_label_rejects_malformed_strings(self):
         with pytest.raises(ReproError):
-            config_label("fixed:fast")
+            config_label("fixed:fast", self.table)
         with pytest.raises(ReproError):
-            config_label("qoe_aware:boost")
+            config_label("qoe_aware:boost", self.table)
 
     def test_parse_sweep_configs_canonicalises_and_dedupes(self):
         from repro.harness.sweep import parse_sweep_configs

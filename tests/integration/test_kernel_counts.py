@@ -1,11 +1,16 @@
-"""Exact kernel event counts for pinned dataset-02 cells.
+"""Exact kernel event counts for dataset-02 cells.
 
 The task lifecycle is the simulator's hottest path, and speed work on it
-must leave the event stream untouched: the same events fired, the same
-heap entries pushed (every seq drawn), the same tombstone compactions,
-cpufreq transitions and completed tasks.  These counts are deterministic,
-so they are pinned exactly; a change to any of them is a behaviour
-change, never noise.
+must leave the event stream untouched: the same heap entries pushed
+(every seq drawn), the same tombstone compactions, cpufreq transitions
+and completed tasks.  Events *dispatched* may only fall by the chain
+chunks the scheduler runs in place at a pinned frequency, two events
+(IO-gap expiry and completion) per inlined chunk, so
+``events_dispatched + 2 * kernel.chunks_inlined`` is pinned to the
+count of a replay without run-ahead.  Sampling governors listen to the
+core, so nothing is inlined under them.  These counts are
+deterministic, so they are pinned exactly; a change to any of them is a
+behaviour change, never noise.
 """
 
 import pytest
@@ -17,13 +22,26 @@ from repro.obs.session import ObsSession, observed
 from repro.workloads.datasets import dataset
 
 # (events_dispatched, heap_compactions, events_scheduled,
-#  cpufreq.transitions, completed tasks) per cell.
+#  cpufreq.transitions, completed tasks, kernel.chunks_inlined) per cell.
 PINNED = {
-    ("demand", "fixed:960000"): (8580, 0, 8591, 1, 3776),
-    ("demand", "interactive"): (15486, 0, 19011, 3539, 3805),
-    ("demand", "ondemand"): (20622, 0, 23623, 5951, 3857),
-    ("demand", "conservative"): (10496, 0, 10778, 506, 3790),
-    ("full", "interactive"): (15506, 0, 19032, 3539, 3805),
+    ("demand", "fixed:300000"): (5192, 0, 8585, 0, 3767, 1685),
+    ("demand", "fixed:960000"): (3742, 0, 8591, 1, 3776, 2419),
+    ("full", "fixed:960000"): (3764, 0, 8612, 1, 3776, 2418),
+    ("demand", "interactive"): (15486, 0, 19011, 3539, 3805, 0),
+    ("demand", "ondemand"): (20622, 0, 23623, 5951, 3857, 0),
+    ("demand", "conservative"): (10496, 0, 10778, 506, 3790, 0),
+    ("full", "interactive"): (15506, 0, 19032, 3539, 3805, 0),
+}
+
+# Events dispatched by the same cell without run-ahead (REPRO_FASTPATH=0).
+DISPATCHED_WITHOUT_RUN_AHEAD = {
+    ("demand", "fixed:300000"): 8562,
+    ("demand", "fixed:960000"): 8580,
+    ("full", "fixed:960000"): 8600,
+    ("demand", "interactive"): 15486,
+    ("demand", "ondemand"): 20622,
+    ("demand", "conservative"): 10496,
+    ("full", "interactive"): 15506,
 }
 
 
@@ -57,5 +75,7 @@ def test_kernel_counts_are_pinned(ds02, monkeypatch, mode, config):
         counters["engine.events_scheduled"],
         counters.get("cpufreq.transitions", 0),
         scheduler.completed_tasks,
+        counters["kernel.chunks_inlined"],
     )
     assert got == PINNED[(mode, config)]
+    assert got[0] + 2 * got[5] == DISPATCHED_WITHOUT_RUN_AHEAD[(mode, config)]

@@ -38,9 +38,10 @@ def test_full_downstream_workflow(artifacts_ds03):
 def test_oracle_composable_from_partial_sweep(artifacts_ds03):
     """compose_oracle_from_runs works from exactly the 14 fixed runs."""
     runs = {}
+    from repro.device.frequencies import snapdragon_8074_table
     from repro.harness.sweep import fixed_configs
 
-    for config in fixed_configs():
+    for config in fixed_configs(snapdragon_8074_table()):
         runs[config] = [replay_run(artifacts_ds03, config)]
     oracle = compose_oracle_from_runs(artifacts_ds03, runs)
     assert oracle.base_khz == 960_000

@@ -11,12 +11,16 @@ from repro.kernel.task import PRIORITY_FOREGROUND
 from repro.kernel.workchains import submit_chunked
 
 
-@pytest.fixture
-def rig():
+def _make_rig():
     engine = Engine()
     core = CpuCore(engine.clock, snapdragon_8074_table())
     scheduler = Scheduler(engine, core)
     return engine, core, scheduler
+
+
+@pytest.fixture
+def rig():
+    return _make_rig()
 
 
 def test_total_work_is_preserved(rig):
@@ -82,8 +86,11 @@ def _recording_submits(scheduler):
     return submitted
 
 
-def test_chunk_names_gaps_and_event_counts_are_pinned(rig):
-    engine, _core, scheduler = rig
+def test_chunk_names_gaps_and_event_counts_are_pinned(monkeypatch):
+    # Without run-ahead every chunk is a submitted Task and every gap and
+    # completion a dispatched event.
+    monkeypatch.setenv("REPRO_FASTPATH", "0")
+    engine, _core, scheduler = _make_rig()
     submitted = _recording_submits(scheduler)
     chunks = submit_chunked(
         engine, scheduler, "svc", 90e6, chunk_cycles=30e6, gap_us=7_000
@@ -101,4 +108,24 @@ def test_chunk_names_gaps_and_event_counts_are_pinned(rig):
     # One completion per chunk plus one gap timer between chunks.
     assert engine.events_scheduled == 5
     assert engine.events_fired == 5
+    assert scheduler.completed_tasks == 3
+
+
+def test_run_ahead_keeps_intervals_and_seqs_of_the_pinned_chain(rig):
+    """The same chain on a listener-free core runs chunks 1 and 2 inline:
+    two events fewer each, the same seqs drawn and busy intervals."""
+    engine, core, scheduler = rig
+    core.enable_busy_trace()
+    submitted = _recording_submits(scheduler)
+    submit_chunked(
+        engine, scheduler, "svc", 90e6, chunk_cycles=30e6, gap_us=7_000
+    )
+    engine.run_until(10_000_000)
+    assert [task.name for task in submitted] == ["svc[0/3]"]
+    assert list(core.busy_pairs()) == [
+        (0, 100_000), (107_000, 207_000), (214_000, 314_000)
+    ]
+    assert scheduler.chunks_inlined == 2
+    assert engine.events_scheduled == 5
+    assert engine.events_fired == 5 - 2 * scheduler.chunks_inlined
     assert scheduler.completed_tasks == 3
