@@ -9,6 +9,9 @@ Runs every entry point of the repository in this process under one
   ``sweep`` inline, pooled, warm, distributed and on a scenario,
   ``study``, ``explore`` with every strategy, ``trace``, ``attribute``,
   ``trace-diff``, ``demand -o``/``-i`` and ``perf``);
+* the two module entry points CI runs: ``python -m repro.obs.validate``
+  on the ``trace`` and ``attribute`` outputs, and ``python -m
+  repro.scenarios.smoke``;
 * every script in ``examples/``, with short arguments;
 * the paper checks, ``benchmarks/bench_*.py``, through pytest with
   ``--benchmark-disable`` (pytest collects no file of that name unless
@@ -191,6 +194,16 @@ def run_entry_points(scan: _Scan, work: Path) -> list[str]:
 
     for argv in cli_commands(work):
         note("repro-qoe " + " ".join(argv), lambda argv=argv: cli.main(argv))
+    from repro.obs import validate
+    from repro.scenarios import smoke
+
+    for name in ("trace.json", "attributed.json"):
+        note(
+            f"python -m repro.obs.validate {name}",
+            lambda path=str(work / name): validate.main([path]),
+        )
+    # Passed explicitly: run_smoke's default stream is bound at import.
+    note("python -m repro.scenarios.smoke", lambda: smoke.run_smoke(sys.stdout))
     for name, args in EXAMPLES.items():
         note(f"examples/{name}", _run_script(ROOT / "examples" / name, args))
 

@@ -46,7 +46,6 @@ class CpuCore:
         self._busy_starts: array | None = None
         self._busy_ends: array | None = None
         self._busy_listeners: list[Callable[[], None]] = []
-        self._idle_listeners: list[Callable[[], None]] = []
 
     # --- read-side properties -------------------------------------------------
 
@@ -79,15 +78,6 @@ class CpuCore:
         that could observe non-zero load.
         """
         self._busy_listeners.append(listener)
-
-    def add_idle_listener(self, listener: Callable[[], None]) -> None:
-        """``listener`` fires on every busy-to-idle transition.
-
-        Wake signal for the busy-elision fast path: a sampling timer
-        parked during a pinned-at-max busy stretch must resume before the
-        first sample window that could observe load below 100.
-        """
-        self._idle_listeners.append(listener)
 
     def busy_time_total(self) -> int:
         """Cumulative busy microseconds, including the open interval."""
@@ -197,6 +187,3 @@ class CpuCore:
                 self._busy_ends.append(now)
             self._busy = False
             self._busy_since = None
-            if self._idle_listeners:
-                for listener in self._idle_listeners:
-                    listener()

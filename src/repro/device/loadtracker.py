@@ -41,17 +41,14 @@ class LoadTracker:
         load = round(100 * busy_delta / window)
         return max(0, min(100, load))
 
-    def fast_forward(self, timestamp: int, busy_total: int | None = None) -> None:
+    def fast_forward(self, timestamp: int) -> None:
         """Reset the window as if a sample had run at ``timestamp``.
 
         Used by the governors' fast path: when a parked sampling timer
         wakes up, the window must start at the last elided tick — exactly
-        where a real (no-op) sample would have left it.  For the idle
-        variant (no busy time accrued since the previous sample) the
-        default ``busy_total`` is correct; the busy-elision variant passes
-        the busy counter as of ``timestamp`` explicitly.
+        where a real (no-op) sample would have left it.  A timer parks
+        only while the core idles, so no busy time accrued since that
+        tick and the current busy counter is the one it would have read.
         """
         self._last_time = timestamp
-        if busy_total is None:
-            busy_total = self._core.busy_time_total()
-        self._last_busy = busy_total
+        self._last_busy = self._core.busy_time_total()

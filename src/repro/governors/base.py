@@ -61,15 +61,15 @@ class TickElisionMixin:
     in ``self._timer``, its core in ``self._core``, the fast-path flag in
     ``self._fastpath`` and (optionally) a load tracker in
     ``self._load_tracker`` gets the full tick-elision lifecycle from this
-    mixin: park bookkeeping (``self._park_mode``), core busy/idle wake
-    listeners, and exact reconciliation of ``samples_taken`` and the
+    mixin: park bookkeeping (``self._park_mode``), the core-busy wake
+    listener, and exact reconciliation of ``samples_taken`` and the
     load-tracking window for the elided ticks.
 
-    Park modes: ``"idle"`` (idle at the resting frequency; wake on busy),
-    ``"busy"`` (pinned under full load; wake on idle), ``"hold"`` (a
-    bounded no-op wait with a :meth:`PeriodicTimer.park_until` deadline;
-    wake on busy).  Input notifiers additionally call :meth:`_wake`
-    directly.
+    A timer parks only while the core idles, so every elided window
+    reads load 0.  Park modes: ``"idle"`` (idle at the resting
+    frequency) and ``"hold"`` (a bounded no-op wait with a
+    :meth:`PeriodicTimer.park_until` deadline).  Both wake when the core
+    turns busy; input notifiers additionally call :meth:`_wake` directly.
     """
 
     _park_mode: str | None
@@ -81,10 +81,9 @@ class TickElisionMixin:
         self._timer.on_elided = self._credit_elided
 
     def _elision_attach(self) -> None:
-        """Call from ``_on_start``: register the wake listeners."""
+        """Call from ``_on_start``: register the wake listener."""
         if self._fastpath:
             self._core.add_busy_listener(self._on_core_busy)
-            self._core.add_idle_listener(self._on_core_idle)
 
     def _park(self, mode: str, wake_time: int | None = None) -> None:
         self._park_mode = mode
@@ -98,11 +97,7 @@ class TickElisionMixin:
             obs.timer_parked(self._park_started_at, self.name, mode)
 
     def _on_core_busy(self) -> None:
-        if self._park_mode == "idle" or self._park_mode == "hold":
-            self._wake()
-
-    def _on_core_idle(self) -> None:
-        if self._park_mode == "busy":
+        if self._park_mode is not None:
             self._wake()
 
     def _credit_elided(self, elided: int, last_tick: int) -> None:
@@ -118,7 +113,7 @@ class TickElisionMixin:
                 self._park_started_at,
                 elided,
             )
-        self._account_elided(elided, last_tick, busy_total=None)
+        self._account_elided(elided, last_tick)
 
     def _wake(self) -> None:
         """Resume sampling after tick elision, reconciling the counters."""
@@ -134,28 +129,17 @@ class TickElisionMixin:
                 self._park_started_at,
                 elided,
             )
-        if not elided:
-            return
-        if mode == "busy":
-            # Core was continuously busy from the last elided tick to
-            # now, so rewind its counter by the elapsed span.
-            busy_total = self._core.busy_time_total() - (
-                self.context.engine.clock._now - last_tick
-            )
-        else:
-            busy_total = None
-        self._account_elided(elided, last_tick, busy_total)
+        if elided:
+            self._account_elided(elided, last_tick)
 
-    def _account_elided(
-        self, elided: int, last_tick: int, busy_total: int | None
-    ) -> None:
+    def _account_elided(self, elided: int, last_tick: int) -> None:
         """Default reconciliation: sample counter + load window.
 
         Governors without per-tick counters (qoe_aware) override this
         with a no-op.
         """
         self.samples_taken += elided
-        self._load_tracker.fast_forward(last_tick, busy_total)
+        self._load_tracker.fast_forward(last_tick)
 
 
 class Governor(ABC):

@@ -103,16 +103,14 @@ class ConservativeGovernor(TickElisionMixin, Governor):
                         policy.current_khz,
                     )
         # Tick-elision fast path: settled at the minimum with an idle core
-        # (load 0, no step down possible) or pinned at the maximum with a
-        # busy core (load 100, no step up possible) — either way every
-        # further sample is a no-op until the core flips state.
-        if self._fastpath:
-            current = policy.current_khz
-            if not self._core.busy:
-                if current == policy.min_khz:
-                    self._park("idle")
-            elif current == policy.max_khz:
-                self._park("busy")
+        # (load 0, no step down possible), every further sample is a
+        # no-op until the core turns busy.
+        if (
+            self._fastpath
+            and policy.current_khz == policy.min_khz
+            and not self._core.busy
+        ):
+            self._park("idle")
 
 
 register_governor("conservative", ConservativeGovernor)

@@ -168,34 +168,28 @@ class InteractiveGovernor(TickElisionMixin, Governor):
                         waited_us=held,
                     )
 
-        # Tick-elision fast path.  Two provably-stable states:
-        #  * idle at the policy minimum: every sample reads load 0, chooses
-        #    the minimum, and changes nothing until the core turns busy or
-        #    an input boost raises the frequency (both un-park);
-        #  * busy at the policy maximum: every fully-busy window reads load
-        #    100, re-targets the maximum it is already at, and leaves the
-        #    floor/validation state untouched until the core idles.
-        if self._fastpath and self._hispeed_validate_since is None:
-            current = policy.current_khz
-            if not self._core.busy:
-                if current == policy.min_khz:
-                    self._park("idle")
-                else:
-                    # Idle above the minimum: ramp-down is blocked by the
-                    # floor hold, so every tick strictly inside the hold
-                    # window reads load 0 and does nothing.  Park through
-                    # the hold with a scheduled wake at the first tick
-                    # that may ramp down.
-                    period = self._timer.period_us
-                    wait = (
-                        self._floor_set_at + self.min_sample_time_us - now
-                    )
-                    if wait > 0:
-                        steps = -(-wait // period)
-                        if steps >= 3:  # machinery pays for >= 2 elisions
-                            self._park("hold", now + steps * period)
-            elif current == policy.max_khz:
-                self._park("busy")
+        # Tick-elision fast path, only while the core idles (every elided
+        # window then reads load 0; a busy edge or an input un-parks):
+        #  * idle at the policy minimum: every sample chooses the minimum
+        #    and changes nothing;
+        #  * idle above the minimum: ramp-down is blocked by the floor
+        #    hold, so every tick strictly inside the hold window does
+        #    nothing.  Park through the hold with a scheduled wake at the
+        #    first tick that may ramp down.
+        if (
+            self._fastpath
+            and self._hispeed_validate_since is None
+            and not self._core.busy
+        ):
+            if policy.current_khz == policy.min_khz:
+                self._park("idle")
+            else:
+                period = self._timer.period_us
+                wait = self._floor_set_at + self.min_sample_time_us - now
+                if wait > 0:
+                    steps = -(-wait // period)
+                    if steps >= 3:  # machinery pays for >= 2 elisions
+                        self._park("hold", now + steps * period)
 
     def _choose_freq(self, load: int, current_khz: int) -> int:
         """Lowest frequency keeping the load at or under ``target_load``."""

@@ -87,15 +87,6 @@ class OndemandGovernor(TickElisionMixin, Governor):
                 )
             # While pinned at max, re-evaluate down-scaling less often.
             self._down_skip = self.sampling_down_factor - 1
-            # Busy fast path: pinned at max with a busy core, every
-            # fully-busy window repeats exactly this branch (load 100,
-            # same target, same down_skip) until the core idles.
-            if (
-                self._fastpath
-                and self._core.busy
-                and policy.current_khz == policy.max_khz
-            ):
-                self._park("busy")
             return
         if self._down_skip > 0:
             self._down_skip -= 1

@@ -80,9 +80,7 @@ class QoeAwareGovernor(TickElisionMixin, Governor):
             for node in self.context.input_subsystem.nodes():
                 node.add_observer(self._on_input_event)
 
-    def _account_elided(
-        self, elided: int, last_tick: int, busy_total: int | None
-    ) -> None:
+    def _account_elided(self, elided: int, last_tick: int) -> None:
         """No per-tick counters or load tracker: waking is just re-arming."""
 
     def _on_input_event(self, event: InputEvent) -> None:
@@ -108,11 +106,6 @@ class QoeAwareGovernor(TickElisionMixin, Governor):
         )
         if busy:
             self._idle_since = None
-            # Busy fast path: while work is queued or running, every
-            # sample just re-clears idle_since; the core-idle listener
-            # un-parks before the first idle window.
-            if self._fastpath:
-                self._park("busy")
             return
         if self._idle_since is None:
             self._idle_since = now

@@ -126,7 +126,7 @@ class Scheduler:
         completion (task priority) would have fired — provided nothing
         else could observe or interleave with them: no task runs (so none
         is queued: a dispatch only leaves the core idle on empty queues),
-        the core has no busy or idle listener, and the engine shows no
+        the core has no busy listener, and the engine shows no
         live event due up to the chunk's end within the running window.
         The first chunk that fails the check is left for the caller to
         schedule as usual.
@@ -136,7 +136,6 @@ class Scheduler:
             not self._run_ahead
             or self._current is not None
             or core._busy_listeners
-            or core._idle_listeners
         ):
             return 0
         engine = self._engine

@@ -135,19 +135,26 @@ def run_scheduler_chunks(chains: int = 64, chain_cycles: float = 600e6) -> Engin
 
     Exercises the task dispatch/completion path, busy accounting and the
     energy meter — the per-chunk machinery every replay pays thousands of
-    times.
+    times.  The first half of the chains start 97 µs apart, so another
+    chain's task is queued when a chunk completes and every chunk goes
+    through the heap; the second half then run one at a time on the
+    otherwise idle core, where the scheduler plays a chain's chunks in
+    place (:meth:`~repro.kernel.scheduler.Scheduler.run_chunks_inline`).
     """
     engine = Engine()
     core = CpuCore(engine.clock, snapdragon_8074_table())
     scheduler = Scheduler(engine, core)
-    for index in range(chains):
-        engine.schedule_at(
-            1 + index * 97,
-            lambda i=index: submit_chunked(
-                engine, scheduler, f"bench:{i}", chain_cycles
-            ),
-        )
+
+    def start(index: int) -> None:
+        submit_chunked(engine, scheduler, f"bench:{index}", chain_cycles)
+
+    queued = chains // 2
+    for index in range(queued):
+        engine.schedule_at(1 + index * 97, lambda i=index: start(i))
     engine.run_until_idle()
+    for index in range(queued, chains):
+        engine.schedule_after(1, lambda i=index: start(i))
+        engine.run_until_idle()
     return engine
 
 

@@ -8,7 +8,9 @@ chunks the scheduler runs in place at a pinned frequency, two events
 (IO-gap expiry and completion) per inlined chunk, so
 ``events_dispatched + 2 * kernel.chunks_inlined`` is pinned to the
 count of a replay without run-ahead.  Sampling governors listen to the
-core, so nothing is inlined under them.  These counts are
+core, so nothing is inlined under them.  A sampling timer parks only
+while the core idles, so ``idle`` and ``hold`` are the only park modes
+counted.  These counts are
 deterministic, so they are pinned exactly; a change to any of them is a
 behaviour change, never noise.
 """
@@ -27,10 +29,10 @@ PINNED = {
     ("demand", "fixed:300000"): (5192, 0, 8585, 0, 3767, 1685),
     ("demand", "fixed:960000"): (3742, 0, 8591, 1, 3776, 2419),
     ("full", "fixed:960000"): (3764, 0, 8612, 1, 3776, 2418),
-    ("demand", "interactive"): (15486, 0, 19011, 3539, 3805, 0),
-    ("demand", "ondemand"): (20622, 0, 23623, 5951, 3857, 0),
+    ("demand", "interactive"): (15922, 0, 19447, 3539, 3805, 0),
+    ("demand", "ondemand"): (21143, 0, 24144, 5951, 3857, 0),
     ("demand", "conservative"): (10496, 0, 10778, 506, 3790, 0),
-    ("full", "interactive"): (15506, 0, 19032, 3539, 3805, 0),
+    ("full", "interactive"): (15942, 0, 19468, 3539, 3805, 0),
 }
 
 # Events dispatched by the same cell without run-ahead (REPRO_FASTPATH=0).
@@ -38,10 +40,22 @@ DISPATCHED_WITHOUT_RUN_AHEAD = {
     ("demand", "fixed:300000"): 8562,
     ("demand", "fixed:960000"): 8580,
     ("full", "fixed:960000"): 8600,
-    ("demand", "interactive"): 15486,
-    ("demand", "ondemand"): 20622,
+    ("demand", "interactive"): 15922,
+    ("demand", "ondemand"): 21143,
     ("demand", "conservative"): 10496,
-    ("full", "interactive"): 15506,
+    ("full", "interactive"): 15942,
+}
+
+# Timer parks by mode (obs counters ``timer.parks.<mode>``); a pinned
+# governor has no sampling timer.
+PARKS = {
+    ("demand", "fixed:300000"): {},
+    ("demand", "fixed:960000"): {},
+    ("full", "fixed:960000"): {},
+    ("demand", "interactive"): {"idle": 920, "hold": 2432},
+    ("demand", "ondemand"): {"idle": 2957},
+    ("demand", "conservative"): {"idle": 309},
+    ("full", "interactive"): {"idle": 920, "hold": 2432},
 }
 
 
@@ -79,3 +93,10 @@ def test_kernel_counts_are_pinned(ds02, monkeypatch, mode, config):
     )
     assert got == PINNED[(mode, config)]
     assert got[0] + 2 * got[5] == DISPATCHED_WITHOUT_RUN_AHEAD[(mode, config)]
+    prefix = "timer.parks."
+    parks = {
+        key[len(prefix):]: value
+        for key, value in counters.items()
+        if key.startswith(prefix)
+    }
+    assert parks == PARKS[(mode, config)]

@@ -170,11 +170,9 @@ def test_two_chains_and_a_periodic_chain_share_the_background_band(
     assert inlined > 0
 
 
-@pytest.mark.parametrize("edge", ["busy", "idle"])
-def test_core_with_a_listener_is_never_inlined(monkeypatch, edge):
+def test_core_with_a_listener_is_never_inlined(monkeypatch):
     def scenario(rig):
-        add = getattr(rig.core, f"add_{edge}_listener")
-        add(lambda: rig.note(edge))
+        rig.core.add_busy_listener(lambda: rig.note("busy"))
         _chain(rig, total=4 * CHUNK)
         rig.engine.run_until(END)
 

@@ -108,8 +108,8 @@ class TestEmitFanOut:
         session = ObsSession()
         session.governor_started(0, "interactive")
         session.input_boost(1, "interactive", 1_200_000)
-        session.timer_parked(2, "interactive", "busy")
-        session.timer_unparked(3, "interactive", "busy", 2, 0)
+        session.timer_parked(2, "interactive", "idle")
+        session.timer_unparked(3, "interactive", "idle", 2, 0)
         session.freq_transition(4, 600_000)
         session.frame_composed(5, 0)
         session.gesture_window_opened(6, "tap:0", 0)

@@ -1,5 +1,6 @@
 """Tests for the perf harness: workloads are deterministic, results sane."""
 
+from repro.kernel.scheduler import Scheduler
 from repro.perf import workloads
 from repro.perf.harness import (
     MICRO_BENCHES,
@@ -31,10 +32,24 @@ def test_engine_churn_completes_with_bounded_heap():
     assert len(engine._queue) < 2 * 128 + 64
 
 
-def test_scheduler_chunks_runs_all_chains():
+def test_scheduler_chunks_runs_all_chains(monkeypatch):
+    monkeypatch.setenv("REPRO_FASTPATH", "1")
+    schedulers = []
+
+    class Tracked(Scheduler):
+        def __init__(self, *args):
+            super().__init__(*args)
+            schedulers.append(self)
+
+    monkeypatch.setattr(workloads, "Scheduler", Tracked)
     engine = workloads.run_scheduler_chunks(chains=4, chain_cycles=60e6)
-    assert engine.events_fired > 0
+    (scheduler,) = schedulers
     assert engine.pending == 0
+    assert scheduler.completed_tasks == 4 * 4  # 4 chains of 4 chunks
+    # The two staggered chains queue every chunk; the two lone chains
+    # play all but their first chunk in place.
+    assert scheduler.chunks_inlined == 2 * 3
+    assert engine.events_fired > 0
 
 
 def test_policy_queries_checksum_stable():
