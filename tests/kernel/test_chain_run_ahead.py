@@ -181,6 +181,23 @@ def test_core_with_a_listener_is_never_inlined(monkeypatch):
     assert inlined == 0
 
 
+def test_listener_added_mid_chain_stops_the_run_ahead(monkeypatch):
+    def scenario(rig):
+        _chain(rig, total=5 * CHUNK)
+        # Chunks 2 and 3 end by 314000; the listener arrives in the gap
+        # before chunk 4, which then runs, like chunk 5, through the queue.
+        rig.engine.schedule_at(
+            320_000,
+            lambda: rig.core.add_busy_listener(lambda: rig.note("busy")),
+        )
+        rig.engine.run_until(END)
+
+    fast, inlined, slow = _both(monkeypatch, scenario)
+    assert fast == slow
+    assert [label for label, *_ in fast[-1]] == ["busy"] * 2
+    assert inlined == 2
+
+
 def test_chain_is_inlined_only_within_the_running_window(monkeypatch):
     """Outside a run nothing is provably clear: a chain started and
     completed by hand keeps its gap event."""
