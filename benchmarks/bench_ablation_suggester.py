@@ -42,7 +42,7 @@ def test_min_still_frames_prunes_but_keeps_truth(benchmark, demo_video):
 def test_still_period_30_reduces_to_final(benchmark):
     # Reconstruct via a fresh run to get the video object directly.
     from repro.apps import install_standard_apps
-    from repro.capture import CaptureCard
+    from repro.capture import CaptureCard, Video
     from repro.core.simtime import seconds
     from repro.device.device import Device
     from repro.uifw.view import WindowManager
@@ -52,13 +52,15 @@ def test_still_period_30_reduces_to_final(benchmark):
     install_standard_apps(wm)
     device.set_governor("fixed:300000")
     card = CaptureCard(device.display)
+    video = Video(device.display.width, device.display.height)
+    card.add_tap(video)
     card.start(0)
     launcher = wm.app("launcher")
     device.touchscreen.schedule_tap(
         seconds(1), launcher.tap_target("icon:gallery")
     )
     device.run_for(seconds(9))
-    video = card.stop(device.engine.now)
+    card.stop(device.engine.now)
     record = wm.journal.interactions[0]
 
     base_config = SuggesterConfig(mask_rects=tuple(record.mask_rects))

@@ -8,7 +8,9 @@ Runs every entry point of the repository in this process under one
 * each CLI command on small inputs (``repro-qoe table1``, ``classify``,
   ``sweep`` inline, pooled, warm, distributed and on a scenario,
   ``study``, ``explore`` with every strategy, ``trace``, ``attribute``,
-  ``trace-diff``, ``demand -o``/``-i`` and ``perf``);
+  ``trace-diff``, ``demand -o``/``-i``, and ``perf`` writing a scratch
+  baseline with ``--update-baseline`` and then gating on it with
+  ``--check``);
 * the two module entry points CI runs: ``python -m repro.obs.validate``
   on the ``trace`` and ``attribute`` outputs, and ``python -m
   repro.scenarios.smoke``;
@@ -78,6 +80,7 @@ def cli_commands(work: Path) -> list[list[str]]:
 
     cache, share = str(work / "cache"), f"distributed:dir={work / 'share'},workers=2"
     attributed, demand = str(work / "attributed.json"), str(work / "demand.json")
+    baseline = str(work / "perf_baseline.json")
     commands = [
         ["table1"],
         ["classify", "--datasets", "03"],
@@ -102,7 +105,10 @@ def cli_commands(work: Path) -> list[list[str]]:
         ["trace-diff", attributed, attributed],
         ["demand", SCENARIO, "-o", demand],
         ["demand", SCENARIO, "-i", demand],
-        ["perf", "--repeats", "1"],
+        # The gate round trip, against a scratch baseline: never the
+        # committed benchmarks/perf_baseline.json.
+        ["perf", "--repeats", "1", "--update-baseline", "--baseline", baseline],
+        ["perf", "--repeats", "1", "--check", "--baseline", baseline],
     ]
     return commands
 

@@ -8,9 +8,9 @@ user-irritation metric (part B).
 Run:  python examples/quickstart.py
 """
 
-from repro.analysis import AutoAnnotator, Matcher
+from repro.analysis import AutoAnnotator, OnlineMatcher
 from repro.apps import install_standard_apps
-from repro.capture import CaptureCard
+from repro.capture import CaptureCard, Video
 from repro.core.simtime import seconds
 from repro.device.device import Device
 from repro.replay import GeteventRecorder, ReplayAgent
@@ -31,6 +31,8 @@ def main() -> None:
     recorder = GeteventRecorder(device.input_subsystem)
     recorder.start()
     card = CaptureCard(device.display)
+    video = Video(device.display.width, device.display.height)
+    card.add_tap(video)
     card.start(device.engine.now)
 
     launcher = wm.app("launcher")
@@ -48,7 +50,7 @@ def main() -> None:
     device.run_for(seconds(24))
 
     trace = recorder.stop()
-    video = card.stop(device.engine.now)
+    card.stop(device.engine.now)
     print(f"recorded {len(trace)} input events, {video.frame_count} frames "
           f"({video.segment_count} distinct)")
 
@@ -64,10 +66,12 @@ def main() -> None:
         agent = ReplayAgent(replay_device.engine, replay_device.input_subsystem)
         agent.schedule(trace)
         replay_card = CaptureCard(replay_device.display)
+        matcher = OnlineMatcher(database)
+        replay_card.add_tap(matcher)
         replay_card.start(replay_device.engine.now)
         replay_device.run_for(seconds(26))
-        replay_video = replay_card.stop(replay_device.engine.now)
-        profiles[khz] = Matcher(database).match(replay_video)
+        replay_card.stop(replay_device.engine.now)
+        profiles[khz] = matcher.profile()
 
     print(f"\n{'lag':40s} {'0.30 GHz':>10s} {'2.15 GHz':>10s}")
     slow, fast = profiles[300_000], profiles[2_150_400]

@@ -13,9 +13,9 @@ Walks through the three analysis mechanisms the paper's §II describes:
 Run:  python examples/suggester_walkthrough.py
 """
 
-from repro.analysis import AutoAnnotator, Matcher
+from repro.analysis import AutoAnnotator, OnlineMatcher
 from repro.apps import install_standard_apps
-from repro.capture import CaptureCard
+from repro.capture import CaptureCard, Video
 from repro.core.simtime import seconds
 from repro.device.device import Device
 from repro.harness.figures import collapse_change_string, fig7_suggester_demo
@@ -44,6 +44,8 @@ def occurrence_demo() -> None:
     recorder = GeteventRecorder(device.input_subsystem)
     recorder.start()
     card = CaptureCard(device.display)
+    video = Video(device.display.width, device.display.height)
+    card.add_tap(video)
     card.start(device.engine.now)
 
     launcher = wm.app("launcher")
@@ -57,7 +59,7 @@ def occurrence_demo() -> None:
     device.engine.schedule_at(seconds(10), refresh)
     device.run_for(seconds(18))
     trace = recorder.stop()
-    video = card.stop(device.engine.now)
+    card.stop(device.engine.now)
 
     database = AutoAnnotator("occurrence-demo").annotate(video, wm.journal)
     refresh_annotation = database.annotations[-1]
@@ -75,9 +77,12 @@ def occurrence_demo() -> None:
     agent = ReplayAgent(replay_device.engine, replay_device.input_subsystem)
     agent.schedule(trace)
     card2 = CaptureCard(replay_device.display)
+    matcher = OnlineMatcher(database)
+    card2.add_tap(matcher)
     card2.start(replay_device.engine.now)
     replay_device.run_for(seconds(18))
-    profile = Matcher(database).match(card2.stop(replay_device.engine.now))
+    card2.stop(replay_device.engine.now)
+    profile = matcher.profile()
     for lag in profile.lags:
         print(f"  measured at 1.50 GHz: {lag.label}: {lag.duration_ms:.0f} ms")
 

@@ -1,16 +1,15 @@
 """The matcher as an online reducer over the capture's segment stream.
 
-The batch matcher (paper §II-E) re-scans a materialised video once per
-annotation.  :class:`OnlineMatcher` performs the identical algorithm as a
-:class:`~repro.capture.stream.FrameTap`: each gesture's scan state is
-activated when the stream reaches its input time, every closed segment is
-compared against the (few) currently-open annotation windows, and a
-matched window releases its state immediately — so memory is
-O(active-window), not O(session), and consumed frames are never retained.
-
-Equivalence with the batch matcher is structural, not tested-for only:
-:class:`~repro.analysis.matcher.Matcher` drives this same reducer over
-``video.segments()``, so the two paths cannot diverge.
+The paper's matcher (§II-E) steps through the video frame by frame and,
+from each input's time on, compares the following frames with the lag
+ending the annotation database holds.  :class:`OnlineMatcher` performs
+that algorithm as a :class:`~repro.capture.stream.FrameTap`: each
+gesture's scan state is activated when the stream reaches its input
+time, every closed segment is compared against the (few) currently-open
+annotation windows, and a matched window releases its state immediately
+— so memory is O(active-window), not O(session), and consumed frames are
+never retained.  Occurrence counting handles endings that look like
+beginnings; masks handle run-to-run nondeterminism.
 """
 
 from __future__ import annotations
@@ -77,8 +76,7 @@ class OnlineMatcher(FrameTap):
             self._start_frame = segment.start
         # Open every annotation window the stream has now reached.  A
         # window beginning before the capture started can never be
-        # scanned; it is reported (in database order) at profile time,
-        # exactly like the batch matcher's range check.
+        # scanned; it is reported (in database order) at profile time.
         while (
             self._next < len(self._scans)
             and self._scans[self._next].begin_frame < segment.end
@@ -148,9 +146,8 @@ class OnlineMatcher(FrameTap):
     def profile(self) -> LagProfile:
         """The lag profile, or the first (database-order) failure.
 
-        Raises :class:`MatchError` with the batch matcher's exact
-        diagnostics: an annotation beginning outside the captured frame
-        range, or an ending image that never appeared.
+        Raises :class:`MatchError` for an annotation beginning outside
+        the captured frame range, or an ending image that never appeared.
         """
         if self._end_frame is None:
             raise MatchError("capture still running: no stop signal received")

@@ -1,17 +1,12 @@
 """Screen capture: lossless video of the device display (paper §II-C).
 
-Batch captures materialise a :class:`Video`; the streaming pipeline
-delivers closed frame runs to :class:`FrameTap` subscribers instead (see
-:mod:`repro.capture.stream`).
+A capture streams closed frame runs to :class:`FrameTap` subscribers
+(see :mod:`repro.capture.stream`); a :class:`Video` is the tap that keeps
+them all, for consumers that need random access.
 """
 
 from repro.capture.hdmi import CaptureCard
-from repro.capture.stream import (
-    FrameDigestTap,
-    FrameTap,
-    SegmentStreamer,
-    replay_segments,
-)
+from repro.capture.stream import FrameDigestTap, FrameTap, SegmentStreamer
 from repro.capture.video import Frame, Video, VideoSegment
 
 __all__ = [
@@ -22,5 +17,4 @@ __all__ = [
     "SegmentStreamer",
     "Video",
     "VideoSegment",
-    "replay_segments",
 ]

@@ -1,29 +1,23 @@
 """Streaming frame segments: the capture card's tap bus.
 
-The batch pipeline materialises a whole :class:`~repro.capture.video.Video`
-and analyses it post-hoc, which costs O(session) memory — the wall the
-day-long and persona workloads hit first.  This module is the streaming
-alternative: a :class:`SegmentStreamer` runs the exact RLE state machine
-the video container uses, but *emits* each run of identical frames to
-subscribed :class:`FrameTap` objects as soon as the run can no longer
-change, then forgets it.  Consumers that can reduce online (the matcher,
-digest accumulators) therefore hold O(active-window) state instead of the
-whole capture.
+A :class:`SegmentStreamer` runs the RLE state machine of a screen
+capture and *emits* each run of identical frames to subscribed
+:class:`FrameTap` objects as soon as the run can no longer change, then
+forgets it.  Consumers that can reduce online (the matcher, digest
+accumulators) therefore hold O(active-window) state instead of the whole
+capture; a consumer that needs random access subscribes a
+:class:`~repro.capture.video.Video`, the tap that keeps every segment.
 
 A segment is emitted once two newer runs exist behind it: the recording
 semantics (same-vsync recomposition may replace the last run or merge it
 back into its predecessor) can only ever mutate the last two runs, so
-holding exactly two pending runs makes emitted segments immutable.  The
-``Video`` container records through this same state machine, which is what
-makes streamed segments bit-identical to ``video.segments()``.
+holding exactly two pending runs makes emitted segments immutable.
 
 The state machine compares runs by an opaque key, so it is the only
-copy of the RLE rules: a full replay streams the display through the
-capture card keyed by content digest (see
-:func:`repro.harness.experiment.stream_lags`), and the demand evaluation
-pass streams interned state ids through it without any pixels (see
-:mod:`repro.demand.tablematch`).  The batch ``Video`` remains for
-recording and annotation, which need random access to the whole capture.
+copy of the RLE rules: the capture card streams the display through it
+keyed by content digest, and the demand evaluation pass streams
+interned state ids through it without any pixels (see
+:mod:`repro.demand.tablematch`).
 """
 
 from __future__ import annotations
@@ -38,11 +32,10 @@ from repro.obs.session import active as _obs_active
 class FrameTap:
     """A subscriber to the capture card's segment stream.
 
-    Taps receive every closed segment, in frame order, exactly once —
-    live on a streaming capture, or replayed from the finished video at
-    ``stop()`` on a batch capture, so a tap observes the same sequence
-    either way.  Subclasses override what they need; both
-    methods are no-ops by default.
+    Taps receive every closed segment, in frame order, exactly once, as
+    the capture runs, so every tap on one capture observes the same
+    sequence.  Subclasses override what they need; both methods are
+    no-ops by default.
     """
 
     def on_segment(self, segment: VideoSegment) -> None:
@@ -82,13 +75,12 @@ class SegmentStreamer:
     """The RLE recording state machine with incremental segment emission.
 
     Runs are keyed by an opaque equality key: a frame joins the current
-    run exactly when its key equals the run's.  The capture card and
-    :class:`Video` key by content digest (:meth:`record_frame`); the
-    demand evaluation pass keys by interned framebuffer state id
-    (:meth:`record`).  Either way frames are recorded with gap filling,
-    same-vsync replacement and merge-back, and completed runs flow out
-    to taps instead of accumulating: at most two pending runs are held
-    at any time.
+    run exactly when its key equals the run's.  The capture card keys
+    by content digest (:meth:`record_frame`); the demand evaluation
+    pass keys by interned framebuffer state id (:meth:`record`).  Either
+    way frames are recorded with gap filling, same-vsync replacement and
+    merge-back, and completed runs flow out to taps instead of
+    accumulating: at most two pending runs are held at any time.
     """
 
     def __init__(self, width: int, height: int) -> None:
@@ -100,24 +92,16 @@ class SegmentStreamer:
         self._obs = _obs_active()
         self._emitted = 0
 
-    @property
-    def finalized(self) -> bool:
-        return self._finalized
-
     def add_tap(self, tap: FrameTap) -> None:
         self._taps.append(tap)
-
-    def pending_segments(self) -> list[VideoSegment]:
-        """The (at most two) runs that may still change."""
-        return list(self._pending)
 
     # --- recording ------------------------------------------------------------
 
     def record_frame(self, frame_index: int, content: Frame) -> None:
         """Record the display content as of ``frame_index``.
 
-        Same contract as :meth:`Video.record_frame`: runs are keyed by
-        content digest, and a frame is copied only when it opens a run.
+        Same contract as :meth:`record`, keyed by content digest; a frame
+        is copied only when it opens a run.
         """
         if content.shape != (self.height, self.width):
             raise CaptureError(
@@ -204,14 +188,3 @@ class SegmentStreamer:
         self._emitted += 1
         for tap in self._taps:
             tap.on_segment(segment)
-
-
-def replay_segments(segments, end_frame: int, tap: FrameTap) -> None:
-    """Feed an already-materialised segment list through a tap.
-
-    A batch capture uses this at stop so a tap observes the identical
-    segment sequence a streaming capture would have delivered live.
-    """
-    for segment in segments:
-        tap.on_segment(segment)
-    tap.on_stop(end_frame)

@@ -4,8 +4,10 @@ A capture is a 30 fps sequence of frames.  Because the screen is still for
 long stretches (the paper's 24-hour workload especially), frames are
 stored as run-length segments of identical content, while the API exposes
 exact frame-by-frame semantics: ``frame_at(i)`` for any index, and
-segment iteration for algorithms (suggester, matcher) that can
-short-circuit over still periods.
+segment iteration for algorithms (the suggester, the annotator) that can
+short-circuit over still periods.  A :class:`Video` is one more frame tap
+on the capture's segment stream, the one that keeps every segment, for
+the consumers that need random access to the whole capture.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.errors import CaptureError
-from repro.device.display import VSYNC_PERIOD_US
 
 Frame = np.ndarray
 
@@ -48,13 +49,22 @@ class VideoSegment:
         return self.end - self.start
 
 
-class _CollectTap:
-    """Streamer tap that accumulates closed segments into a list."""
+class Video:
+    """An RLE-compressed, frame-addressable screen capture.
 
-    __slots__ = ("_segments",)
+    A frame tap: subscribe it to a capture (``card.add_tap(video)``) and
+    it keeps every closed segment the
+    :class:`~repro.capture.stream.SegmentStreamer` emits, so its segments
+    are bit-identical to the ones every other tap sees.  Read it once the
+    capture has stopped.
+    """
 
-    def __init__(self, segments: list[VideoSegment]) -> None:
-        self._segments = segments
+    def __init__(self, width: int, height: int) -> None:
+        self.width = width
+        self.height = height
+        self._segments: list[VideoSegment] = []
+
+    # --- FrameTap interface -----------------------------------------------------------
 
     def on_segment(self, segment: VideoSegment) -> None:
         self._segments.append(segment)
@@ -62,57 +72,11 @@ class _CollectTap:
     def on_stop(self, end_frame: int) -> None:
         pass
 
-
-class Video:
-    """An RLE-compressed, frame-addressable screen capture.
-
-    Recording runs through the same :class:`~repro.capture.stream.
-    SegmentStreamer` state machine the streaming pipeline uses, so the
-    segments a materialised video exposes are bit-identical to the ones
-    streamed to frame taps.
-    """
-
-    def __init__(self, width: int, height: int, fps_period_us: int = VSYNC_PERIOD_US):
-        from repro.capture.stream import SegmentStreamer
-
-        self.width = width
-        self.height = height
-        self.fps_period_us = fps_period_us
-        self._segments: list[VideoSegment] = []
-        self._streamer = SegmentStreamer(width, height)
-        self._streamer.add_tap(_CollectTap(self._segments))
-
-    # --- recording side -------------------------------------------------------------
-
-    def record_frame(self, frame_index: int, content: Frame) -> None:
-        """Record the display content as of ``frame_index``.
-
-        Gaps since the previous recorded frame are filled with the
-        previous content (the capture card samples a static signal).
-        Re-recording the current index replaces its content (two
-        compositions inside one vsync interval).
-        """
-        self._streamer.record_frame(frame_index, content)
-
-    def finalize(self, end_frame_index: int) -> None:
-        """Extend the last still period to the capture stop point."""
-        self._streamer.finalize(end_frame_index)
-
-    @property
-    def _finalized(self) -> bool:
-        return self._streamer.finalized
-
-    def _all_segments(self) -> list[VideoSegment]:
-        """Closed plus still-pending segments (pending empty once final)."""
-        if self._streamer.finalized:
-            return self._segments
-        return self._segments + self._streamer.pending_segments()
-
     # --- read side ---------------------------------------------------------------------
 
     @property
     def start_frame(self) -> int:
-        segments = self._all_segments()
+        segments = self._segments
         if not segments:
             raise CaptureError("video is empty")
         return segments[0].start
@@ -120,7 +84,7 @@ class Video:
     @property
     def end_frame(self) -> int:
         """One past the last frame index."""
-        segments = self._all_segments()
+        segments = self._segments
         if not segments:
             raise CaptureError("video is empty")
         return segments[-1].end
@@ -131,10 +95,10 @@ class Video:
 
     @property
     def segment_count(self) -> int:
-        return len(self._all_segments())
+        return len(self._segments)
 
     def segments(self) -> list[VideoSegment]:
-        return list(self._all_segments())
+        return list(self._segments)
 
     def segments_between(self, start: int, end: int) -> Iterator[VideoSegment]:
         """Segments overlapping frame range ``[start, end)``, clipped.
@@ -142,7 +106,7 @@ class Video:
         Seeks to the first overlapping segment by bisection, so the cost
         is the number of segments yielded, not the window's offset.
         """
-        segments = self._all_segments()
+        segments = self._segments
         first = bisect_right(segments, start, key=attrgetter("end"))
         for index in range(first, len(segments)):
             segment = segments[index]
@@ -161,7 +125,7 @@ class Video:
         return segment.content
 
     def _segment_for(self, frame_index: int) -> VideoSegment:
-        segments = self._all_segments()
+        segments = self._segments
         lo, hi = 0, len(segments) - 1
         while lo <= hi:
             mid = (lo + hi) // 2

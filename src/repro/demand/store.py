@@ -21,8 +21,6 @@ that triggers a fresh capture, never an error.
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
 from pathlib import Path
 
 from repro.demand.trace import (
@@ -77,18 +75,6 @@ class DemandTraceStore:
         return trace
 
     def store(self, artifacts, trace: DemandTrace) -> None:
-        path = self.path_for(demand_trace_key(artifacts))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(trace.dumps())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        from repro.fleet.cache import write_atomic
+
+        write_atomic(self.path_for(demand_trace_key(artifacts)), trace.dumps())

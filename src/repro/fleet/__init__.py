@@ -13,9 +13,8 @@ replay.  This package exploits that:
   ``multiprocessing.Pool``) and :class:`DistributedBackend`
   (work-pulling workers over a shared sqlite queue with lease/ack
   semantics, publishing rows to a shared content-addressed store),
-* :mod:`repro.fleet.cache` — :class:`RecordStore` / :class:`ResultCache`,
-  a content-addressed on-disk store so re-running a study only executes
-  invalidated cells,
+* :mod:`repro.fleet.cache` — :class:`ResultCache`, a content-addressed
+  on-disk store so re-running a study only executes invalidated cells,
 * :mod:`repro.fleet.progress` — :class:`ProgressReporter`, aggregated
   ``done/total`` + ETA reporting across all workers.
 
@@ -31,7 +30,7 @@ from repro.fleet.backends import (
     create_backend,
     parse_backend_spec,
 )
-from repro.fleet.cache import RecordStore, ResultCache, workload_fingerprint
+from repro.fleet.cache import ResultCache, workload_fingerprint
 from repro.fleet.engine import (
     FleetEngine,
     FleetError,
@@ -50,7 +49,6 @@ __all__ = [
     "FleetStats",
     "LocalBackend",
     "ProgressReporter",
-    "RecordStore",
     "ResultCache",
     "RunSpec",
     "WorkerFailure",

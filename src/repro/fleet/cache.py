@@ -94,23 +94,39 @@ def workload_fingerprint(artifacts: "WorkloadArtifacts") -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-class RecordStore:
-    """Contract of a content-addressed :class:`RunRecord` row store.
+def write_atomic(path: Path, text: str) -> None:
+    """Publish ``text`` at ``path`` through a temp file and
+    :func:`os.replace`, so a crashed or concurrent writer can never leave
+    a truncated file a later reader would trust."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
-    The key derivation (:meth:`key_for`) is storage-independent — it
-    folds the cache format, the record schema, the code and workload
-    fingerprints and the spec identity — so any store implementation
-    (filesystem, a future network store) addresses the identical cells.
-    Implementations supply :meth:`load` / :meth:`store_wire` /
-    :meth:`contains`; both must tolerate concurrent writers racing the
-    same key (rows are immutable values: last write wins with identical
-    bytes) and count absent, corrupt or schema-stale rows as misses by
-    reason in ``miss_reasons``, never as errors.
+
+class ResultCache:
+    """Content-addressed :class:`RunRecord` rows under
+    ``<root>/<aa>/<key>.json``.
+
+    Concurrent writers may race the same key: rows are immutable values,
+    so the last write wins with identical bytes.  Absent, corrupt or
+    schema-stale rows are misses, counted by reason in ``miss_reasons``,
+    never errors.
     """
 
-    hits: int
-    misses: int
-    miss_reasons: dict[str, int]
+    def __init__(self, root: str | Path) -> None:
+        self.root = Path(root)
+        self.hits = 0
+        self.misses = 0
+        self.miss_reasons: dict[str, int] = {}
 
     def key_for(self, spec: RunSpec, fingerprint: str) -> str:
         payload = (
@@ -118,33 +134,6 @@ class RecordStore:
             f"{code_fingerprint()}|{fingerprint}|{spec.cache_token()}"
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def load(self, key: str) -> "RunRecord | None":
-        raise NotImplementedError
-
-    def store(self, key: str, record: "RunRecord") -> None:
-        self.store_wire(key, record.to_wire())
-
-    def store_wire(self, key: str, row: dict) -> None:
-        """Publish an already-encoded :meth:`RunRecord.to_wire` row."""
-        raise NotImplementedError
-
-    def _miss(self, reason: str) -> None:
-        self.misses += 1
-        self.miss_reasons[reason] = self.miss_reasons.get(reason, 0) + 1
-
-    def contains(self, key: str) -> bool:
-        raise NotImplementedError
-
-
-class ResultCache(RecordStore):
-    """Filesystem implementation: rows under ``<root>/<aa>/<key>.json``."""
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.miss_reasons = {}
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -167,22 +156,16 @@ class ResultCache(RecordStore):
         self.hits += 1
         return record
 
+    def _miss(self, reason: str) -> None:
+        self.misses += 1
+        self.miss_reasons[reason] = self.miss_reasons.get(reason, 0) + 1
+
+    def store(self, key: str, record: "RunRecord") -> None:
+        self.store_wire(key, record.to_wire())
+
     def store_wire(self, key: str, row: dict) -> None:
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(row, separators=(",", ":")))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        """Publish an already-encoded :meth:`RunRecord.to_wire` row."""
+        write_atomic(self.path_for(key), json.dumps(row, separators=(",", ":")))
 
     def contains(self, key: str) -> bool:
         return self.path_for(key).exists()

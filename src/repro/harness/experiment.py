@@ -32,7 +32,7 @@ from repro.analysis import (
 from repro.analysis.classify import InputClassification, classify_workload
 from repro.apps import install_standard_apps
 from repro.apps.services import BackgroundServices
-from repro.capture import CaptureCard
+from repro.capture import CaptureCard, Video
 from repro.core.errors import WorkloadError
 from repro.core.rng import RngStreams
 from repro.core.simtime import seconds
@@ -95,6 +95,8 @@ def record_workload(
     recorder = GeteventRecorder(device.input_subsystem)
     recorder.start()
     card = CaptureCard(device.display)
+    video = Video(device.display.width, device.display.height)
+    card.add_tap(video)
     card.start(device.engine.now)
 
     user = ScriptedUser(wm, spec.plan(streams.stream("plan")), spec.duration_us)
@@ -124,7 +126,7 @@ def record_workload(
     device.run_for(seconds(2))
 
     trace = recorder.stop()
-    video = card.stop(device.engine.now)
+    card.stop(device.engine.now)
     duration_us = device.engine.now
 
     annotator = AutoAnnotator(spec.name, hci_model=hci_model)
@@ -154,7 +156,7 @@ def stream_lags(device: Device, database: AnnotationDatabase, frame_tap):
     card.add_tap(online)
     if frame_tap is not None:
         card.add_tap(frame_tap)
-    card.start(device.engine.now, streaming=True)
+    card.start(device.engine.now)
 
     def finish(now: int) -> LagProfile:
         card.stop(now)

@@ -348,23 +348,25 @@ def _annotation_session(lags: int):
     """
     import numpy as np
 
-    from repro.capture.video import Video
+    from repro.capture import SegmentStreamer, Video
     from repro.core.geometry import Rect
     from repro.device.display import VSYNC_PERIOD_US
     from repro.uifw.journal import GroundTruthJournal
 
     width, height = 16, 16
     video = Video(width, height)
+    streamer = SegmentStreamer(width, height)
+    streamer.add_tap(video)
     journal = GroundTruthJournal()
     journal.mask_provider = lambda: [Rect(0, 0, width, 2)]
     pressed = np.full((height, width), 200, dtype=np.uint8)
     loading = np.full((height, width), 201, dtype=np.uint8)
-    video.record_frame(0, np.zeros((height, width), dtype=np.uint8))
+    streamer.record_frame(0, np.zeros((height, width), dtype=np.uint8))
     for lag in range(lags):
         begin = 1 + lag * _ANNOTATE_SPACING_FRAMES
-        video.record_frame(begin + 1, pressed)
-        video.record_frame(begin + 3, loading)
-        video.record_frame(
+        streamer.record_frame(begin + 1, pressed)
+        streamer.record_frame(begin + 3, loading)
+        streamer.record_frame(
             begin + 4, np.full((height, width), lag % 100, dtype=np.uint8)
         )
         journal.note_gesture("tap", begin * VSYNC_PERIOD_US)
@@ -373,7 +375,7 @@ def _annotation_session(lags: int):
         )
         journal.gesture_dispatched(True)
         token.complete((begin + 3) * VSYNC_PERIOD_US)
-    video.finalize(1 + lags * _ANNOTATE_SPACING_FRAMES)
+    streamer.finalize(1 + lags * _ANNOTATE_SPACING_FRAMES)
     return video, journal
 
 

@@ -9,7 +9,6 @@ from repro.core.errors import AnnotationError
 from repro.core.simtime import millis
 from repro.analysis.annotator import AutoAnnotator
 from repro.analysis.diff import frames_equal
-from repro.capture.video import Video
 from repro.device.display import VSYNC_PERIOD_US
 from repro.harness import experiment
 from repro.harness.experiment import record_workload
@@ -18,6 +17,7 @@ from repro.scenarios.personas import persona_names
 from repro.uifw.journal import GroundTruthJournal
 from repro.workloads import dataset
 from tests.analysis.test_suggester import reference_suggest
+from tests.conftest import record_video
 
 
 def test_annotates_every_completed_interaction(gallery_session, gallery_database):
@@ -185,10 +185,8 @@ def test_annotation_work_per_lag_does_not_grow_with_session(monkeypatch):
 def _tiny_case(values, end_frame_of_completion):
     """A one-lag video (one frame per value) and a journal whose only
     interaction begins at frame 0 and completes during the given frame."""
-    video = Video(8, 8)
-    for index, value in enumerate(values):
-        video.record_frame(index, np.full((8, 8), value, dtype=np.uint8))
-    video.finalize(len(values))
+    frames = [np.full((8, 8), value, dtype=np.uint8) for value in values]
+    video = record_video(enumerate(frames), len(values))
     journal = GroundTruthJournal()
     journal.note_gesture("tap", 0)
     token = journal.open_interaction("tiny:lag", "common", 0)

@@ -16,7 +16,9 @@ from repro.analysis.suggester import (
     reduction_factor,
     suggest,
 )
-from repro.capture.video import Video, VideoSegment
+from repro.capture.video import VideoSegment
+
+from tests.conftest import record_video
 
 
 def frame(value):
@@ -24,11 +26,9 @@ def frame(value):
 
 
 def make_video(values):
-    video = Video(8, 8)
-    for index, value in enumerate(values):
-        video.record_frame(index, frame(value))
-    video.finalize(len(values))
-    return video
+    return record_video(
+        [(index, frame(value)) for index, value in enumerate(values)], len(values)
+    )
 
 
 def suggested_frames(values, start=0, end=None, **config):
@@ -69,11 +69,8 @@ def test_mask_merges_runs_differing_only_in_masked_region():
     base = frame(1)
     blinked = base.copy()
     blinked[0, 0] = 255  # a blinking cursor pixel
-    video = Video(8, 8)
     sequence = [base, base, blinked, blinked, base, base]
-    for index, content in enumerate(sequence):
-        video.record_frame(index, content)
-    video.finalize(len(sequence))
+    video = record_video(enumerate(sequence), len(sequence))
     no_mask = suggest(video, 0, len(sequence), SuggesterConfig())
     masked = suggest(
         video,
@@ -89,10 +86,7 @@ def test_tolerance_handles_blinking_cursor():
     base = frame(1)
     blinked = base.copy()
     blinked[0, 0] = 255
-    video = Video(8, 8)
-    for index, content in enumerate([base, blinked, base, blinked]):
-        video.record_frame(index, content)
-    video.finalize(4)
+    video = record_video(enumerate([base, blinked, base, blinked]), 4)
     assert suggest(video, 0, 4, SuggesterConfig(tolerance_px=1)) == []
 
 
@@ -217,12 +211,12 @@ def rle_windows(draw):
             max_size=12,
         )
     )
-    video = Video(8, 8)
+    frames = []
     index = offset
     for variant, length in periods:
-        video.record_frame(index, _PALETTE[variant])
+        frames.append((index, _PALETTE[variant]))
         index += length
-    video.finalize(index)
+    video = record_video(frames, index)
     bounds = st.integers(offset - 3, index + 3)
     start = draw(st.one_of(bounds, st.sampled_from(_boundaries(video))))
     end = draw(st.one_of(bounds, st.sampled_from(_boundaries(video)), st.just(start)))

@@ -1,9 +1,8 @@
 """Tests for the capture card attached to the display."""
 
-import numpy as np
 import pytest
 
-from repro.capture import CaptureCard
+from repro.capture import CaptureCard, FrameDigestTap, Video
 from repro.core.engine import Engine
 from repro.core.errors import CaptureError
 from repro.device.display import VSYNC_PERIOD_US, Display
@@ -14,21 +13,23 @@ def rig():
     engine = Engine()
     display = Display(engine, 8, 8)
     card = CaptureCard(display)
-    return engine, display, card
+    video = Video(8, 8)
+    card.add_tap(video)
+    return engine, display, card, video
 
 
 def test_capture_seeds_initial_frame(rig):
-    engine, display, card = rig
+    engine, display, card, video = rig
     display.framebuffer.fill(9)
     card.start(engine.now)
     engine.run_until(5 * VSYNC_PERIOD_US)
-    video = card.stop(engine.now)
+    assert card.stop(engine.now) is None
     assert video.frame_at(0)[0, 0] == 9
     assert video.segment_count == 1
 
 
 def test_composed_frames_recorded(rig):
-    engine, display, card = rig
+    engine, display, card, video = rig
     value = [0]
     display.set_composer(lambda fb: fb.fill(value[0]))
     card.start(engine.now)
@@ -39,39 +40,44 @@ def test_composed_frames_recorded(rig):
 
     engine.schedule_at(2 * VSYNC_PERIOD_US + 5, lambda: change(50))
     engine.run_until(10 * VSYNC_PERIOD_US)
-    video = card.stop(engine.now)
+    card.stop(engine.now)
     assert video.frame_at(2)[0, 0] == 0
     assert video.frame_at(3)[0, 0] == 50
     assert video.frame_count == 11
 
 
 def test_stop_without_start_rejected(rig):
-    _engine, _display, card = rig
+    _engine, _display, card, _video = rig
     with pytest.raises(CaptureError):
         card.stop(0)
 
 
 def test_double_start_rejected(rig):
-    engine, _display, card = rig
+    engine, _display, card, _video = rig
     card.start(engine.now)
     with pytest.raises(CaptureError):
         card.start(engine.now)
 
 
-def test_restart_after_stop_allowed(rig):
-    engine, _display, card = rig
+def test_restart_after_stop_allowed():
+    engine = Engine()
+    card = CaptureCard(Display(engine, 8, 8))
+    tap = FrameDigestTap()
+    card.add_tap(tap)
     card.start(engine.now)
     card.stop(engine.now)
     card.start(engine.now)
-    video = card.stop(engine.now)
-    assert video.frame_count >= 1
+    card.stop(engine.now)
+    assert tap.segment_count == 2  # one seeded frame per capture
+    assert tap.end_frame == 1
 
 
 def test_frames_composed_while_stopped_not_recorded(rig):
-    engine, display, card = rig
+    engine, display, card, video = rig
     card.start(engine.now)
-    first = card.stop(engine.now)
+    card.stop(engine.now)
     display.set_composer(lambda fb: fb.fill(77))
     display.invalidate()
     engine.run_until(2 * VSYNC_PERIOD_US)
-    assert first.frame_count == 1
+    assert video.frame_count == 1
+    assert video.segment_count == 1

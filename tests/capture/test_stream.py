@@ -1,4 +1,9 @@
-"""Tests for the streaming segment pipeline (frame taps)."""
+"""Tests for the streaming segment pipeline (frame taps).
+
+The recording rules (gap fill, same-vsync replace, merge-back, the
+rejected inputs) belong to :class:`SegmentStreamer`, so they are
+asserted here, through a :class:`Video` tap's frame-by-frame read side.
+"""
 
 import hashlib
 
@@ -7,16 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import (
+    AnnotationDatabase,
+    GestureInfo,
+    LagAnnotation,
+    OnlineMatcher,
+)
 from repro.core.engine import Engine
 from repro.core.errors import CaptureError
-from repro.capture import (
-    CaptureCard,
-    FrameDigestTap,
-    SegmentStreamer,
-    Video,
-    replay_segments,
-)
+from repro.capture import CaptureCard, FrameDigestTap, SegmentStreamer, Video
 from repro.device.display import VSYNC_PERIOD_US, Display
+
+from tests.conftest import record_video
 
 
 def frame(value):
@@ -36,11 +43,26 @@ class CollectTap:
         self.end_frame = end_frame
 
 
-def drive(recorder, ops, end):
-    """Apply (frame_index, value) ops then finalize at ``end``."""
+def record(ops, end, *taps):
+    """Record (frame_index, value) ops into a Video, stopping at ``end``."""
+    return record_video([(index, frame(value)) for index, value in ops], end, *taps)
+
+
+def frame_by_frame(ops, end):
+    """The value shown at every frame from the first recorded one to
+    ``end``: the last value recorded at or before it."""
+    shown = {}
     for index, value in ops:
-        recorder.record_frame(index, frame(value))
-    recorder.finalize(end)
+        shown[index] = value  # a later compose of one vsync slot wins
+    first = ops[0][0]
+    values = []
+    for index in range(first, end):
+        values.append(shown.get(index, values[-1] if values else None))
+    return first, values
+
+
+def run_count(values):
+    return sum(1 for a, b in zip([None, *values], values) if a != b)
 
 
 # A recording schedule: non-decreasing frame indices (same-index
@@ -61,65 +83,81 @@ def schedules(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(schedules())
-def test_streamed_segments_equal_video_segments(schedule):
-    """The streamer's emitted segments are bit-identical to the batch
-    video's — same RLE state machine, same boundaries, same digests."""
+def test_recorded_segments_equal_frame_by_frame_semantics(schedule):
+    """Gap fill, same-vsync replace and merge-back leave exactly the
+    maximal runs of the frame-by-frame sequence, and every tap on the
+    stream sees the segments the Video keeps."""
     ops, end = schedule
-    video = Video(8, 8)
-    drive(video, ops, end)
-
-    streamer = SegmentStreamer(8, 8)
     tap = CollectTap()
-    streamer.add_tap(tap)
-    drive(streamer, ops, end)
-
-    want = [(s.start, s.end, s.key) for s in video.segments()]
-    assert tap.segments == want
+    video = record(ops, end, tap)
+    first, values = frame_by_frame(ops, end)
+    assert (video.start_frame, video.end_frame) == (first, end)
+    for offset, value in enumerate(values):
+        assert video.frame_at(first + offset)[0, 0] == value
+    segments = video.segments()
+    assert len(segments) == run_count(values)
+    for a, b in zip(segments, segments[1:]):
+        assert a.key != b.key
+        assert a.end == b.start
+    assert tap.segments == [(s.start, s.end, s.key) for s in segments]
     assert tap.end_frame == end
 
 
 @settings(max_examples=100, deadline=None)
 @given(schedules())
 def test_streamer_holds_at_most_two_pending_runs(schedule):
-    """O(active-window): the streamer never buffers more than two runs."""
+    """O(active-window): all but the last two runs recorded so far have
+    already been emitted."""
     ops, end = schedule
     streamer = SegmentStreamer(8, 8)
-    streamer.add_tap(CollectTap())
-    for index, value in ops:
+    tap = CollectTap()
+    streamer.add_tap(tap)
+    for step, (index, value) in enumerate(ops, start=1):
         streamer.record_frame(index, frame(value))
-        assert len(streamer.pending_segments()) <= 2
+        _first, values = frame_by_frame(ops[:step], index + 1)
+        assert len(tap.segments) >= run_count(values) - 2
     streamer.finalize(end)
-    assert streamer.pending_segments() == []
+    assert len(tap.segments) == run_count(frame_by_frame(ops, end)[1])
+
+
+def test_gap_filling_extends_previous_content():
+    video = record([(0, 1), (10, 2)], 12)
+    assert video.frame_at(5)[0, 0] == 1
+    assert video.frame_at(10)[0, 0] == 2
+    assert video.frame_count == 12
+
+
+def test_same_index_recompose_replaces_content():
+    # The second compose within the vsync of frame 1 replaces the first.
+    video = record([(0, 1), (1, 2), (1, 3)], 2)
+    assert video.frame_at(1)[0, 0] == 3
+    assert video.segment_count == 2
+
+
+def test_same_index_recompose_merging_back():
+    # Frame 1 reverts to the previous content: one run again.
+    video = record([(0, 1), (1, 2), (1, 1)], 3)
+    assert video.segment_count == 1
+    assert video.frame_count == 3
 
 
 def test_frame_digest_tap_matches_manual_segment_digest():
-    ops = [(0, 1), (1, 1), (2, 2), (5, 1)]
-    video = Video(8, 8)
-    drive(video, ops, 8)
+    tap = FrameDigestTap()
+    video = record([(0, 1), (1, 1), (2, 2), (5, 1)], 8, tap)
     manual = hashlib.blake2b(digest_size=16)
     for segment in video.segments():
         manual.update(segment.start.to_bytes(8, "big"))
         manual.update(segment.end.to_bytes(8, "big"))
         manual.update(segment.key)
-
-    streamer = SegmentStreamer(8, 8)
-    tap = FrameDigestTap()
-    streamer.add_tap(tap)
-    drive(streamer, ops, 8)
     assert tap.hexdigest() == manual.hexdigest()
-    assert tap.segment_count == video.segment_count
+    assert tap.segment_count == video.segment_count == 3
     assert tap.end_frame == 8
 
-    # replay_segments (the batch path's tap feed) produces the same digest.
-    replayed = FrameDigestTap()
-    replay_segments(video.segments(), video.end_frame, replayed)
-    assert replayed.hexdigest() == tap.hexdigest()
 
-
-def test_streamer_rejects_bad_input_like_video():
+def test_streamer_rejects_bad_input():
     streamer = SegmentStreamer(8, 8)
     with pytest.raises(CaptureError):
-        streamer.record_frame(0, np.zeros((4, 4), dtype=np.uint8))
+        streamer.record_frame(0, np.zeros((4, 4), dtype=np.uint8))  # wrong shape
     with pytest.raises(CaptureError):
         streamer.record_frame(-1, frame(0))
     with pytest.raises(CaptureError):
@@ -127,6 +165,8 @@ def test_streamer_rejects_bad_input_like_video():
     streamer.record_frame(5, frame(1))
     with pytest.raises(CaptureError):
         streamer.record_frame(3, frame(2))  # past frame
+    with pytest.raises(CaptureError):
+        streamer.finalize(5)  # would truncate the last frame
     streamer.finalize(6)
     with pytest.raises(CaptureError):
         streamer.record_frame(7, frame(1))  # after finalize
@@ -145,10 +185,10 @@ def rig():
     return engine, display, card
 
 
-def _run_capture(engine, display, card, streaming):
+def _run_capture(engine, display, card):
     value = [0]
     display.set_composer(lambda fb: fb.fill(value[0]))
-    card.start(engine.now, streaming=streaming)
+    card.start(engine.now)
 
     def change(to):
         value[0] = to
@@ -160,45 +200,73 @@ def _run_capture(engine, display, card, streaming):
     return card.stop(engine.now)
 
 
-def test_streaming_card_feeds_taps_and_returns_no_video(rig):
+def test_card_feeds_taps_and_stop_returns_nothing(rig):
     engine, display, card = rig
     tap = CollectTap()
     card.add_tap(tap)
-    video = _run_capture(engine, display, card, streaming=True)
-    assert video is None
+    assert _run_capture(engine, display, card) is None
     assert tap.end_frame == 11
     assert len(tap.segments) == 3
     assert tap.segments[0][0] == 0
     assert tap.segments[-1][1] == 11
 
 
-def test_batch_card_feeds_taps_identically(rig):
+class _RecordingMatcher(OnlineMatcher):
+    """An OnlineMatcher that also notes the stream it was fed."""
+
+    def __init__(self, database):
+        super().__init__(database)
+        self.segments = []
+        self.end_frame = None
+
+    def on_segment(self, segment):
+        self.segments.append((segment.start, segment.end, segment.key))
+        super().on_segment(segment)
+
+    def on_stop(self, end_frame):
+        self.end_frame = end_frame
+        super().on_stop(end_frame)
+
+
+def test_video_matcher_and_digest_tap_share_one_stream(rig):
+    """A Video is one more tap: beside an OnlineMatcher and a
+    FrameDigestTap on the same card it sees the same segment sequence
+    and end frame, and the card has no other capture mode."""
     engine, display, card = rig
-    tap = FrameDigestTap()
-    card.add_tap(tap)
-    video = _run_capture(engine, display, card, streaming=False)
-    assert video is not None
-    manual = FrameDigestTap()
-    replay_segments(video.segments(), video.end_frame, manual)
-    assert tap.hexdigest() == manual.hexdigest()
-
-
-def test_streaming_vs_batch_digests_identical():
-    for streaming in (True, False):
-        engine = Engine()
-        display = Display(engine, 8, 8)
-        card = CaptureCard(display)
-        tap = FrameDigestTap()
+    database = AnnotationDatabase("one-stream", 8, 8)
+    database.add_gesture(GestureInfo(0, "tap", 0))
+    database.add(
+        LagAnnotation(
+            gesture_index=0,
+            label="to-fifty",
+            category="simple_frequent",
+            begin_time_us=0,
+            image=frame(50),
+            threshold_us=1_000_000,
+        )
+    )
+    video, digest = Video(8, 8), FrameDigestTap()
+    matcher = _RecordingMatcher(database)
+    for tap in (video, matcher, digest):
         card.add_tap(tap)
-        _run_capture(engine, display, card, streaming=streaming)
-        if streaming:
-            stream_digest = tap.hexdigest()
-        else:
-            assert tap.hexdigest() == stream_digest
+    with pytest.raises(TypeError):
+        card.start(engine.now, streaming=True)
+    _run_capture(engine, display, card)
+
+    kept = [(s.start, s.end, s.key) for s in video.segments()]
+    assert len(kept) == 3
+    assert matcher.segments == kept
+    assert digest.segment_count == len(kept)
+    manual = FrameDigestTap()
+    for segment in video.segments():
+        manual.on_segment(segment)
+    assert digest.hexdigest() == manual.hexdigest()
+    assert matcher.end_frame == digest.end_frame == video.end_frame == 11
+    assert matcher.profile().lags[0].end_frame == 3
 
 
 def test_add_tap_during_capture_rejected(rig):
     engine, _display, card = rig
-    card.start(engine.now, streaming=True)
+    card.start(engine.now)
     with pytest.raises(CaptureError):
         card.add_tap(CollectTap())

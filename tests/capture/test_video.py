@@ -1,4 +1,8 @@
-"""Unit and property tests for the RLE video container."""
+"""Unit and property tests for the RLE video container's read side.
+
+The recording rules a Video's segments obey are the streamer's and are
+tested in ``test_stream.py``.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import CaptureError
-from repro.capture.video import Video
+
+from tests.conftest import record_video
 
 
 def frame(value):
@@ -15,11 +20,9 @@ def frame(value):
 
 def make_video(values):
     """Record one frame per consecutive index from a value list."""
-    video = Video(8, 8)
-    for index, value in enumerate(values):
-        video.record_frame(index, frame(value))
-    video.finalize(len(values))
-    return video
+    return record_video(
+        [(index, frame(value)) for index, value in enumerate(values)], len(values)
+    )
 
 
 def test_identical_frames_collapse_into_one_segment():
@@ -45,61 +48,6 @@ def test_frame_outside_range_rejected():
     video = make_video([1])
     with pytest.raises(CaptureError):
         video.frame_at(5)
-
-
-def test_gap_filling_extends_previous_content():
-    video = Video(8, 8)
-    video.record_frame(0, frame(1))
-    video.record_frame(10, frame(2))
-    video.finalize(12)
-    assert video.frame_at(5)[0, 0] == 1
-    assert video.frame_at(10)[0, 0] == 2
-    assert video.frame_count == 12
-
-
-def test_same_index_recompose_replaces_content():
-    video = Video(8, 8)
-    video.record_frame(0, frame(1))
-    video.record_frame(1, frame(2))
-    video.record_frame(1, frame(3))  # second compose within the vsync
-    video.finalize(2)
-    assert video.frame_at(1)[0, 0] == 3
-    assert video.segment_count == 2
-
-
-def test_same_index_recompose_merging_back():
-    video = Video(8, 8)
-    video.record_frame(0, frame(1))
-    video.record_frame(1, frame(2))
-    video.record_frame(1, frame(1))  # reverts to previous content
-    video.finalize(3)
-    assert video.segment_count == 1
-    assert video.frame_count == 3
-
-
-def test_past_frame_rejected():
-    video = Video(8, 8)
-    video.record_frame(5, frame(1))
-    with pytest.raises(CaptureError):
-        video.record_frame(3, frame(2))
-
-
-def test_wrong_shape_rejected():
-    video = Video(8, 8)
-    with pytest.raises(CaptureError):
-        video.record_frame(0, np.zeros((4, 4), dtype=np.uint8))
-
-
-def test_finalize_cannot_truncate():
-    video = make_video([1, 2, 3])
-    with pytest.raises(CaptureError):
-        video.finalize(1)
-
-
-def test_record_after_finalize_rejected():
-    video = make_video([1])
-    with pytest.raises(CaptureError):
-        video.record_frame(5, frame(2))
 
 
 def test_segments_between_clips_to_window():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis import AutoAnnotator
 from repro.apps import install_standard_apps
-from repro.capture import CaptureCard
+from repro.capture import CaptureCard, SegmentStreamer, Video
 from repro.core.simtime import seconds
 from repro.device.device import Device
 from repro.harness.experiment import record_workload
@@ -30,6 +30,20 @@ def phone():
     return dev, wm
 
 
+def record_video(frames, end_frame, *taps, width=8, height=8) -> Video:
+    """Record ``(frame_index, content)`` pairs into a :class:`Video`
+    through a :class:`SegmentStreamer`, as a capture card would, and stop
+    the capture at ``end_frame``.  ``taps`` see the same stream."""
+    video = Video(width, height)
+    streamer = SegmentStreamer(width, height)
+    for tap in (video, *taps):
+        streamer.add_tap(tap)
+    for frame_index, content in frames:
+        streamer.record_frame(frame_index, content)
+    streamer.finalize(end_frame)
+    return video
+
+
 def run_gallery_session(governor: str):
     """A short canonical session: launch gallery, open album, open photo,
     one spurious tap.  Returns (device, wm, trace, video)."""
@@ -40,6 +54,8 @@ def run_gallery_session(governor: str):
     recorder = GeteventRecorder(dev.input_subsystem)
     recorder.start()
     card = CaptureCard(dev.display)
+    video = Video(dev.display.width, dev.display.height)
+    card.add_tap(video)
     card.start(dev.engine.now)
     launcher = wm.app("launcher")
     gallery = wm.app("gallery")
@@ -58,7 +74,9 @@ def run_gallery_session(governor: str):
         lambda: touch.schedule_tap(seconds(23), gallery.tap_target("dead")),
     )
     dev.run_for(seconds(28))
-    return dev, wm, recorder.stop(), card.stop(dev.engine.now)
+    trace = recorder.stop()
+    card.stop(dev.engine.now)
+    return dev, wm, trace, video
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,8 @@ from repro.capture.stream import SegmentStreamer
 from repro.core.errors import CaptureError
 from repro.demand.tablematch import BLANK_STATE, TableMatcher
 
+from tests.conftest import record_video
+
 
 class _Collector:
     """A FrameTap double recording (start, end, segment) triples."""
@@ -51,17 +53,20 @@ def _run_both(events, end_frame, states=8):
     """Feed the same (frame_index, state_id) sequence to both keyings."""
     frames = _distinct_frames(states)
     pixel_tap, shadow_tap = _Collector(), _Collector()
-    pixel = SegmentStreamer(4, 4)
-    pixel.add_tap(pixel_tap)
+    video = record_video(
+        [(frame_index, frames[state]) for frame_index, state in events],
+        end_frame,
+        pixel_tap,
+        width=4,
+        height=4,
+    )
     shadow = _shadow(shadow_tap)
     for frame_index, state in events:
-        pixel.record_frame(frame_index, frames[state])
         shadow.record(frame_index, state)
-    pixel.finalize(end_frame)
     shadow.finalize(end_frame)
     pixel_segments = [
-        (start, end, int(segment.content[0, 0]) - 1)
-        for start, end, segment in pixel_tap.segments
+        (segment.start, segment.end, int(segment.content[0, 0]) - 1)
+        for segment in video.segments()
     ]
     shadow_segments = [
         (start, end, segment.key) for start, end, segment in shadow_tap.segments

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import Matcher
+from repro.analysis import OnlineMatcher
 from repro.apps import install_standard_apps
 from repro.capture import CaptureCard
 from repro.core.simtime import seconds
@@ -20,10 +20,12 @@ def replay_and_match(trace, database, governor, duration_s=30):
     device.set_governor(governor)
     ReplayAgent(device.engine, device.input_subsystem).schedule(trace)
     card = CaptureCard(device.display)
+    matcher = OnlineMatcher(database)
+    card.add_tap(matcher)
     card.start(device.engine.now)
     device.run_for(seconds(duration_s))
-    video = card.stop(device.engine.now)
-    return Matcher(database).match(video), wm
+    card.stop(device.engine.now)
+    return matcher.profile(), wm
 
 
 def test_matcher_agrees_with_ground_truth_across_frequencies(
@@ -65,16 +67,6 @@ def test_clock_mask_survives_shifted_replay(gallery_session, gallery_database):
     the annotation masks must keep the matcher working."""
     _dev, _wm, trace, _video = gallery_session
     shifted = trace.shifted(seconds(130))  # clock shows a different minute
-    device = Device()
-    wm = WindowManager(device)
-    install_standard_apps(wm)
-    device.set_governor("fixed:960000")
-    ReplayAgent(device.engine, device.input_subsystem).schedule(shifted)
-    card = CaptureCard(device.display)
-    card.start(device.engine.now)
-    device.run_for(seconds(160))
-    video = card.stop(device.engine.now)
-
     # Rebuild the database against the shifted gesture times.
     from repro.analysis.annotation import AnnotationDatabase, LagAnnotation
 
@@ -97,7 +89,9 @@ def test_clock_mask_survives_shifted_replay(gallery_session, gallery_database):
                 threshold_us=annotation.threshold_us,
             )
         )
-    profile = Matcher(shifted_db).match(video)
+    profile, _wm = replay_and_match(
+        shifted, shifted_db, "fixed:960000", duration_s=160
+    )
     assert len(profile) == gallery_database.lag_count
 
 

@@ -30,14 +30,16 @@ def scenario_artifacts():
 
 
 def test_streaming_is_the_default(scenario_artifacts, monkeypatch):
-    """A replay never materialises a Video: its capture always streams."""
-    import repro.capture.hdmi as hdmi
+    """A replay subscribes no Video: frames stream to the matcher and are
+    released, never kept for the whole session."""
+    from repro.capture import Video
 
-    def no_video(*_args, **_kwargs):
-        raise AssertionError("replay_run materialised a Video")
+    def no_video(self, segment):
+        raise AssertionError("replay_run kept its frames in a Video")
 
-    monkeypatch.setattr(hdmi, "Video", no_video)
-    replay_run(scenario_artifacts[SCENARIOS[0]], "ondemand")
+    monkeypatch.setattr(Video, "on_segment", no_video)
+    record = replay_run(scenario_artifacts[SCENARIOS[0]], "ondemand")
+    assert record.lags  # the replay streamed segments to its matcher
 
 
 def test_fleet_jobs2_matches_streamed_direct_replay(scenario_artifacts):

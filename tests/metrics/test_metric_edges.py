@@ -4,9 +4,9 @@ settle window, and sessions ending mid-interaction."""
 
 import pytest
 
-from repro.analysis import AutoAnnotator, Matcher
+from repro.analysis import AutoAnnotator, OnlineMatcher
 from repro.apps import install_standard_apps
-from repro.capture import CaptureCard
+from repro.capture import CaptureCard, Video
 from repro.core.errors import ReproError
 from repro.core.simtime import seconds
 from repro.device.device import Device
@@ -22,6 +22,8 @@ from repro.workloads.datasets import (
     unregister_dataset,
 )
 from repro.workloads.sessions import PlanStep
+
+from tests.conftest import record_video
 
 
 # --- irritation unit edges ------------------------------------------------------------
@@ -167,6 +169,8 @@ def test_back_to_back_inputs_inside_one_settle_window():
     install_standard_apps(wm)
     device.set_governor("fixed:300000")
     card = CaptureCard(device.display)
+    video = Video(device.display.width, device.display.height)
+    card.add_tap(video)
     card.start(device.engine.now)
     launcher = wm.app("launcher")
     calculator = wm.app("calculator")
@@ -183,10 +187,19 @@ def test_back_to_back_inputs_inside_one_settle_window():
         ),
     )
     device.run_for(seconds(14))
-    video = card.stop(device.engine.now)
+    card.stop(device.engine.now)
     database = AutoAnnotator("edge-burst").annotate(video, wm.journal)
     assert database.lag_count == 3  # launch + two key taps
-    profile = Matcher(database).match(video)
+    # Match the recording itself: stream its runs to the matcher again.
+    matcher = OnlineMatcher(database)
+    record_video(
+        [(segment.start, segment.content) for segment in video.segments()],
+        video.end_frame,
+        matcher,
+        width=video.width,
+        height=video.height,
+    )
+    profile = matcher.profile()
     assert len(profile.lags) == 3
     key_lags = [lag for lag in profile.lags if "key:" in lag.label]
     assert len(key_lags) == 2
