@@ -32,8 +32,8 @@ class CaptureCard:
         self._attached = False
 
     def add_tap(self, tap: FrameTap) -> None:
-        """Subscribe ``tap`` to the closed-segment stream of every
-        subsequent capture (register before :meth:`start`)."""
+        """Subscribe ``tap`` to the closed-segment stream of the next
+        capture (register before :meth:`start`)."""
         if self._streamer is not None:
             raise CaptureError("cannot add a tap while a capture is running")
         self._taps.append(tap)
@@ -43,8 +43,11 @@ class CaptureCard:
         if self._streamer is not None:
             raise CaptureError("capture already running")
         self._streamer = SegmentStreamer(self._display.width, self._display.height)
+        # The streamer owns the taps from here on, so the card (which the
+        # display keeps alive) holds no tap, and no Video, past stop().
         for tap in self._taps:
             self._streamer.add_tap(tap)
+        self._taps.clear()
         if not self._attached:
             self._display.add_frame_observer(self._on_frame)
             self._attached = True

@@ -1,5 +1,7 @@
 """Tests for the capture card attached to the display."""
 
+import weakref
+
 import pytest
 
 from repro.capture import CaptureCard, FrameDigestTap, Video
@@ -62,14 +64,16 @@ def test_double_start_rejected(rig):
 def test_restart_after_stop_allowed():
     engine = Engine()
     card = CaptureCard(Display(engine, 8, 8))
-    tap = FrameDigestTap()
-    card.add_tap(tap)
+    first, second = FrameDigestTap(), FrameDigestTap()
+    card.add_tap(first)
     card.start(engine.now)
     card.stop(engine.now)
+    card.add_tap(second)  # a tap subscribes to the next capture only
     card.start(engine.now)
+    engine.run_until(2 * VSYNC_PERIOD_US)
     card.stop(engine.now)
-    assert tap.segment_count == 2  # one seeded frame per capture
-    assert tap.end_frame == 1
+    assert (first.segment_count, first.end_frame) == (1, 1)
+    assert (second.segment_count, second.end_frame) == (1, 3)
 
 
 def test_frames_composed_while_stopped_not_recorded(rig):
@@ -81,3 +85,17 @@ def test_frames_composed_while_stopped_not_recorded(rig):
     engine.run_until(2 * VSYNC_PERIOD_US)
     assert video.frame_count == 1
     assert video.segment_count == 1
+
+
+def test_stopped_card_releases_its_taps():
+    """A stopped card keeps no tap alive, so a recording's Video is freed
+    with its last reference, not at the next cyclic collection."""
+    engine = Engine()
+    card = CaptureCard(Display(engine, 8, 8))
+    video = Video(8, 8)
+    card.add_tap(video)
+    card.start(engine.now)
+    card.stop(engine.now)
+    released = weakref.ref(video)
+    del video
+    assert released() is None
