@@ -1,7 +1,8 @@
 """Unit and property tests for the RLE video container's read side.
 
 The recording rules a Video's segments obey are the streamer's and are
-tested in ``test_stream.py``.
+tested in ``test_stream.py``; here only that a rejected frame or stop
+leaves a subscribed Video as it was.
 """
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.capture import SegmentStreamer, Video
 from repro.core.errors import CaptureError
 
 from tests.conftest import record_video
@@ -48,6 +50,58 @@ def test_frame_outside_range_rejected():
     video = make_video([1])
     with pytest.raises(CaptureError):
         video.frame_at(5)
+
+
+def recording():
+    """A streamer with a fresh Video subscribed, as on a capture card."""
+    video = Video(8, 8)
+    streamer = SegmentStreamer(8, 8)
+    streamer.add_tap(video)
+    return streamer, video
+
+
+# A frame the recording rejects never reaches the Video: it keeps exactly
+# what was recorded before the rejection.
+
+
+def test_past_frame_rejected():
+    streamer, video = recording()
+    streamer.record_frame(5, frame(1))
+    with pytest.raises(CaptureError):
+        streamer.record_frame(3, frame(2))
+    streamer.finalize(6)
+    assert [(s.start, s.end) for s in video.segments()] == [(5, 6)]
+    assert video.frame_at(5)[0, 0] == 1
+
+
+def test_wrong_shape_rejected():
+    streamer, video = recording()
+    with pytest.raises(CaptureError):
+        streamer.record_frame(0, np.zeros((4, 4), dtype=np.uint8))
+    assert video.segment_count == 0
+    streamer.record_frame(0, frame(1))
+    streamer.finalize(1)
+    assert video.frame_count == 1
+
+
+def test_finalize_cannot_truncate():
+    streamer, video = recording()
+    for index, value in enumerate([1, 2, 3]):
+        streamer.record_frame(index, frame(value))
+    with pytest.raises(CaptureError):
+        streamer.finalize(1)
+    streamer.finalize(3)
+    assert video.frame_count == 3
+    assert [video.frame_at(i)[0, 0] for i in range(3)] == [1, 2, 3]
+
+
+def test_record_after_finalize_rejected():
+    streamer, video = recording()
+    streamer.record_frame(0, frame(1))
+    streamer.finalize(1)
+    with pytest.raises(CaptureError):
+        streamer.record_frame(5, frame(2))
+    assert [(s.start, s.end) for s in video.segments()] == [(0, 1)]
 
 
 def test_segments_between_clips_to_window():
