@@ -7,10 +7,13 @@ Runs every entry point of the repository in this process under one
 
 * each CLI command on small inputs (``repro-qoe table1``, ``classify``,
   ``sweep`` inline, pooled, warm, distributed and on a scenario,
-  ``study``, ``explore`` with every strategy, ``trace``, ``attribute``,
-  ``trace-diff``, ``demand -o``/``-i``, and ``perf`` writing a scratch
-  baseline with ``--update-baseline`` and then gating on it with
-  ``--check``);
+  ``study``, ``explore`` with every strategy and every searchable
+  governor, ``trace``, ``attribute``, ``trace-diff``, ``demand
+  -o``/``-i``, and ``perf`` writing a scratch baseline with
+  ``--update-baseline`` and then gating on it with ``--check``);
+* the CI commands that set an environment: a sweep under
+  ``REPRO_FASTPATH=0`` and under ``REPRO_DEMAND=0``, and the distributed
+  sweep whose first worker dies holding a lease (``chaos_exit_after=1``);
 * the two module entry points CI runs: ``python -m repro.obs.validate``
   on the ``trace`` and ``attribute`` outputs, and ``python -m
   repro.scenarios.smoke``;
@@ -21,30 +24,36 @@ Runs every entry point of the repository in this process under one
 * ``perfbench/run.py --workload W --seconds 1 --trace 1`` for each
   workload.
 
+Forked children are profiled too: an ``os.register_at_fork`` hook gives
+each child its own profiler, and the child writes what it entered to a
+scratch file when it leaves through ``os._exit`` (how every
+``multiprocessing`` child ends, and how the chaos worker dies) or on
+SIGTERM (how ``Pool.terminate`` stops pool workers).  A child that is
+SIGKILLed, or a process started by spawn or forkserver, is not counted.
+
 It then walks ``src/`` with ``ast`` and prints, grouped by file, each
 function none of them entered.  A function is matched on its file and
 first line, which for a decorated function is its first decorator.  A
-function whose name is never a code reference in a ``.py`` file under
-``src/``, ``perfbench/``, ``benchmarks/`` or ``examples/`` is marked
-``unreferenced``: no code outside the tests can call it.  A code
-reference is a NAME token (from :mod:`tokenize`) outside ``def`` names,
-``__all__`` assignments and import statements, or a name in an
-f-string's replacement field; a name that occurs only in docstrings,
-other string literals, comments or prose does not count.  The filter
-goes by the bare name, so a dead method that shares its name with a
-live function stays unmarked.
-
-Child processes are not profiled, so code that runs only in fleet
-workers is listed as never entered; its name is referenced, so it is
-not marked.
+never-entered function is also marked ``unreferenced`` when no ``.py``
+file under ``src/``, ``perfbench/``, ``benchmarks/`` or ``examples/``
+can call it: a module-level function needs its name as a name or an
+attribute in code, a method needs it as an attribute (``x.name``,
+``Class.name``, a ``getattr`` string or an attribute in an f-string
+field).  Names in docstrings, other strings, comments, imports,
+``__all__`` and ``def`` lines do not count, nor does a bare name that
+only matches a method.  The mark is a hint that nothing outside the
+tests can reach the function.
 
 ``benchmarks/reach_keep.txt`` is the committed keep list: one
 ``src/<path>.py:<qualname>  <reason>`` per line (a line that starts
-with ``#`` is a comment).  Every unreferenced function must be on it with the reason it
-stays; a function that is only never entered, but referenced, stays off
-it.  Exit status 1 means an entry point failed (the list is printed
-only when all of them ran clean), an unreferenced function is not on
-the keep list, or a keep line has no reason or names no unreferenced
+with ``#`` is a comment).  Every never-entered function must be on it
+with the reason it stays, or be deleted.  A reason that starts with
+``run-dependent:`` marks a path that timing lets some runs enter (a
+fleet whose workers all exit before the coordinator's last poll): a run
+that enters it is not a stale keep line, so the scan stays deterministic.
+Exit status 1 means an entry point failed (the list is printed only
+when all of them ran clean), a never-entered function is not on the
+keep list, or a keep line has no reason or names no never-entered
 function.  A full scan takes about five minutes on a two-core machine.
 """
 
@@ -55,13 +64,12 @@ import contextlib
 import cProfile
 import io
 import os
-import pstats
 import runpy
+import signal
 import sys
 import tempfile
-import tokenize
 import traceback
-from collections import Counter
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,12 +78,15 @@ PACKAGE = SRC / "repro"
 #: Where a name must occur as code (besides its definition) to count as used.
 REFERENCE_ROOTS = ("src", "perfbench", "benchmarks", "examples")
 KEEP_FILE = ROOT / "benchmarks" / "reach_keep.txt"
+#: A keep reason with this prefix names a function some runs enter.
+RUN_DEPENDENT = "run-dependent:"
 
 SCENARIO = "persona=reader,seed=3,duration=45s"
 
 
 def cli_commands(work: Path) -> list[list[str]]:
     """Every CLI command, each on an input small enough to run in seconds."""
+    from repro.explore.space import builtin_space_names
     from repro.explore.strategies import strategy_names
 
     cache, share = str(work / "cache"), f"distributed:dir={work / 'share'},workers=2"
@@ -98,6 +109,11 @@ def cli_commands(work: Path) -> list[list[str]]:
             ["explore", "--dataset", "03", "--strategy", strategy,
              "--budget", "3", "--no-cache"]
         )
+    for governor in builtin_space_names():
+        commands.append(
+            ["explore", "--scenario", SCENARIO, "--governor", governor,
+             "--budget", "2", "--no-cache", "--no-baselines"]
+        )
     commands += [
         ["trace", "persona=gamer,seed=7,duration=45s", "--config", "qoe_aware",
          "-o", str(work / "trace.json"), "--obs-json", str(work / "obs.json")],
@@ -111,6 +127,20 @@ def cli_commands(work: Path) -> list[list[str]]:
         ["perf", "--repeats", "1", "--check", "--baseline", baseline],
     ]
     return commands
+
+
+def environment_commands(work: Path) -> list[tuple[dict[str, str], list[str]]]:
+    """The CI commands that need an environment variable or a chaos knob:
+    ``(environment, argv)``."""
+    sweep = ["sweep", "--scenario", SCENARIO, "--reps", "1"]
+    chaos = (f"distributed:dir={work / 'chaos'},workers=2,lease=2,"
+             "chaos_exit_after=1")
+    return [
+        ({"REPRO_FASTPATH": "0"}, [*sweep, "--no-cache"]),
+        ({"REPRO_DEMAND": "0"}, [*sweep, "--no-cache"]),
+        ({}, [*sweep, "--config", "fixed:300000", "--config",
+              "fixed:652800", "--config", "interactive", "--backend", chaos]),
+    ]
 
 
 EXAMPLES = {
@@ -129,11 +159,15 @@ class _Scan:
     ``perfbench/run.py --trace 1`` profiles its own pass; a second
     ``cProfile.Profile`` takes over the interpreter's one profile hook,
     so each nested profiler is kept and hands the hook back on disable.
+    A forked child starts over with a profiler of its own (see
+    :meth:`_in_child`) and leaves its entered functions in ``children``.
     """
 
-    def __init__(self) -> None:
-        self.outer = cProfile.Profile()
+    def __init__(self, children: Path) -> None:
+        self.profile = cProfile.Profile
+        self.outer = self.profile()
         self.profilers = [self.outer]
+        self.children = children
         scan = self
 
         class Nested(cProfile.Profile):
@@ -146,13 +180,47 @@ class _Scan:
                 scan.outer.enable()
 
         self.nested = Nested
+        os.register_at_fork(after_in_child=self._in_child)
 
-    def entered(self) -> set[tuple[str, int]]:
-        self.outer.disable()
+    def _in_child(self) -> None:
+        """Profile this forked child afresh; dump on ``os._exit`` and on
+        SIGTERM, since neither runs ``atexit``."""
+        sys.setprofile(None)
+        self.outer = self.profile()
+        self.profilers = [self.outer]
+        real_exit = os._exit
+
+        def dump_and_exit(status):
+            self.outer.disable()
+            fd, path = tempfile.mkstemp(suffix=".txt", dir=self.children)
+            with os.fdopen(fd, "w", encoding="utf-8") as out:
+                out.writelines(f"{name}\t{line}\n"
+                               for name, line in self._own_entries())
+            real_exit(status)
+
+        os._exit = dump_and_exit
+        signal.signal(signal.SIGTERM,
+                      lambda signum, _frame: dump_and_exit(128 + signum))
+        self.outer.enable()
+
+    def _own_entries(self) -> set[tuple[str, int]]:
         found = set()
         for profiler in self.profilers:
-            for filename, line, _name in pstats.Stats(profiler).stats:
-                found.add((os.path.realpath(filename), line))
+            for entry in profiler.getstats():
+                if isinstance(entry.code, types.CodeType):
+                    found.add((os.path.realpath(entry.code.co_filename),
+                               entry.code.co_firstlineno))
+        return found
+
+    def entered(self) -> set[tuple[str, int]]:
+        """``(file, first line)`` of every function this process or a
+        forked child entered."""
+        self.outer.disable()
+        found = self._own_entries()
+        for dump in self.children.glob("*.txt"):
+            for row in dump.read_text(encoding="utf-8").splitlines():
+                name, line = row.rsplit("\t", 1)
+                found.add((name, int(line)))
         return found
 
 
@@ -184,6 +252,16 @@ def _run_script(path: Path, args: list[str]):
     return call
 
 
+def _with_environment(environment: dict[str, str], call):
+    saved = dict(os.environ)
+    os.environ.update(environment)
+    try:
+        return call()
+    finally:
+        os.environ.clear()
+        os.environ.update(saved)
+
+
 def run_entry_points(scan: _Scan, work: Path) -> list[str]:
     failures = []
 
@@ -193,13 +271,16 @@ def run_entry_points(scan: _Scan, work: Path) -> list[str]:
         if failure:
             failures.append(failure)
 
-    # Forked fleet workers inherit the hook; their profiles are discarded.
-    os.register_at_fork(after_in_child=lambda: sys.setprofile(None))
     scan.outer.enable()
     from repro.harness import cli
 
     for argv in cli_commands(work):
         note("repro-qoe " + " ".join(argv), lambda argv=argv: cli.main(argv))
+    for environment, argv in environment_commands(work):
+        label = " ".join([*(f"{k}={v}" for k, v in environment.items()),
+                          "repro-qoe", *argv])
+        note(label, lambda environment=environment, argv=argv:
+             _with_environment(environment, lambda: cli.main(argv)))
     from repro.obs import validate
     from repro.scenarios import smoke
 
@@ -262,50 +343,43 @@ def src_functions():
         yield from walk(tree, "", path)
 
 
-def reference_names() -> Counter:
-    """How often each name is a code reference in the reference roots."""
-    names: Counter = Counter()
+def code_references() -> tuple[set[str], set[str]]:
+    """``(names, attributes)`` used as code in the reference roots.
+
+    ``names`` holds every bare name.  ``attributes`` holds every
+    ``x.name`` and every constant name a ``getattr``, ``hasattr`` or
+    ``setattr`` call looks up.  ``ast`` parses an f-string's fields as
+    code, so theirs count; other strings, comments, imports, ``__all__``
+    and ``def`` lines hold no name node."""
+    names: set[str] = set()
+    attributes: set[str] = set()
     for root in REFERENCE_ROOTS:
         for path in sorted((ROOT / root).rglob("*.py")):
-            if path.resolve() != Path(__file__).resolve():
-                names.update(code_references(path.read_text(encoding="utf-8")))
-    return names
+            if path.resolve() == Path(__file__).resolve():
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "hasattr", "setattr")
+                    and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)
+                    and isinstance(node.args[1].value, str)
+                ):
+                    attributes.add(node.args[1].value)
+    return names, attributes
 
 
-def code_references(source: str):
-    """The NAME tokens of ``source`` that can call something: not the name
-    a ``def`` binds, nor any token of an ``__all__`` assignment or an
-    import statement (a re-export is not a use).  The expressions inside
-    an f-string count; the rest of a string does not."""
-    skip_line = after_def = False
-    line_start = True
-    for token in tokenize.generate_tokens(io.StringIO(source).readline):
-        kind, text = token.type, token.string
-        if kind == tokenize.NEWLINE:
-            skip_line, line_start = False, True
-        elif kind == tokenize.NAME:
-            if line_start and text in ("import", "from", "__all__"):
-                skip_line = True
-            if not (skip_line or after_def or text == "def"):
-                yield text
-            after_def, line_start = text == "def", False
-        elif kind == tokenize.STRING:
-            if not skip_line and "f" in text[: text.index(text[-1])].lower():
-                yield from _fstring_names(text)
-            line_start = False
-        elif kind not in (tokenize.NL, tokenize.COMMENT, tokenize.INDENT,
-                          tokenize.DEDENT):
-            line_start = False
-
-
-def _fstring_names(literal: str):
-    """Names and attributes used in an f-string's replacement fields
-    (before Python 3.12, tokenize returns an f-string as one STRING)."""
-    for node in ast.walk(ast.parse(literal, mode="eval")):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
+def referenced(qualname: str, names: set[str], attributes: set[str]) -> bool:
+    """Can code call this function?  A method only through an attribute,
+    a module-level function through its name or an attribute."""
+    *owner, name = qualname.split(".")
+    return name in attributes or (not owner and name in names)
 
 
 def read_keep_list(path: Path) -> tuple[dict[str, str], list[str]]:
@@ -337,7 +411,7 @@ def report(
     entered: set[tuple[str, int]], keep: dict[str, str]
 ) -> list[str]:
     """Print the never-entered functions; the keep-list violations."""
-    names = reference_names()
+    names, attributes = code_references()
     functions = list(src_functions())
     unreached = [
         (path, starts[0], name, lines)
@@ -346,7 +420,7 @@ def report(
     ]
     marked = {
         (path, first) for path, first, name, _ in unreached
-        if not names[name.rsplit(".", 1)[-1]]
+        if not referenced(name, names, attributes)
     }
     marked_lines = sum(f[3] for f in unreached if (f[0], f[1]) in marked)
     print(
@@ -360,20 +434,24 @@ def report(
         if path != current:
             current = path
             print(path.relative_to(ROOT))
-        flag = ""
-        if (path, first) in marked:
-            key = f"{path.relative_to(ROOT)}:{name}"
-            flag = "  unreferenced"
-            if key in keep:
-                kept.add(key)
-                flag += " (kept)"
-            else:
-                unlisted.append(key)
+        key = f"{path.relative_to(ROOT)}:{name}"
+        flag = "  unreferenced" if (path, first) in marked else ""
+        if key in keep:
+            kept.add(key)
+            flag += "  (kept)"
+        else:
+            unlisted.append(key)
         print(f"  {first:5d}  {name} ({lines} lines){flag}")
-    problems = [f"{key} is unreferenced and not in {KEEP_FILE.name}"
+    problems = [f"{key} is never entered and not in {KEEP_FILE.name}"
                 for key in unlisted]
-    problems += [f"{KEEP_FILE.name} lists {key}, which is no unreferenced "
-                 "src function" for key in keep if key not in kept]
+    defined = {f"{path.relative_to(ROOT)}:{name}"
+               for path, _starts, name, _lines in functions}
+    problems += [
+        f"{KEEP_FILE.name} lists {key}, which is no never-entered src function"
+        for key, reason in keep.items()
+        if key not in kept
+        and not (key in defined and reason.startswith(RUN_DEPENDENT))
+    ]
     return problems
 
 
@@ -383,10 +461,12 @@ def main() -> int:
     keep, problems = read_keep_list(KEEP_FILE)
     if problems:
         return complain(problems)
-    scan = _Scan()
     with tempfile.TemporaryDirectory(prefix="reach-") as work:
+        children = Path(work) / "children"
+        children.mkdir()
+        scan = _Scan(children)
         failures = run_entry_points(scan, Path(work))
-    entered = scan.entered()
+        entered = scan.entered()
     import repro
 
     if Path(repro.__file__).resolve().parent != PACKAGE:

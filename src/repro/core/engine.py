@@ -142,11 +142,6 @@ class Engine:
         return self._compactions
 
     @property
-    def pending(self) -> int:
-        """Number of scheduled (non-cancelled) events still in the queue."""
-        return sum(1 for entry in self._queue if not entry[3].cancelled)
-
-    @property
     def firing_priority(self) -> int | None:
         """Priority of the event currently being dispatched (None if idle).
 

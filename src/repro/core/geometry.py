@@ -12,10 +12,6 @@ class Point:
     x: int
     y: int
 
-    def offset(self, dx: int, dy: int) -> "Point":
-        """Return a new point shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
     def distance_to(self, other: "Point") -> float:
         """Euclidean distance to ``other``."""
         return ((self.x - other.x) ** 2 + (self.y - other.y) ** 2) ** 0.5
@@ -61,18 +57,6 @@ class Rect:
         right = min(self.right, other.right)
         bottom = min(self.bottom, other.bottom)
         return Rect(x, y, max(0, right - x), max(0, bottom - y))
-
-    def union(self, other: "Rect") -> "Rect":
-        """The smallest rectangle containing both."""
-        if self.area == 0:
-            return other
-        if other.area == 0:
-            return self
-        x = min(self.x, other.x)
-        y = min(self.y, other.y)
-        right = max(self.right, other.right)
-        bottom = max(self.bottom, other.bottom)
-        return Rect(x, y, right - x, bottom - y)
 
     def clamped_to(self, bounds: "Rect") -> "Rect":
         """This rectangle clipped to ``bounds``."""

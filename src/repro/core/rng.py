@@ -25,10 +25,6 @@ class RngStreams:
         self._master_seed = int(master_seed)
         self._streams: dict[str, random.Random] = {}
 
-    @property
-    def master_seed(self) -> int:
-        return self._master_seed
-
     def stream(self, name: str) -> random.Random:
         """Return (creating on first use) the stream called ``name``."""
         existing = self._streams.get(name)

@@ -15,7 +15,10 @@ half hands demand to the kernel half:
 * ``display.invalidate`` — every frame request.  The window manager's
   composer is a full repaint of live UI state, so painting it into a
   scratch buffer *at invalidate time* captures exactly what the next
-  vsync would show; states are deduplicated and interned.
+  vsync would show; states are deduplicated and interned.  Each state is
+  compared with the annotation database once, in
+  :meth:`DemandRecorder.match_table`; the trace keeps those verdicts and
+  the state count, never the framebuffers.
 
 Three demand sources are deliberately **not** recorded action by action:
 
@@ -42,7 +45,6 @@ aborts the capture and the fleet falls back to full replays.
 
 from __future__ import annotations
 
-import zlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -105,7 +107,7 @@ class DemandRecorder:
         self._stack: list = []
         self.nodes: list[DemandNode] = []
         self.guards: dict[int, tuple[int, ...]] = {}
-        self.states: list[bytes] = []
+        #: Each interned framebuffer's raw bytes -> its state id.
         self._state_ids: dict[bytes, int] = {}
         self._scratch = np.zeros(
             (device.display.height, device.display.width), dtype=np.uint8
@@ -267,9 +269,7 @@ class DemandRecorder:
         raw = self._scratch.tobytes()
         state_id = self._state_ids.get(raw)
         if state_id is None:
-            state_id = len(self.states)
-            self.states.append(zlib.compress(raw))
-            self._state_ids[raw] = state_id
+            state_id = self._state_ids[raw] = len(self._state_ids)
         return state_id
 
     # --- input ordinals ----------------------------------------------------------
@@ -341,7 +341,7 @@ class DemandRecorder:
         """
         display = self._device.display
         shape = (display.height, display.width)
-        arrays: list = [None] * len(self.states)
+        arrays: list = [None] * len(self._state_ids)
         for raw, state_id in self._state_ids.items():
             arrays[state_id] = np.frombuffer(raw, dtype=np.uint8).reshape(shape)
         blank = np.zeros(shape, dtype=np.uint8)
@@ -372,18 +372,15 @@ class DemandRecorder:
         blank_matches: tuple[int, ...],
     ) -> DemandTrace:
         """The recorded forest plus the verdicts of :meth:`match_table`."""
-        display = self._device.display
         return DemandTrace(
             workload=workload,
             capture_config=capture_config,
             duration_us=duration_us,
-            width=display.width,
-            height=display.height,
             input_events=self.next_ordinal,
+            state_count=len(self._state_ids),
             match_states=match_states,
             nodes=self.nodes,
             guards=self.guards,
-            states=self.states,
             blank_matches=blank_matches,
         )
 

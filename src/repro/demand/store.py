@@ -11,7 +11,9 @@ fold in
 * the code fingerprint — editing any simulator module re-captures
   instead of replaying demand recorded by old code,
 * the workload fingerprint — re-recording or editing a scenario
-  invalidates exactly that workload's trace.
+  invalidates exactly that workload's trace.  The caller passes the
+  fingerprint it already holds (the fleet engine computes it once per
+  workload), so the store never re-hashes the recording.
 
 Entries are JSON (the trace's own wire format), written atomically, and
 validated on load — an unreadable or contract-violating entry is a miss
@@ -33,13 +35,13 @@ from repro.demand.trace import (
 DEMAND_SUBDIR = "demand"
 
 
-def demand_trace_key(artifacts) -> str:
-    """Content address of the demand trace for a recorded workload."""
-    from repro.fleet.cache import code_fingerprint, workload_fingerprint
+def demand_trace_key(fingerprint: str) -> str:
+    """Content address of the demand trace for the workload whose
+    :func:`~repro.fleet.cache.workload_fingerprint` is ``fingerprint``."""
+    from repro.fleet.cache import code_fingerprint
 
     payload = (
-        f"demand{DEMAND_TRACE_SCHEMA_VERSION}|"
-        f"{code_fingerprint()}|{workload_fingerprint(artifacts)}"
+        f"demand{DEMAND_TRACE_SCHEMA_VERSION}|{code_fingerprint()}|{fingerprint}"
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -62,9 +64,10 @@ class DemandTraceStore:
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def load(self, artifacts) -> DemandTrace | None:
-        """The stored trace for ``artifacts``, or None (counting a miss)."""
-        path = self.path_for(demand_trace_key(artifacts))
+    def load(self, fingerprint: str) -> DemandTrace | None:
+        """The stored trace for the workload ``fingerprint``, or None
+        (counting a miss)."""
+        path = self.path_for(demand_trace_key(fingerprint))
         try:
             trace = DemandTrace.loads(path.read_text(encoding="utf-8"))
             trace.validate()
@@ -74,7 +77,7 @@ class DemandTraceStore:
         self.hits += 1
         return trace
 
-    def store(self, artifacts, trace: DemandTrace) -> None:
+    def store(self, fingerprint: str, trace: DemandTrace) -> None:
         from repro.fleet.cache import write_atomic
 
-        write_atomic(self.path_for(demand_trace_key(artifacts)), trace.dumps())
+        write_atomic(self.path_for(demand_trace_key(fingerprint)), trace.dumps())

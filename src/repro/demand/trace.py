@@ -32,14 +32,15 @@ lag pattern perturbed recorded think-time boundaries beyond what the
 trace can express — the evaluation pass must fall back to full replay
 for that cell (see :mod:`repro.demand.replayer`).
 
-Framebuffer states are deduplicated and zlib-compressed; ``state_id``
-indexes into :attr:`states`.  Because the evaluation pass only ever
-composes interned states, frame comparison reduces to a table lookup:
-``match_states`` records, per annotation of the workload's database (in
-database order), exactly which state ids satisfy
+Framebuffer states are deduplicated at capture; ``state_id`` numbers
+them from 0 to :attr:`state_count` - 1.  Because the evaluation pass
+only ever composes interned states, frame comparison reduces to a table
+lookup: ``match_states`` records, per annotation of the workload's
+database (in database order), exactly which state ids satisfy
 :func:`~repro.analysis.diff.frames_equal` under that annotation's mask
 and tolerance — computed once at capture, so the evaluation pass never
-touches pixels.  Every trace carries the table; a payload without one is
+touches pixels.  The trace therefore carries these verdicts, not the
+framebuffers.  Every trace carries the table; a payload without one is
 rejected.  The trace is schema-versioned and content-addressed
 (:meth:`content_hash`), and serializes to JSON for the fleet's demand
 store and the ``repro-qoe demand`` inspector.
@@ -47,17 +48,16 @@ store and the ``repro-qoe demand`` inspector.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
-import zlib
 from dataclasses import dataclass, field
 
 from repro.core.errors import ReproError
 
 #: 2: a ``submit_chunked`` chain is one ``chunked`` node instead of its
-#: unrolled chunk tasks and gap timers.
-DEMAND_TRACE_SCHEMA_VERSION = 2
+#: unrolled chunk tasks and gap timers.  3: the trace carries the number
+#: of interned states instead of their compressed framebuffers.
+DEMAND_TRACE_SCHEMA_VERSION = 3
 
 KIND_TASK = "task"
 KIND_TIMER = "timer"
@@ -78,6 +78,14 @@ _INT_FIELDS = ("priority", "delay_us", "state_id", "chain_key", "period_us")
 
 class DemandTraceError(ReproError):
     """A demand trace violates its schema contract."""
+
+
+def _check_schema(version) -> None:
+    if version != DEMAND_TRACE_SCHEMA_VERSION:
+        raise DemandTraceError(
+            f"demand trace schema {version} != supported "
+            f"{DEMAND_TRACE_SCHEMA_VERSION}"
+        )
 
 
 def _match_table(payload: dict) -> list[tuple[int, ...]]:
@@ -157,9 +165,10 @@ class DemandTrace:
     workload: str
     capture_config: str
     duration_us: int
-    width: int
-    height: int
     input_events: int
+    #: How many distinct framebuffer states the capture interned; every
+    #: ``state_id`` is below it.
+    state_count: int
     #: Per annotation (database order), the state ids whose pixels match
     #: that annotation's ending image.  Every trace carries it: the
     #: evaluation pass never compares pixels.
@@ -167,8 +176,6 @@ class DemandTrace:
     nodes: list[DemandNode] = field(default_factory=list)
     #: input ordinal -> sorted tuple of fg task node ids in flight.
     guards: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    #: zlib-compressed ``height x width`` uint8 framebuffer states.
-    states: list[bytes] = field(default_factory=list)
     #: Annotation indices matched by the blank (power-on) framebuffer.
     blank_matches: tuple[int, ...] = ()
     schema_version: int = DEMAND_TRACE_SCHEMA_VERSION
@@ -220,7 +227,7 @@ class DemandTrace:
             "chain_stops": kinds[KIND_CHAIN_STOP],
             "chunk_chains": kinds[KIND_CHUNKED],
             "work_units_cycles": work_units,
-            "states": len(self.states),
+            "states": self.state_count,
             "nodes": len(self.nodes),
             "match_annotations": len(self.match_states),
         }
@@ -229,28 +236,14 @@ class DemandTrace:
 
     def validate(self) -> None:
         """Raise :class:`DemandTraceError` on any contract violation."""
-        if self.schema_version != DEMAND_TRACE_SCHEMA_VERSION:
+        _check_schema(self.schema_version)
+        if self.duration_us <= 0:
+            raise DemandTraceError("demand trace needs a positive duration")
+        states = self.state_count
+        if type(states) is not int or states < 0:
             raise DemandTraceError(
-                f"demand trace schema {self.schema_version} != supported "
-                f"{DEMAND_TRACE_SCHEMA_VERSION}"
+                f"state_count must be a non-negative integer, got {states!r}"
             )
-        if self.width <= 0 or self.height <= 0 or self.duration_us <= 0:
-            raise DemandTraceError(
-                "demand trace needs positive dimensions and duration"
-            )
-        expected = self.width * self.height
-        for index, blob in enumerate(self.states):
-            try:
-                raw = zlib.decompress(blob)
-            except zlib.error as exc:
-                raise DemandTraceError(
-                    f"state {index} is not valid zlib data: {exc}"
-                ) from None
-            if len(raw) != expected:
-                raise DemandTraceError(
-                    f"state {index} decompresses to {len(raw)} bytes, "
-                    f"expected {expected}"
-                )
         seen_chains: set[int] = set()
         task_ids: dict[int, DemandNode] = {}
         for index, node in enumerate(self.nodes):
@@ -306,12 +299,10 @@ class DemandTrace:
                         f"{where}: timer needs a non-negative delay"
                     )
             elif node.kind == KIND_INVALIDATE:
-                if node.state_id is None or not (
-                    0 <= node.state_id < len(self.states)
-                ):
+                if node.state_id is None or not 0 <= node.state_id < states:
                     raise DemandTraceError(
                         f"{where}: invalidate references state "
-                        f"{node.state_id} of {len(self.states)}"
+                        f"{node.state_id} of {states}"
                     )
             elif node.kind == KIND_CHAIN_START:
                 if (
@@ -354,10 +345,10 @@ class DemandTrace:
             raise DemandTraceError("demand trace without a match table")
         for lag_index, matched in enumerate(self.match_states):
             for state_id in matched:
-                if not 0 <= state_id < len(self.states):
+                if not 0 <= state_id < states:
                     raise DemandTraceError(
                         f"match table for annotation {lag_index} "
-                        f"references state {state_id} of {len(self.states)}"
+                        f"references state {state_id} of {states}"
                     )
         for lag_index in self.blank_matches:
             if not 0 <= lag_index < len(self.match_states):
@@ -392,17 +383,13 @@ class DemandTrace:
             "workload": self.workload,
             "capture_config": self.capture_config,
             "duration_us": self.duration_us,
-            "width": self.width,
-            "height": self.height,
             "input_events": self.input_events,
+            "state_count": self.state_count,
             "nodes": [node.as_dict() for node in self.nodes],
             "guards": {
                 str(ordinal): list(guard)
                 for ordinal, guard in sorted(self.guards.items())
             },
-            "states": [
-                base64.b64encode(blob).decode("ascii") for blob in self.states
-            ],
             "match_states": [list(matched) for matched in self.match_states],
             "blank_matches": list(self.blank_matches),
         }
@@ -410,23 +397,20 @@ class DemandTrace:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "DemandTrace":
         try:
+            # Checked first: another schema's fields are not this one's.
+            _check_schema(payload["schema"])
             trace = cls(
                 workload=payload["workload"],
                 capture_config=payload["capture_config"],
                 duration_us=payload["duration_us"],
-                width=payload["width"],
-                height=payload["height"],
                 input_events=payload["input_events"],
+                state_count=payload["state_count"],
                 match_states=_match_table(payload),
                 nodes=[DemandNode.from_dict(row) for row in payload["nodes"]],
                 guards={
                     int(ordinal): tuple(guard)
                     for ordinal, guard in payload.get("guards", {}).items()
                 },
-                states=[
-                    base64.b64decode(blob)
-                    for blob in payload.get("states", [])
-                ],
                 blank_matches=tuple(payload.get("blank_matches", ())),
                 schema_version=payload["schema"],
             )

@@ -39,7 +39,6 @@ class CpuCore:
         self._busy_total = 0
         self._state_since = 0
         self._time_in_state: dict[int, int] = defaultdict(int)
-        self._transitions = 0
         # Busy intervals accumulate as two parallel int64 arrays (16 B per
         # interval): a day-long replay logs ~half a million of them, and
         # boxed (start, end) tuples would dominate the run's memory.
@@ -64,11 +63,6 @@ class CpuCore:
     @property
     def busy(self) -> bool:
         return self._busy
-
-    @property
-    def transitions(self) -> int:
-        """Number of frequency changes so far (cpufreq ``total_trans``)."""
-        return self._transitions
 
     def add_busy_listener(self, listener: Callable[[], None]) -> None:
         """``listener`` fires on every idle-to-busy transition.
@@ -158,7 +152,6 @@ class CpuCore:
         self._time_in_state[self._freq_khz] += now - self._state_since
         self._state_since = now
         self._freq_khz = freq_khz
-        self._transitions += 1
         self._meter.set_state(now, self._busy, freq_khz)
 
     def set_busy(self, busy: bool) -> None:

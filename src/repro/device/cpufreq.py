@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.errors import GovernorError
@@ -21,14 +20,6 @@ from repro.obs.session import active as _obs_active
 # Relation semantics from the Linux cpufreq API.
 RELATION_LOW = "low"  # highest frequency <= target
 RELATION_HIGH = "high"  # lowest frequency >= target
-
-
-@dataclass(frozen=True, slots=True)
-class FrequencyTransition:
-    """One DVFS transition: when and to what frequency."""
-
-    timestamp: int
-    freq_khz: int
 
 
 class CpuFreqPolicy:
@@ -54,10 +45,7 @@ class CpuFreqPolicy:
         # The trace accumulates as two parallel int64 arrays (timestamps
         # for bisect, frequencies alongside): governor-heavy day-long
         # replays log hundreds of thousands of transitions, and boxed
-        # tuples — let alone a frozen dataclass per append — would
-        # dominate the run's memory and the set_target path.  The
-        # ``transitions`` property materialises FrequencyTransition
-        # objects for read-side callers.
+        # tuples would dominate the run's memory and the set_target path.
         self._trans_times: array = array("q", [clock.now])
         self._trans_freqs: array = array("q", [core.frequency_khz])
         self._observers: list[Callable[[int, int], None]] = []
@@ -78,14 +66,6 @@ class CpuFreqPolicy:
     @property
     def current_khz(self) -> int:
         return self._core._freq_khz  # flattened: hot in governor samples
-
-    @property
-    def transitions(self) -> list[FrequencyTransition]:
-        """The frequency trace: every transition with its timestamp."""
-        return [
-            FrequencyTransition(timestamp, freq_khz)
-            for timestamp, freq_khz in zip(self._trans_times, self._trans_freqs)
-        ]
 
     def transition_points(self):
         """The trace as compact :class:`~repro.results.IntPairs` — the

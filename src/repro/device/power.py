@@ -105,11 +105,6 @@ class EnergyMeter:
         self._power_w = self._idle_power_w
         self._busy = False
 
-    @property
-    def energy_joules(self) -> float:
-        """Total energy charged up to the last :meth:`set_state`."""
-        return self._energy_j
-
     def busy_energy_at(self, now: int) -> float:
         """Busy energy including the open tail interval up to ``now``."""
         if not self._busy:

@@ -166,6 +166,3 @@ class ResultCache:
     def store_wire(self, key: str, row: dict) -> None:
         """Publish an already-encoded :meth:`RunRecord.to_wire` row."""
         write_atomic(self.path_for(key), json.dumps(row, separators=(",", ":")))
-
-    def contains(self, key: str) -> bool:
-        return self.path_for(key).exists()

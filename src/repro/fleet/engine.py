@@ -331,10 +331,13 @@ class FleetEngine:
         if not demand_enabled():
             return None
         store = DemandTraceStore.for_cache(self.cache)
-        trace = store.load(artifacts) if store is not None else None
-        if trace is not None:
-            stats.demand_trace_source = "cache"
-            return trace
+        if store is not None:
+            # Already hashed for the result-cache keys: not hashed again.
+            fingerprint = self._fingerprint(artifacts)
+            trace = store.load(fingerprint)
+            if trace is not None:
+                stats.demand_trace_source = "cache"
+                return trace
         capture_start = time.perf_counter()
         try:
             trace = capture_demand(artifacts)
@@ -346,7 +349,7 @@ class FleetEngine:
         if self.progress is not None:
             self.progress.note_capture_seconds(stats.demand_capture_s)
         if store is not None:
-            store.store(artifacts, trace)
+            store.store(fingerprint, trace)
         return trace
 
     def _report(

@@ -188,10 +188,6 @@ class Governor(ABC):
             raise GovernorError(f"governor {cls.name!r}: {exc}") from exc
 
     @property
-    def active(self) -> bool:
-        return self._active
-
-    @property
     def policy(self) -> CpuFreqPolicy:
         return self.context.policy
 

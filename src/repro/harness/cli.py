@@ -574,8 +574,11 @@ def cmd_demand(args) -> int:
     Captures the trace fresh (or loads ``--input``, e.g. a fleet-cached
     ``demand/<key>.json``), prints its summary counters and content hash
     as deterministic JSON on stdout, and validates the schema contract —
-    exit 1 on any violation.  ``-o`` exports the full trace JSON (the CI
-    demand-smoke job uploads it as an artifact).
+    exit 1 on any violation, including a trace of another schema
+    version.  ``-o`` exports the full trace JSON (the CI demand-smoke job
+    uploads it as an artifact): the causal forest, the guards and the
+    per-annotation match verdicts over ``state_count`` interned states;
+    the framebuffers themselves are not kept.
     """
     import json as json_module
 

@@ -56,10 +56,6 @@ class Task:
         self.started_at: int | None = None
         self.completed_at: int | None = None
 
-    @property
-    def done(self) -> bool:
-        return self.completed_at is not None
-
     def __repr__(self) -> str:
-        state = "done" if self.done else f"{self.remaining_cycles:.0f} left"
+        state = "done" if self.completed_at is not None else f"{self.remaining_cycles:.0f} left"
         return f"Task({self.name!r}, {self.cycles:.0f} cyc, {state})"

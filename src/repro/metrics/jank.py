@@ -30,12 +30,6 @@ class LagJank:
     frames_total: int
     frames_janky: int
 
-    @property
-    def jank_ratio(self) -> float:
-        if self.frames_total == 0:
-            return 0.0
-        return self.frames_janky / self.frames_total
-
 
 @dataclass(frozen=True, slots=True)
 class JankResult:

@@ -86,17 +86,6 @@ class WindowAttribution:
     #: ``penalty_us`` exactly.
     penalty_by_cause: tuple[tuple[str, int], ...]
 
-    @property
-    def dominant_cause(self) -> str | None:
-        """The cause carrying the most penalty (cause order wins ties)."""
-        winner: str | None = None
-        best = 0
-        for cause, us in self.penalty_by_cause:
-            if us > best:
-                best = us
-                winner = cause
-        return winner
-
 
 @dataclass(frozen=True, slots=True)
 class RunAttribution:

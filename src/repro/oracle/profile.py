@@ -40,8 +40,8 @@ class FrequencyProfile:
             if segment.duration_us < 0:
                 raise ReproError("profile segment has negative duration")
         self._segments = [s for s in segments if s.duration_us > 0]
-        # Parallel start list: frequency_at/window bisect instead of
-        # scanning, so rendering a transition-heavy trace stays O(n log n).
+        # Parallel start list: window bisects instead of scanning, so
+        # rendering a transition-heavy trace stays O(n log n).
         self._starts = [s.start_us for s in self._segments]
 
     @classmethod
@@ -63,22 +63,8 @@ class FrequencyProfile:
         return list(self._segments)
 
     @property
-    def start_us(self) -> int:
-        return self._segments[0].start_us
-
-    @property
     def end_us(self) -> int:
         return self._segments[-1].end_us
-
-    def frequency_at(self, timestamp: int) -> int:
-        index = bisect_right(self._starts, timestamp) - 1
-        if index >= 0:
-            segment = self._segments[index]
-            if timestamp < segment.end_us:
-                return segment.freq_khz
-        if timestamp == self.end_us:
-            return self._segments[-1].freq_khz
-        raise ReproError(f"timestamp {timestamp} outside profile range")
 
     def window(self, start_us: int, end_us: int) -> list[ProfileSegment]:
         """Segments clipped to a window (for trace snapshots like Fig. 3)."""
@@ -97,13 +83,3 @@ class FrequencyProfile:
                 )
             )
         return out
-
-    def series(self, step_us: int = 10_000) -> tuple[list[float], list[float]]:
-        """(seconds, GHz) sampled series for plotting/printing."""
-        xs, ys = [], []
-        t = self.start_us
-        while t < self.end_us:
-            xs.append(t / 1e6)
-            ys.append(self.frequency_at(t) / 1e6)
-            t += step_us
-        return xs, ys

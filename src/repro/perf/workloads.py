@@ -191,12 +191,9 @@ def _demand_kernel_trace(windows: int, states: int = 4):
     chain, two invalidates and a background IO task with a childless
     timer — the shape a real capture produces, sized so foreground work
     always quiesces before the next window's guard check.  One periodic
-    chain runs throughout.  Guards are empty (quiescence), states are
-    tiny placeholder framebuffers (the kernel-only walk never
-    decompresses them).
+    chain runs throughout.  Guards are empty (quiescence) and the match
+    table is empty, so no invalidated state ever matches.
     """
-    import zlib
-
     from repro.demand.trace import (
         KIND_CHAIN_START,
         KIND_INVALIDATE,
@@ -249,12 +246,10 @@ def _demand_kernel_trace(windows: int, states: int = 4):
         workload="perf:demand_kernel",
         capture_config="fixed:300000",
         duration_us=windows * 20_000 + 20_000,
-        width=8,
-        height=8,
         input_events=windows,
+        state_count=states,
         match_states=[],
         nodes=nodes,
-        states=[zlib.compress(bytes(64))] * states,
     )
 
 

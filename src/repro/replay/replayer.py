@@ -37,16 +37,11 @@ class ReplayAgent:
         self._next = 0
         self._cursor: ScheduledEvent | None = None
 
-    def schedule(self, trace: EventTrace, start_offset_us: int = 0) -> int:
+    def schedule(self, trace: EventTrace) -> int:
         """Arm injection of every event; returns the last event's time.
 
-        ``start_offset_us`` shifts the whole trace, e.g. to leave the
-        device a settling period after boot, matching the paper's "initial
-        system state of the device is always the same" requirement.  An
-        empty trace arms nothing and returns the current time.
+        An empty trace arms nothing and returns the current time.
         """
-        if start_offset_us < 0:
-            raise ReplayError("start offset must be >= 0")
         if self._cursor is not None:
             raise ReplayError("replay agent is already replaying a trace")
         engine = self._engine
@@ -56,14 +51,11 @@ class ReplayAgent:
         # EventTrace keeps its events time-ordered, so only the first one
         # can be in the past.  Copied, so later appends to ``trace`` do not
         # leak into this replay.
-        if trace.events[0].timestamp + start_offset_us < now:
+        if trace.events[0].timestamp < now:
             raise ReplayError(
                 f"event at {trace.events[0].timestamp} would fire in the past"
             )
-        if start_offset_us:
-            events = trace.shifted(start_offset_us).events
-        else:
-            events = list(trace.events)
+        events = list(trace.events)
         self._events = events
         self._next = 0
         self._cursor = engine.schedule_at(

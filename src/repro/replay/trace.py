@@ -27,24 +27,7 @@ class EventTrace:
     def __iter__(self):
         return iter(self.events)
 
-    @property
-    def duration_us(self) -> int:
-        if not self.events:
-            return 0
-        return self.events[-1].timestamp - self.events[0].timestamp
-
     def append(self, event: InputEvent) -> None:
         if self.events and event.timestamp < self.events[-1].timestamp:
             raise ReplayError("cannot append event earlier than trace end")
         self.events.append(event)
-
-    def shifted(self, offset_us: int) -> "EventTrace":
-        """A copy with every timestamp moved by ``offset_us``."""
-        return EventTrace(
-            [
-                InputEvent(
-                    e.timestamp + offset_us, e.device, e.type, e.code, e.value
-                )
-                for e in self.events
-            ]
-        )

@@ -28,7 +28,7 @@ from repro.scenarios.config import (
     is_scenario_name,
     parse_scenario,
 )
-from repro.scenarios.personas import PERSONAS, Persona, persona, persona_names
+from repro.scenarios.personas import PERSONAS, Persona, persona_names
 from repro.scenarios.profiles import (
     PROFILES,
     DeviceProfile,
@@ -46,7 +46,6 @@ __all__ = [
     "is_scenario_name",
     "Persona",
     "PERSONAS",
-    "persona",
     "persona_names",
     "DeviceProfile",
     "PROFILES",

@@ -18,11 +18,10 @@ the next visit expects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterator
 
-from repro.core.errors import WorkloadError
 from repro.workloads.datasets import ANSWER_WORDS
 from repro.workloads.sessions import KIND_SWIPE, KIND_TAP, PlanStep
 
@@ -373,16 +372,6 @@ PERSONAS: dict[str, Persona] = {
         ),
     )
 }
-
-
-def persona(name: str) -> Persona:
-    try:
-        return PERSONAS[name]
-    except KeyError:
-        known = ", ".join(sorted(PERSONAS))
-        raise WorkloadError(
-            f"unknown persona {name!r} (known: {known})"
-        ) from None
 
 
 def persona_names() -> list[str]:

@@ -60,10 +60,6 @@ class Canvas:
         self._buffer = buffer
         self.height, self.width = buffer.shape
 
-    @property
-    def buffer(self) -> np.ndarray:
-        return self._buffer
-
     def _clip_bounds(self, rect: Rect) -> tuple[int, int, int, int]:
         """Clipped ``(x0, y0, x1, y1)`` as plain ints.
 

@@ -61,10 +61,6 @@ class InteractionToken:
         self._record = record
         self._closed = False
 
-    @property
-    def record(self) -> InteractionRecord:
-        return self._record
-
     def complete(self, now: int) -> None:
         """Mark the interaction serviced at time ``now``."""
         if self._closed:

@@ -66,10 +66,6 @@ class ScriptedUser:
         self._finished = False
         self._on_finished = None
 
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
     def start(self, on_finished=None) -> None:
         """Begin the session; ``on_finished`` fires when the user stops."""
         self._on_finished = on_finished

@@ -11,6 +11,7 @@ from repro.device.cpu import CpuCore
 from repro.device.frequencies import snapdragon_8074_table
 from repro.kernel.scheduler import Scheduler
 from repro.kernel.task import PRIORITY_BACKGROUND
+from tests.conftest import pending_events
 
 
 @pytest.fixture
@@ -59,9 +60,9 @@ def test_start_is_idempotent(rig):
     engine, _core, scheduler = rig
     services = BackgroundServices(engine, scheduler, random.Random(1))
     services.start()
-    pending_after_first = engine.pending
+    pending_after_first = pending_events(engine)
     services.start()
-    assert engine.pending == pending_after_first
+    assert pending_events(engine) == pending_after_first
 
 
 def test_custom_service_spec(rig):

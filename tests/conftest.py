@@ -30,6 +30,11 @@ def phone():
     return dev, wm
 
 
+def pending_events(engine) -> int:
+    """Scheduled events still in the engine's queue, tombstones excluded."""
+    return sum(1 for entry in engine._queue if not entry[3].cancelled)
+
+
 def record_video(frames, end_frame, *taps, width=8, height=8) -> Video:
     """Record ``(frame_index, content)`` pairs into a :class:`Video`
     through a :class:`SegmentStreamer`, as a capture card would, and stop

@@ -8,6 +8,7 @@ from repro.core.engine import (
     Engine,
 )
 from repro.core.errors import SimulationError
+from tests.conftest import pending_events
 
 
 def test_events_fire_in_time_order():
@@ -103,7 +104,7 @@ def test_pending_counts_only_uncancelled():
     keep = engine.schedule_at(10, lambda: None)
     cancel = engine.schedule_at(20, lambda: None)
     cancel.cancel()
-    assert engine.pending == 1
+    assert pending_events(engine) == 1
     assert keep.time == 10
 
 
@@ -114,7 +115,7 @@ def test_run_until_idle_drains_queue():
     engine.schedule_at(20, lambda: fired.append(2))
     engine.run_until_idle()
     assert fired == [1, 2]
-    assert engine.pending == 0
+    assert pending_events(engine) == 0
 
 
 def test_engine_not_reentrant():

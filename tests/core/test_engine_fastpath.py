@@ -15,6 +15,7 @@ from repro.core.engine import (
     ScheduledEvent,
 )
 from repro.core.errors import SimulationError
+from tests.conftest import pending_events
 
 
 def test_scheduled_event_has_slots_no_dict():
@@ -47,7 +48,7 @@ def test_schedule_periodic_single_event_reused():
     event = engine.schedule_periodic(5, 5, lambda: None)
     engine.run_until(50)
     # The same handle is re-armed in place: queue holds at most one entry.
-    assert engine.pending == 1
+    assert pending_events(engine) == 1
     assert event.time == 55
 
 
@@ -90,7 +91,7 @@ def test_tombstone_compaction_bounds_heap():
         for event in events:
             event.cancel()
     assert len(engine._queue) < 500
-    assert engine.pending == 0
+    assert pending_events(engine) == 0
     # The queue still drains correctly afterwards.
     fired = []
     engine.schedule_at(2_000_000, lambda: fired.append(True))
@@ -179,7 +180,7 @@ def test_cancel_after_rearm_counts_one_tombstone():
     event.cancel()
     event.cancel()
     assert engine._tombstones == 1
-    assert engine.pending == 0
+    assert pending_events(engine) == 0
     engine.run_until(100)
     assert fired == ["once"]
     assert engine._tombstones == 0
@@ -250,7 +251,7 @@ def test_run_until_idle_stops_at_its_limit_without_advancing_the_clock():
     engine.run_until_idle(limit=25)
     assert fired == [10, 20]
     assert engine.now == 20
-    assert engine.pending == 1
+    assert pending_events(engine) == 1
     engine.run_until(50)
     assert fired == [10, 20, 30]
     assert engine.now == 50

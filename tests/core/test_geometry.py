@@ -13,7 +13,6 @@ rects = st.builds(
     st.integers(0, 60),
     st.integers(0, 60),
 )
-points = st.builds(Point, st.integers(-100, 100), st.integers(-100, 100))
 
 
 def test_rect_rejects_negative_dimensions():
@@ -45,20 +44,6 @@ def test_intersection_of_disjoint_has_zero_area():
     assert a.intersection(b).area == 0
 
 
-def test_union_contains_both():
-    a = Rect(0, 0, 5, 5)
-    b = Rect(10, 10, 5, 5)
-    union = a.union(b)
-    assert union == Rect(0, 0, 15, 15)
-
-
-def test_union_with_empty_rect_returns_other():
-    empty = Rect(3, 3, 0, 0)
-    other = Rect(1, 1, 4, 4)
-    assert empty.union(other) == other
-    assert other.union(empty) == other
-
-
 def test_inset_shrinks_symmetrically():
     assert Rect(0, 0, 10, 10).inset(2) == Rect(2, 2, 6, 6)
 
@@ -71,28 +56,9 @@ def test_point_distance():
     assert Point(0, 0).distance_to(Point(3, 4)) == pytest.approx(5.0)
 
 
-def test_point_offset():
-    assert Point(1, 2).offset(3, -1) == Point(4, 1)
-
-
 @given(rects, rects)
 def test_intersection_commutes(a, b):
     assert a.intersection(b) == b.intersection(a)
-
-
-@given(rects, rects)
-def test_union_contains_intersection(a, b):
-    union = a.union(b)
-    inter = a.intersection(b)
-    if inter.area:
-        assert union.intersection(inter) == inter
-
-
-@given(rects, points)
-def test_contained_point_in_union(rect, point):
-    other = Rect(0, 0, 4, 4)
-    if rect.contains(point):
-        assert rect.union(other).contains(point)
 
 
 @given(rects)

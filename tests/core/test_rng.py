@@ -45,5 +45,6 @@ def test_fork_differs_from_parent():
 def test_fork_names_differ():
     base = RngStreams(42)
     assert (
-        base.fork("rep:1").master_seed != base.fork("rep:2").master_seed
+        base.fork("rep:1").stream("x").random()
+        != base.fork("rep:2").stream("x").random()
     )

@@ -1,18 +1,44 @@
 """Capture semantics: trace shape, match-table correctness, store."""
 
-import zlib
-
 import numpy as np
 import pytest
 
 from repro.analysis.diff import build_mask, frames_equal
-from repro.demand import DemandProgram, DemandTraceStore, capture_demand
-from repro.fleet.cache import ResultCache
+from repro.demand import (
+    DemandProgram,
+    DemandRecorder,
+    DemandTraceStore,
+    capture_demand,
+)
+from repro.fleet.cache import ResultCache, workload_fingerprint
 
 
 @pytest.fixture(scope="module")
-def trace_ds03(artifacts_ds03):
-    return capture_demand(artifacts_ds03)
+def captured_ds03(artifacts_ds03):
+    """The ds03 trace, plus the framebuffers the recorder interned (the
+    trace keeps only their match verdicts), in state-id order."""
+    frames = []
+    real_match_table = DemandRecorder.match_table
+
+    def match_table(recorder, database):
+        display = recorder._device.display
+        shape = (display.height, display.width)
+        interned = sorted(recorder._state_ids.items(), key=lambda kv: kv[1])
+        frames.extend(
+            np.frombuffer(raw, dtype=np.uint8).reshape(shape)
+            for raw, _state_id in interned
+        )
+        return real_match_table(recorder, database)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DemandRecorder, "match_table", match_table)
+        trace = capture_demand(artifacts_ds03)
+    return trace, frames
+
+
+@pytest.fixture(scope="module")
+def trace_ds03(captured_ds03):
+    return captured_ds03[0]
 
 
 def test_capture_produces_a_valid_trace(artifacts_ds03, trace_ds03):
@@ -20,22 +46,19 @@ def test_capture_produces_a_valid_trace(artifacts_ds03, trace_ds03):
     assert trace_ds03.workload == artifacts_ds03.name
     assert trace_ds03.capture_config.startswith("fixed:")
     assert trace_ds03.input_events > 0
-    assert trace_ds03.states
+    assert trace_ds03.state_count > 0
     assert trace_ds03.guards == {}  # scripted gestures wait for quiescence
 
 
 def test_match_table_equals_brute_force_pixel_comparison(
-    artifacts_ds03, trace_ds03
+    artifacts_ds03, captured_ds03
 ):
+    trace_ds03, states = captured_ds03
     database = artifacts_ds03.database
     assert trace_ds03.match_states is not None
     assert len(trace_ds03.match_states) == len(database.annotations)
-    shape = (trace_ds03.height, trace_ds03.width)
-    states = [
-        np.frombuffer(zlib.decompress(blob), dtype=np.uint8).reshape(shape)
-        for blob in trace_ds03.states
-    ]
-    blank = np.zeros(shape, dtype=np.uint8)
+    assert len(states) == trace_ds03.state_count
+    blank = np.zeros(states[0].shape, dtype=np.uint8)
     for lag_index, annotation in enumerate(database.annotations):
         mask = build_mask(annotation.image.shape, annotation.mask_rects)
         expected = tuple(
@@ -61,10 +84,11 @@ def test_program_precomputes_match_sets(trace_ds03):
 
 def test_store_roundtrip_counts_hits_and_misses(artifacts_ds03, trace_ds03, tmp_path):
     store = DemandTraceStore.for_cache(ResultCache(tmp_path))
-    assert store.load(artifacts_ds03) is None
+    fingerprint = workload_fingerprint(artifacts_ds03)
+    assert store.load(fingerprint) is None
     assert store.misses == 1
-    store.store(artifacts_ds03, trace_ds03)
-    loaded = store.load(artifacts_ds03)
+    store.store(fingerprint, trace_ds03)
+    loaded = store.load(fingerprint)
     assert store.hits == 1
     assert loaded.content_hash() == trace_ds03.content_hash()
 

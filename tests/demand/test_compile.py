@@ -2,7 +2,6 @@
 against a node-object interpreter kept here as the reference."""
 
 import json
-import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -34,21 +33,15 @@ from repro.device.device import Device
 from repro.kernel.task import PRIORITY_FOREGROUND, Task
 from repro.kernel.workchains import PeriodicWorkChain, submit_chunked
 
-WIDTH = HEIGHT = 4
-STATE = zlib.compress(bytes(WIDTH * HEIGHT))
-
-
 def _trace(nodes, input_events=0, guards=None, states=2):
     trace = DemandTrace(
         workload="test:compile",
         capture_config="fixed:300000",
         duration_us=1_000_000,
-        width=WIDTH,
-        height=HEIGHT,
         input_events=input_events,
+        state_count=states,
         match_states=[],
         nodes=nodes,
-        states=[STATE] * states,
         guards=guards or {},
     )
     trace.validate()

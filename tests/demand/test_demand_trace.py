@@ -1,5 +1,6 @@
 """DemandTrace schema: roundtrip, content addressing, contract checks."""
 
+import base64
 import json
 import zlib
 
@@ -19,14 +20,13 @@ from repro.demand.trace import (
 
 
 def make_trace(**overrides) -> DemandTrace:
-    """A small but kind-complete valid trace (2x2 frames, one input)."""
+    """A small but kind-complete valid trace (one state, one input)."""
     fields = dict(
         workload="unit",
         capture_config="fixed:300000",
         duration_us=1_000_000,
-        width=2,
-        height=2,
         input_events=2,
+        state_count=1,
         nodes=[
             DemandNode(0, KIND_CHAIN_START, chain_key=7, name="svc",
                        period_us=1_000, cycles=5e5, priority=1),
@@ -37,7 +37,6 @@ def make_trace(**overrides) -> DemandTrace:
             DemandNode(4, KIND_CHAIN_STOP, chain_key=7),
         ],
         guards={1: (1,)},
-        states=[zlib.compress(bytes(4))],
         match_states=[(0,)],
         blank_matches=(0,),
     )
@@ -94,9 +93,10 @@ def test_malformed_payload_rejected():
     "overrides, pattern",
     [
         ({"schema_version": 99}, "schema 99"),
-        ({"duration_us": 0}, "positive dimensions and duration"),
-        ({"states": [b"not zlib"]}, "not valid zlib"),
-        ({"states": [zlib.compress(bytes(3))]}, "decompresses to 3 bytes"),
+        ({"duration_us": 0}, "positive duration"),
+        ({"state_count": -1}, "non-negative integer"),
+        ({"state_count": 1.0}, "non-negative integer"),
+        ({"state_count": 0}, "invalidate references state 0 of 0"),
         ({"match_states": [(5,)]}, "references state 5"),
         ({"match_states": [(0,)], "blank_matches": (3,)},
          "references annotation 3"),
@@ -219,22 +219,74 @@ def test_schema_1_trace_is_a_store_miss(tmp_path, monkeypatch):
     fails validation — both are plain misses."""
     import repro.fleet.cache as cache_module
 
-    assert DEMAND_TRACE_SCHEMA_VERSION == 2
+    assert DEMAND_TRACE_SCHEMA_VERSION == 3
     monkeypatch.setattr(cache_module, "code_fingerprint", lambda: "code")
-    monkeypatch.setattr(
-        cache_module, "workload_fingerprint", lambda _artifacts: "workload"
-    )
-    current_key = store_module.demand_trace_key(None)
+    current_key = store_module.demand_trace_key("workload")
     monkeypatch.setattr(store_module, "DEMAND_TRACE_SCHEMA_VERSION", 1)
-    old_key = store_module.demand_trace_key(None)
-    monkeypatch.setattr(store_module, "DEMAND_TRACE_SCHEMA_VERSION", 2)
+    old_key = store_module.demand_trace_key("workload")
+    monkeypatch.setattr(store_module, "DEMAND_TRACE_SCHEMA_VERSION", 3)
     assert old_key != current_key
 
     store = store_module.DemandTraceStore(tmp_path)
     payload = make_trace(schema_version=1).dumps()
     store.root.mkdir(parents=True, exist_ok=True)
     store.path_for(old_key).write_text(payload, encoding="utf-8")
-    assert store.load(None) is None
+    assert store.load("workload") is None
     store.path_for(current_key).write_text(payload, encoding="utf-8")
-    assert store.load(None) is None
+    assert store.load("workload") is None
     assert (store.hits, store.misses) == (0, 2)
+
+
+def _schema_2_payload() -> dict:
+    """The trace as schema 2 wrote it: frame size and base64-encoded
+    zlib framebuffers instead of a state count."""
+    payload = make_trace().to_json_dict()
+    del payload["state_count"]
+    payload.update(
+        schema=2, width=2, height=2,
+        states=[base64.b64encode(zlib.compress(bytes(4))).decode("ascii")],
+    )
+    return payload
+
+
+def test_schema_2_trace_is_a_store_miss_and_invalid_input(
+    tmp_path, monkeypatch, capsys
+):
+    """A trace that still carries framebuffers is never served: under
+    the current key it fails to load (a plain store miss), and ``demand
+    -i`` rejects it with one line and exit 1."""
+    import repro.fleet.cache as cache_module
+    from repro.harness.cli import main
+
+    monkeypatch.setattr(cache_module, "code_fingerprint", lambda: "code")
+    text = json.dumps(_schema_2_payload())
+    with pytest.raises(DemandTraceError, match="schema 2 != supported 3"):
+        DemandTrace.loads(text)
+
+    store = store_module.DemandTraceStore(tmp_path / "demand")
+    store.root.mkdir(parents=True)
+    store.path_for(store_module.demand_trace_key("workload")).write_text(
+        text, encoding="utf-8"
+    )
+    assert store.load("workload") is None
+    assert (store.hits, store.misses) == (0, 1)
+
+    path = tmp_path / "schema2.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["demand", "03", "-i", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    invalid = [
+        line for line in captured.err.splitlines()
+        if "demand trace invalid:" in line
+    ]
+    assert invalid == [
+        "repro-qoe: demand trace invalid: demand trace schema 2 != "
+        "supported 3"
+    ]
+
+
+def test_trace_json_carries_no_framebuffers():
+    payload = make_trace().to_json_dict()
+    assert payload["state_count"] == 1
+    assert not {"states", "width", "height"} & payload.keys()

@@ -7,7 +7,7 @@ import pytest
 
 import repro.demand as demand_module
 from repro.demand import DemandCaptureError, DemandFallback
-from repro.fleet.cache import ResultCache
+from repro.fleet.cache import ResultCache, workload_fingerprint
 from repro.fleet.engine import FleetEngine
 from repro.fleet.progress import ProgressReporter
 from repro.fleet.spec import RunSpec
@@ -129,7 +129,8 @@ def test_corrupt_stored_trace_is_a_miss_not_an_error(artifacts_ds03, tmp_path):
     cache = ResultCache(tmp_path)
     store_dir = tmp_path / "demand"
     store_dir.mkdir()
-    key = demand_trace_key(artifacts_ds03)
+    fingerprint = workload_fingerprint(artifacts_ds03)
+    key = demand_trace_key(fingerprint)
     (store_dir / f"{key}.json").write_text("{corrupt", encoding="utf-8")
     engine = FleetEngine(jobs=1, cache=cache)
     engine.run(artifacts_ds03, _specs(artifacts_ds03))
@@ -138,4 +139,4 @@ def test_corrupt_stored_trace_is_a_miss_not_an_error(artifacts_ds03, tmp_path):
     assert stats.demand_trace_source == "captured"
     assert stats.demand_cells == len(CONFIGS)
     store = DemandTraceStore.for_cache(cache)
-    assert store.load(artifacts_ds03) is not None
+    assert store.load(fingerprint) is not None

@@ -38,13 +38,6 @@ def test_set_frequency_rejects_non_opp(core):
         core.set_frequency(999_999)
 
 
-def test_transitions_counted(engine, core):
-    core.set_frequency(960_000)
-    core.set_frequency(960_000)  # no-op
-    core.set_frequency(2_150_400)
-    assert core.transitions == 2
-
-
 def test_time_in_state_includes_open_interval(engine, core):
     engine.clock.advance_to(500_000)
     core.set_frequency(960_000)

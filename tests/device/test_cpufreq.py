@@ -64,14 +64,14 @@ def test_transition_trace_records_timestamps(setup):
     policy.set_target(960_000, RELATION_LOW)
     engine.clock.advance_to(200)
     policy.set_target(2_150_400, RELATION_HIGH)
-    times = [(t.timestamp, t.freq_khz) for t in policy.transitions]
+    times = list(policy.transition_points())
     assert times == [(0, 300_000), (100, 960_000), (200, 2_150_400)]
 
 
 def test_no_transition_recorded_for_same_frequency(setup):
     _engine, _core, policy = setup
     policy.set_target(300_000, RELATION_LOW)
-    assert len(policy.transitions) == 1
+    assert len(policy.transition_points()) == 1
 
 
 def test_observers_fire_on_transition(setup):

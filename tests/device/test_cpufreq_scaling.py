@@ -14,7 +14,6 @@ from repro.core.engine import Engine
 from repro.device.cpu import CpuCore
 from repro.device.cpufreq import CpuFreqPolicy
 from repro.device.frequencies import snapdragon_8074_table
-from repro.oracle.profile import FrequencyProfile
 
 TRANSITIONS = 10_000
 QUERIES = 10_000
@@ -66,23 +65,9 @@ def test_transition_heavy_queries_stay_subquadratic():
     )
 
 
-def test_profile_series_subquadratic():
-    """FrequencyProfile.frequency_at (oracle/figures path) also bisects."""
-    pairs = [(index * 100, 300_000 + (index % 14) * 1_000)
-             for index in range(TRANSITIONS)]
-    profile = FrequencyProfile.from_transitions(pairs, TRANSITIONS * 100)
-    start = time.perf_counter()
-    xs, ys = profile.series(step_us=100)
-    elapsed = time.perf_counter() - start
-    assert len(xs) == TRANSITIONS
-    assert elapsed < 1.5, f"profile series took {elapsed:.2f}s"
-
-
-def test_transition_pairs_and_objects_agree():
-    policy = build_policy()
-    objects = policy.transitions
-    pairs = list(policy.transition_points())
+def test_transition_points_record_every_change():
+    pairs = list(build_policy().transition_points())
     # The first set_target re-targets the frequency the core booted at,
     # so it records no transition: initial entry + (TRANSITIONS - 1).
-    assert len(objects) == len(pairs) == TRANSITIONS
-    assert [(t.timestamp, t.freq_khz) for t in objects] == pairs
+    assert len(pairs) == TRANSITIONS
+    assert [t for t, _khz in pairs] == sorted(t for t, _khz in pairs)

@@ -23,11 +23,11 @@ def test_default_configuration(device):
 
 def test_governor_lifecycle(device):
     governor = device.set_governor("ondemand")
-    assert governor.active
     with pytest.raises(GovernorError, match="one governor"):
         device.set_governor("fixed:2150400")
     assert device.governor is governor
-    assert governor.active
+    with pytest.raises(GovernorError, match="already started"):
+        governor.start()
 
 
 def test_fixed_governor_shorthand(device):

@@ -49,7 +49,7 @@ class TestEnergyMeter:
         meter = EnergyMeter(model, table)
         assert meter.energy_at(1_000_000) == pytest.approx(model.idle_power())
         meter.set_state(1_000_000, False, table.min_khz)
-        assert meter.energy_joules == pytest.approx(model.idle_power())
+        assert meter.energy_at(1_000_000) == pytest.approx(model.idle_power())
 
     def test_busy_energy_at_frequency(self, model, table):
         meter = EnergyMeter(model, table)
@@ -57,7 +57,7 @@ class TestEnergyMeter:
         meter.set_state(0, True, point.freq_khz)
         meter.set_state(2_000_000, True, point.freq_khz)
         expected = 2 * model.active_power(point.freq_khz, point.volts)
-        assert meter.energy_joules == pytest.approx(expected)
+        assert meter.energy_at(2_000_000) == pytest.approx(expected)
         assert meter.busy_energy_at(2_000_000) == pytest.approx(expected)
 
     def test_energy_at_includes_open_interval(self, model, table):
@@ -83,7 +83,9 @@ class TestEnergyMeter:
         meter.set_state(2_000_000, False, point.freq_khz)
         active = model.active_power(point.freq_khz, point.volts)
         assert meter.busy_energy_at(2_000_000) == pytest.approx(active)
-        assert meter.energy_joules == pytest.approx(active + model.idle_power())
+        assert meter.energy_at(2_000_000) == pytest.approx(
+            active + model.idle_power()
+        )
 
     def test_busy_energy_at_while_idle_is_static(self, model, table):
         meter = EnergyMeter(model, table)

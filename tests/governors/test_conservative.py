@@ -31,11 +31,8 @@ def test_steps_are_at_most_one_sample_apart(rig):
     make(rig)
     rig.submit_work(5e9)
     rig.run(2_000_000)
-    transitions = rig.policy.transitions
-    steps = [
-        later.freq_khz - earlier.freq_khz
-        for earlier, later in zip(transitions, transitions[1:])
-    ]
+    freqs = [khz for _t, khz in rig.policy.transition_points()]
+    steps = [later - earlier for earlier, later in zip(freqs, freqs[1:])]
     step_khz = rig.policy.max_khz * 5 // 100
     # Each upward move is bounded by freq_step rounded up to the next OPP.
     assert all(0 < step <= step_khz + 250_000 for step in steps)

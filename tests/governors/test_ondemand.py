@@ -55,8 +55,7 @@ def test_alternates_between_max_and_min_on_bursty_load(rig):
             start_ms * 1_000, lambda: rig.submit_work(120e6)
         )
     rig.run(1_000_000)
-    freqs = {khz for _t, khz in
-             ((t.timestamp, t.freq_khz) for t in rig.policy.transitions)}
+    freqs = {khz for _t, khz in rig.policy.transition_points()}
     assert rig.policy.max_khz in freqs
     assert rig.policy.min_khz in freqs
 

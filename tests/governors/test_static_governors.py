@@ -13,7 +13,7 @@ def test_userspace_holds_fixed_frequency(rig):
     rig.submit_work(5e9)
     rig.run(3_000_000)
     assert rig.policy.current_khz == 960_000
-    assert len(rig.policy.transitions) == 2  # initial + pin
+    assert len(rig.policy.transition_points()) == 2  # initial + pin
 
 
 def test_userspace_rejects_non_opp(rig):

@@ -1,5 +1,7 @@
 """End-to-end pipeline properties (the paper's Fig. 4 whole loop)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import OnlineMatcher
@@ -7,7 +9,7 @@ from repro.apps import install_standard_apps
 from repro.capture import CaptureCard
 from repro.core.simtime import seconds
 from repro.device.device import Device
-from repro.replay import ReplayAgent
+from repro.replay import EventTrace, ReplayAgent
 from repro.uifw.view import WindowManager
 
 from tests.conftest import run_gallery_session
@@ -66,7 +68,11 @@ def test_clock_mask_survives_shifted_replay(gallery_session, gallery_database):
     """Replaying later in wall-clock time changes the status-bar clock;
     the annotation masks must keep the matcher working."""
     _dev, _wm, trace, _video = gallery_session
-    shifted = trace.shifted(seconds(130))  # clock shows a different minute
+    # The clock shows a different minute.
+    shifted = EventTrace(
+        [replace(event, timestamp=event.timestamp + seconds(130))
+         for event in trace]
+    )
     # Rebuild the database against the shifted gesture times.
     from repro.analysis.annotation import AnnotationDatabase, LagAnnotation
 

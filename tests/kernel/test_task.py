@@ -27,7 +27,7 @@ def test_unknown_priority_rejected():
 
 def test_fresh_task_state():
     task = Task("t", 5e6, PRIORITY_BACKGROUND)
-    assert not task.done
+    assert task.completed_at is None
     assert task.remaining_cycles == 5e6
     assert task.started_at is None
 

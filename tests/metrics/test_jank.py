@@ -59,7 +59,7 @@ def test_per_lag_jank_reporting():
     busy = timeline((0, 3 * VSYNC_PERIOD_US))
     result = analyze_jank(busy, 10 * VSYNC_PERIOD_US, profile)
     assert result.per_lag[0].frames_janky == 3
-    assert result.per_lag[0].jank_ratio == 1.0
+    assert result.per_lag[0].frames_total == 3
     assert result.lag_frames_janky == 3
     assert result.per_lag[0].label == "busy-lag"
 

@@ -101,7 +101,7 @@ def test_jank_lag_window_shorter_than_one_frame():
         BusyTimeline([(0, VSYNC_PERIOD_US)]), 4 * VSYNC_PERIOD_US, profile
     )
     assert result.per_lag[0].frames_total == 0
-    assert result.per_lag[0].jank_ratio == 0.0
+    assert result.per_lag[0].frames_janky == 0
 
 
 def test_jank_lag_extending_past_run_end():

@@ -179,14 +179,6 @@ class TestWindowRules:
         assert sum(us for _, us in w.window_by_cause) == 1_000
         assert sum(us for _, us in w.penalty_by_cause) == w.penalty_us == 700
 
-    def test_dominant_cause_prefers_largest_penalty(self):
-        w = attribute(
-            lag(duration=1_000, threshold=0),
-            transitions=[(-5_000, 600_000)],
-            busy=[(0, 900)],
-        )
-        assert w.dominant_cause == CAUSE_AT_SPEED
-
 
 @st.composite
 def window_inputs(draw):

@@ -125,10 +125,11 @@ def test_oracle_base_is_lowest_energy_fixed_run():
 def test_oracle_profile_covers_run_and_contains_lags():
     profiles, busy, energy, table, model = make_fixed_inputs([500e6, 2e9])
     oracle = build_oracle(profiles, busy, energy, 60_000_000, table, model)
-    assert oracle.profile.start_us == 0
+    assert oracle.profile.segments[0].start_us == 0
     assert oracle.profile.end_us == 60_000_000
     for lag in oracle.lags:
-        assert oracle.profile.frequency_at(lag.begin_us + 1) == lag.chosen_khz
+        [segment] = oracle.profile.window(lag.begin_us, lag.begin_us + 1)
+        assert segment.freq_khz == lag.chosen_khz
 
 
 def test_oracle_never_irritates_when_fastest_meets_threshold():

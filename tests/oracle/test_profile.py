@@ -28,19 +28,6 @@ def test_gap_rejected():
         )
 
 
-def test_frequency_at():
-    profile = make_profile()
-    assert profile.frequency_at(0) == 300_000
-    assert profile.frequency_at(999_999) == 300_000
-    assert profile.frequency_at(1_000_000) == 960_000
-    assert profile.frequency_at(4_000_000) == 2_150_400
-
-
-def test_frequency_outside_range_rejected():
-    with pytest.raises(ReproError):
-        make_profile().frequency_at(5_000_000)
-
-
 def test_zero_length_segments_dropped():
     profile = FrequencyProfile(
         [ProfileSegment(0, 0, 1), ProfileSegment(0, 10, 2)]
@@ -52,8 +39,10 @@ def test_from_transitions():
     profile = FrequencyProfile.from_transitions(
         [(0, 300_000), (500, 960_000)], end_us=1_000
     )
-    assert profile.frequency_at(250) == 300_000
-    assert profile.frequency_at(750) == 960_000
+    assert [(s.start_us, s.end_us, s.freq_khz) for s in profile.segments] == [
+        (0, 500, 300_000),
+        (500, 1_000, 960_000),
+    ]
     assert profile.end_us == 1_000
 
 
@@ -70,11 +59,3 @@ def test_window_clips_segments():
         (1_000_000, 3_000_000, 960_000),
         (3_000_000, 3_500_000, 2_150_400),
     ]
-
-
-def test_series_sampling():
-    profile = make_profile()
-    xs, ys = profile.series(step_us=500_000)
-    assert xs[0] == 0.0
-    assert ys[0] == pytest.approx(0.3)
-    assert ys[-1] == pytest.approx(2.1504)

@@ -8,6 +8,7 @@ from repro.perf.harness import (
     render_results,
     run_suite,
 )
+from tests.conftest import pending_events
 
 
 def test_engine_events_is_deterministic():
@@ -44,7 +45,7 @@ def test_scheduler_chunks_runs_all_chains(monkeypatch):
     monkeypatch.setattr(workloads, "Scheduler", Tracked)
     engine = workloads.run_scheduler_chunks(chains=4, chain_cycles=60e6)
     (scheduler,) = schedulers
-    assert engine.pending == 0
+    assert pending_events(engine) == 0
     assert scheduler.completed_tasks == 4 * 4  # 4 chains of 4 chunks
     # The two staggered chains queue every chunk; the two lone chains
     # play all but their first chunk in place.
@@ -68,7 +69,7 @@ def test_replay_inputs_fires_one_event_per_input():
     engine = workloads.run_replay_inputs(n_inputs=2_000)
     assert engine.events_fired == 2_000
     assert engine.events_scheduled == 2_000
-    assert engine.pending == 0
+    assert pending_events(engine) == 0
 
 
 def test_annotate_session_annotates_every_lag():

@@ -65,23 +65,6 @@ def test_replay_reproduces_exact_timing():
     assert last == trace.events[-1].timestamp
 
 
-def test_replay_with_offset():
-    trace = record_two_taps()
-    device = Device()
-    seen = []
-    device.input_subsystem.node("/dev/input/event1").add_observer(seen.append)
-    agent = ReplayAgent(device.engine, device.input_subsystem)
-    agent.schedule(trace, start_offset_us=seconds(10))
-    device.run_for(seconds(14))
-    assert seen[0].timestamp == trace.events[0].timestamp + seconds(10)
-
-
-def test_replay_rejects_negative_offset():
-    agent = ReplayAgent(Device().engine, Device().input_subsystem)
-    with pytest.raises(ReplayError):
-        agent.schedule(EventTrace(), start_offset_us=-1)
-
-
 def test_recorded_then_replayed_trace_is_identical_when_rerecorded():
     """Record a replay of a recording: the identical event sequence."""
     original = record_two_taps()

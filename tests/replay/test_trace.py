@@ -23,17 +23,3 @@ def test_append_monotonic():
     trace.append(make_event(100))
     with pytest.raises(ReplayError):
         trace.append(make_event(99))
-
-
-def test_duration():
-    trace = EventTrace([make_event(100), make_event(500)])
-    assert trace.duration_us == 400
-    assert EventTrace().duration_us == 0
-
-
-def test_shifted_moves_all_timestamps():
-    trace = EventTrace([make_event(100), make_event(200)])
-    shifted = trace.shifted(1000)
-    assert [e.timestamp for e in shifted] == [1100, 1200]
-    # Original untouched.
-    assert [e.timestamp for e in trace] == [100, 200]

@@ -26,7 +26,7 @@ def test_gesture_indices_increment(journal):
 def test_interaction_begin_is_gesture_down_time(journal):
     dispatch_gesture(journal, down=5000)
     token = journal.open_interaction("x", "common", journal.current_down_time())
-    assert token.record.begin_time == 5000
+    assert journal.interactions[-1].begin_time == 5000
 
 
 def test_open_outside_dispatch_rejected(journal):
@@ -72,8 +72,8 @@ def test_complete_records_end_time(journal):
     dispatch_gesture(journal)
     token = journal.open_interaction("x", "common", 1000)
     token.complete(9000)
-    assert token.record.end_time == 9000
-    assert token.record.duration_us == 8000
+    assert journal.interactions[-1].end_time == 9000
+    assert journal.interactions[-1].duration_us == 8000
 
 
 def test_double_complete_rejected(journal):
@@ -102,7 +102,7 @@ def test_mask_provider_snapshot_at_completion(journal):
     token = journal.open_interaction("x", "common", 0)
     regions.append("rect-b")
     token.complete(100)
-    assert token.record.mask_rects == ["rect-a", "rect-b"]
+    assert journal.interactions[-1].mask_rects == ["rect-a", "rect-b"]
 
 
 def test_completion_listener_fires(journal):
@@ -111,11 +111,11 @@ def test_completion_listener_fires(journal):
     dispatch_gesture(journal)
     token = journal.open_interaction("x", "common", 0)
     token.complete(100)
-    assert completed == [token.record]
+    assert completed == journal.interactions
 
 
 def test_incomplete_duration_raises(journal):
     dispatch_gesture(journal)
-    token = journal.open_interaction("x", "common", 0)
+    journal.open_interaction("x", "common", 0)
     with pytest.raises(SimulationError):
-        _ = token.record.duration_us
+        _ = journal.interactions[-1].duration_us

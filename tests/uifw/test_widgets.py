@@ -17,9 +17,9 @@ from repro.uifw.widgets import (
 
 
 def render(widget, now=0, shape=(128, 72)):
-    canvas = Canvas(np.zeros(shape, dtype=np.uint8))
-    widget.draw(canvas, now)
-    return canvas.buffer
+    buffer = np.zeros(shape, dtype=np.uint8)
+    widget.draw(Canvas(buffer), now)
+    return buffer
 
 
 class TestStatusBar:
