@@ -28,8 +28,11 @@ Forked children are profiled too: an ``os.register_at_fork`` hook gives
 each child its own profiler, and the child writes what it entered to a
 scratch file when it leaves through ``os._exit`` (how every
 ``multiprocessing`` child ends, and how the chaos worker dies) or on
-SIGTERM (how ``Pool.terminate`` stops pool workers).  A child that is
-SIGKILLed, or a process started by spawn or forkserver, is not counted.
+SIGTERM (how ``Pool.terminate`` stops pool workers).  A wait on a
+terminated child resends SIGTERM until the child exits, since a Python
+handler misses a signal that lands just before a blocking call.  A child
+that is SIGKILLed, or a process started by spawn or forkserver, is not
+counted.
 
 It then walks ``src/`` with ``ast`` and prints, grouped by file, each
 function none of them entered.  A function is matched on its file and
@@ -68,6 +71,7 @@ import runpy
 import signal
 import sys
 import tempfile
+import time
 import traceback
 import types
 from pathlib import Path
@@ -80,6 +84,8 @@ REFERENCE_ROOTS = ("src", "perfbench", "benchmarks", "examples")
 KEEP_FILE = ROOT / "benchmarks" / "reach_keep.txt"
 #: A keep reason with this prefix names a function some runs enter.
 RUN_DEPENDENT = "run-dependent:"
+#: Seconds between the SIGTERMs sent to a terminated child that lives on.
+RESEND_S = 0.5
 
 SCENARIO = "persona=reader,seed=3,duration=45s"
 
@@ -181,6 +187,7 @@ class _Scan:
 
         self.nested = Nested
         os.register_at_fork(after_in_child=self._in_child)
+        _resend_sigterm_until_reaped()
 
     def _in_child(self) -> None:
         """Profile this forked child afresh; dump on ``os._exit`` and on
@@ -222,6 +229,40 @@ class _Scan:
                 name, line = row.rsplit("\t", 1)
                 found.add((name, int(line)))
         return found
+
+
+def _resend_sigterm_until_reaped() -> None:
+    """Make a wait on a terminated forked child resend SIGTERM every
+    :data:`RESEND_S` until the child exits or the wait times out.
+
+    The child's SIGTERM handler is Python code, run only at a bytecode
+    boundary or when a blocking call is interrupted.  A signal that lands
+    between the two, as an idle pool worker goes back to block on the
+    task queue's lock, is never handled, and ``Pool.terminate``'s join,
+    which has no timeout, would wait for that worker forever."""
+    from multiprocessing import popen_fork
+
+    terminate, wait = popen_fork.Popen.terminate, popen_fork.Popen.wait
+
+    def terminate_and_mark(self):
+        self.scan_terminated = True
+        terminate(self)
+
+    def wait_resending(self, timeout=None):
+        if not getattr(self, "scan_terminated", False):
+            return wait(self, timeout)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            step = RESEND_S
+            if deadline is not None:
+                step = max(0.0, min(step, deadline - time.monotonic()))
+            code = wait(self, step)
+            if code is not None or step < RESEND_S:
+                return code
+            terminate(self)
+
+    popen_fork.Popen.terminate = terminate_and_mark
+    popen_fork.Popen.wait = wait_resending
 
 
 def _run_quietly(label: str, call) -> str | None:

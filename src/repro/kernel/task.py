@@ -57,5 +57,6 @@ class Task:
         self.completed_at: int | None = None
 
     def __repr__(self) -> str:
-        state = "done" if self.completed_at is not None else f"{self.remaining_cycles:.0f} left"
+        done = self.completed_at is not None
+        state = "done" if done else f"{self.remaining_cycles:.0f} left"
         return f"Task({self.name!r}, {self.cycles:.0f} cyc, {state})"

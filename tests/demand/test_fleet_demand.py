@@ -140,3 +140,23 @@ def test_corrupt_stored_trace_is_a_miss_not_an_error(artifacts_ds03, tmp_path):
     assert stats.demand_cells == len(CONFIGS)
     store = DemandTraceStore.for_cache(cache)
     assert store.load(fingerprint) is not None
+
+
+def test_workload_is_fingerprinted_once_per_run(artifacts_ds03, tmp_path,
+                                                monkeypatch):
+    """The result cache and the demand store share one fingerprint."""
+    import repro.fleet.cache as cache_module
+    import repro.fleet.engine as engine_module
+
+    calls = []
+
+    def counting(artifacts):
+        calls.append(artifacts)
+        return workload_fingerprint(artifacts)
+
+    for module in (cache_module, engine_module):
+        monkeypatch.setattr(module, "workload_fingerprint", counting)
+    cache = ResultCache(tmp_path)
+    FleetEngine(jobs=1, cache=cache).run(artifacts_ds03, _specs(artifacts_ds03))
+    assert len(calls) == 1
+    assert len(list((tmp_path / "demand").glob("*.json"))) == 1
