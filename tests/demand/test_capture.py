@@ -10,6 +10,7 @@ from repro.demand import (
     DemandTraceStore,
     capture_demand,
 )
+from repro.demand.trace import KIND_INVALIDATE
 from repro.fleet.cache import ResultCache, workload_fingerprint
 
 
@@ -72,6 +73,17 @@ def test_match_table_equals_brute_force_pixel_comparison(
             blank, annotation.image, mask, annotation.tolerance_px
         )
         assert (lag_index in trace_ds03.blank_matches) == blank_matches
+
+
+def test_states_are_interned_in_first_invalidate_order(trace_ds03):
+    """Each distinct composed frame takes the next id at its first
+    invalidate; a repaint of a frame already seen reuses its id."""
+    ids = [
+        node.state_id for node in trace_ds03.nodes
+        if node.kind == KIND_INVALIDATE
+    ]
+    assert list(dict.fromkeys(ids)) == list(range(trace_ds03.state_count))
+    assert len(ids) > trace_ds03.state_count
 
 
 def test_program_precomputes_match_sets(trace_ds03):

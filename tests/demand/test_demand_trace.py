@@ -79,6 +79,15 @@ def test_children_by_parent_partitions_roots_and_children():
     assert [node.node_id for node in by_node[2]] == [3]
 
 
+def test_payload_without_state_count_is_malformed():
+    payload = make_trace().to_json_dict()
+    del payload["state_count"]
+    with pytest.raises(
+        DemandTraceError, match="malformed demand trace payload: 'state_count'"
+    ):
+        DemandTrace.from_json_dict(payload)
+
+
 def test_not_json_rejected():
     with pytest.raises(DemandTraceError, match="not valid JSON"):
         DemandTrace.loads("{nope")
@@ -96,8 +105,10 @@ def test_malformed_payload_rejected():
         ({"duration_us": 0}, "positive duration"),
         ({"state_count": -1}, "non-negative integer"),
         ({"state_count": 1.0}, "non-negative integer"),
+        ({"state_count": True}, "non-negative integer"),
         ({"state_count": 0}, "invalidate references state 0 of 0"),
         ({"match_states": [(5,)]}, "references state 5"),
+        ({"match_states": [(1,)]}, "references state 1 of 1"),
         ({"match_states": [(0,)], "blank_matches": (3,)},
          "references annotation 3"),
         ({"match_states": None, "blank_matches": (0,)},
@@ -235,6 +246,27 @@ def test_schema_1_trace_is_a_store_miss(tmp_path, monkeypatch):
     store.path_for(current_key).write_text(payload, encoding="utf-8")
     assert store.load("workload") is None
     assert (store.hits, store.misses) == (0, 2)
+
+
+def test_store_key_folds_code_and_workload_fingerprints(tmp_path, monkeypatch):
+    """Editing the simulator or the workload re-captures: either
+    fingerprint changes the key, and a trace stored for one workload is
+    a miss for another."""
+    import repro.fleet.cache as cache_module
+
+    monkeypatch.setattr(cache_module, "code_fingerprint", lambda: "code")
+    key = store_module.demand_trace_key("workload")
+    assert store_module.demand_trace_key("workload") == key
+    assert store_module.demand_trace_key("other") != key
+    monkeypatch.setattr(cache_module, "code_fingerprint", lambda: "edited")
+    assert store_module.demand_trace_key("workload") != key
+
+    store = store_module.DemandTraceStore(tmp_path)
+    trace = make_trace()
+    store.store("workload", trace)
+    assert store.load("other") is None
+    assert store.load("workload").content_hash() == trace.content_hash()
+    assert (store.hits, store.misses) == (1, 1)
 
 
 def _schema_2_payload() -> dict:

@@ -65,6 +65,17 @@ def test_governor_sim_deterministic_events():
     assert first.events_fired == second.events_fired
 
 
+def test_demand_kernel_trace_is_valid():
+    from repro.demand.trace import KIND_INVALIDATE
+
+    trace = workloads._demand_kernel_trace(8)
+    trace.validate()
+    assert trace.state_count == 4
+    assert {
+        node.state_id for node in trace.nodes if node.kind == KIND_INVALIDATE
+    } == set(range(4))
+
+
 def test_replay_inputs_fires_one_event_per_input():
     engine = workloads.run_replay_inputs(n_inputs=2_000)
     assert engine.events_fired == 2_000
