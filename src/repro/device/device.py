@@ -84,7 +84,6 @@ class Device:
             policy=self.policy,
             load_tracker=LoadTracker(self.engine.clock, self.cpu),
             input_subsystem=self.input_subsystem,
-            scheduler=self.scheduler,
         )
 
     def set_governor(self, name: str):

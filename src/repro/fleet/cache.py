@@ -5,18 +5,23 @@ schema version, code fingerprint, workload fingerprint, spec identity).
 The fingerprint hashes the recorded artifacts themselves — trace,
 annotation database, duration, recording seed — so editing a dataset
 plan, changing the recorder, or re-recording with a different master seed
-all invalidate exactly the affected cells and nothing else.  Entries are
-immutable once written: a warm re-run of a study loads every completed
-cell and executes only invalidated ones.
+all invalidate exactly the affected cells and nothing else.  The
+artifacts are frozen and hash themselves once, on first use
+(:attr:`~repro.harness.experiment.WorkloadArtifacts.fingerprint`), so
+every sweep over one recording reuses that hash.  Entries are immutable
+once written: a warm re-run of a study loads every completed cell and
+executes only invalidated ones.
 
 Values are stored as :class:`~repro.results.RunRecord` wire rows
 (:meth:`~repro.results.RunRecord.to_wire`: the canonical row with each
-trace packed into one base64 string) under ``<root>/<aa>/<key>.json``
-(two-level fan-out keeps directories small) — the same format fleet
-workers ship over IPC, not pickles, so a cache entry is a JSON document
-any JSON tool can inspect, and can never execute code on load.
-``CACHE_VERSION`` guards that packing: changing the packing bumps it,
-which moves every key, while the canonical row and its digests stay put.
+trace packed into one base64 string and the lags as eight columns) under
+``<root>/<aa>/<key>.json`` (two-level fan-out keeps directories small) —
+the same format fleet workers ship over IPC, not pickles, so a cache
+entry is a JSON document any JSON tool can inspect, and can never
+execute code on load.  ``CACHE_VERSION`` guards that layout: changing it
+bumps the version, which moves every key, so rows of an older layout are
+absent misses that are never read, while the canonical row and its
+digests stay put.
 Rows are written atomically via a temp file and :func:`os.replace`, so a
 crashed or concurrent writer can never leave a truncated entry a later
 reader would trust.
@@ -49,7 +54,8 @@ from repro.results import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.harness.experiment import WorkloadArtifacts
 
-CACHE_VERSION = 3  # v3: packed wire rows replaced canonical JSON rows
+# v3: packed wire rows replaced canonical JSON rows; v4: lag columns.
+CACHE_VERSION = 4
 _PICKLE_PROTOCOL = 4  # fixed so fingerprints are stable across interpreters
 
 _CODE_FINGERPRINT: str | None = None
@@ -79,7 +85,14 @@ def code_fingerprint() -> str:
 
 
 def workload_fingerprint(artifacts: "WorkloadArtifacts") -> str:
-    """Content hash of a recorded workload's replay-relevant state."""
+    """Content hash of a recorded workload's replay-relevant state,
+    computed once per artifacts object and cached on it."""
+    return artifacts.fingerprint
+
+
+def hash_recording(artifacts: "WorkloadArtifacts") -> str:
+    """Hash ``artifacts`` afresh: pickles the full trace and annotation
+    database, so :func:`workload_fingerprint` is the call to make."""
     blob = pickle.dumps(
         (
             CACHE_VERSION,

@@ -25,9 +25,11 @@ produced, but
 * **cache-aware** — with a :class:`~repro.fleet.cache.ResultCache`, cells
   whose content address (spec + workload fingerprint) is already stored
   are served without executing, and fresh results are stored on the way
-  out.  A backend that publishes rows itself (the distributed workers
-  write to the shared store before acking) makes a killed run resumable:
-  the restarted engine's cache scan finds every published row and
+  out.  The fingerprint lives on the frozen artifacts, hashed once per
+  recording however many engines and sweeps run over it.  A backend
+  that publishes rows itself (the distributed workers write to the
+  shared store before acking) makes a killed run resumable: the
+  restarted engine's cache scan finds every published row and
   re-executes nothing twice,
 * **failure-capturing** — an exception inside a worker is caught there
   and shipped back as a :class:`WorkerFailure` (with its traceback text);
@@ -217,7 +219,6 @@ class FleetEngine:
         self.progress = progress
         self.backend = backend
         self.last_stats = FleetStats()
-        self._fingerprinted: tuple[WorkloadArtifacts, str] | None = None
 
     def run(
         self, artifacts: WorkloadArtifacts, specs: list[RunSpec]
@@ -238,7 +239,7 @@ class FleetEngine:
         pending: list[tuple[int, RunSpec]] = []
 
         if self.cache is not None:
-            fingerprint = self._fingerprint(artifacts)
+            fingerprint = workload_fingerprint(artifacts)
             for index, spec in enumerate(specs):
                 key = self.cache.key_for(spec, fingerprint)
                 keys[index] = key
@@ -301,18 +302,6 @@ class FleetEngine:
             raise FleetError(failures)
         return [results[index] for index in range(len(specs))]
 
-    def _fingerprint(self, artifacts: WorkloadArtifacts) -> str:
-        """The artifacts' content hash, computed once per artifacts object.
-
-        Hashing re-pickles the full trace and annotation database;
-        callers that funnel many batches through one engine (the
-        design-space evaluator, multi-rung searches) must not pay that
-        per batch.
-        """
-        if self._fingerprinted is None or self._fingerprinted[0] is not artifacts:
-            self._fingerprinted = (artifacts, workload_fingerprint(artifacts))
-        return self._fingerprinted[1]
-
     def _demand_trace(self, artifacts: WorkloadArtifacts, stats: FleetStats):
         """Resolve the workload's demand trace: cached, captured, or None.
 
@@ -332,8 +321,7 @@ class FleetEngine:
             return None
         store = DemandTraceStore.for_cache(self.cache)
         if store is not None:
-            # Already hashed for the result-cache keys: not hashed again.
-            fingerprint = self._fingerprint(artifacts)
+            fingerprint = workload_fingerprint(artifacts)
             trace = store.load(fingerprint)
             if trace is not None:
                 stats.demand_trace_source = "cache"

@@ -24,18 +24,12 @@ from repro.obs.session import active as _obs_active
 
 @dataclass(slots=True)
 class GovernorContext:
-    """Everything a governor may touch.
-
-    ``scheduler`` is optional and only used by the experimental QoE-aware
-    governor, which consults run-queue idleness the way the paper's
-    proposed in-display-stack governor would consult interaction state.
-    """
+    """Everything a governor may touch."""
 
     engine: Engine
     policy: CpuFreqPolicy
     load_tracker: LoadTracker
     input_subsystem: InputSubsystem | None = None
-    scheduler: object | None = None
 
 
 def idle_fastpath_enabled() -> bool:

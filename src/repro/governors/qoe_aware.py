@@ -99,12 +99,10 @@ class QoeAwareGovernor(TickElisionMixin, Governor):
             self.policy.set_target(self.boost_freq_khz, RELATION_HIGH)
 
     def _sample(self) -> None:
-        scheduler = self.context.scheduler
         now = self.context.engine.clock._now
-        busy = bool(getattr(scheduler, "queued_tasks", 0)) or (
-            getattr(scheduler, "current_task", None) is not None
-        )
-        if busy:
+        # A busy core is the run queue's state too: a dispatch leaves the
+        # core idle only when both bands are empty.
+        if self._core.busy:
             self._idle_since = None
             return
         if self._idle_since is None:

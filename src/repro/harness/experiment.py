@@ -21,7 +21,7 @@ shape results take across fleet IPC and the result cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.analysis import (
     AnnotationDatabase,
@@ -55,9 +55,15 @@ RUN_TAIL_US = seconds(5)
 DEFAULT_MASTER_SEED = 2014
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class WorkloadArtifacts:
-    """Everything needed to replay and evaluate a recorded workload."""
+    """Everything needed to replay and evaluate a recorded workload.
+
+    Frozen, so its content hash can be taken once: :attr:`fingerprint`
+    is computed on first use and kept, and every sweep, engine and store
+    over one recording reuses it.  ``dataclasses.replace`` makes a new
+    recording, which hashes itself afresh.
+    """
 
     spec: DatasetSpec
     trace: EventTrace
@@ -65,6 +71,19 @@ class WorkloadArtifacts:
     duration_us: int
     classification: InputClassification
     recording_master_seed: int
+    _fingerprint: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def fingerprint(self) -> str:
+        """Content hash of the recording
+        (:func:`~repro.fleet.cache.hash_recording`), built lazily."""
+        if self._fingerprint is None:
+            from repro.fleet.cache import hash_recording
+
+            object.__setattr__(self, "_fingerprint", hash_recording(self))
+        return self._fingerprint
 
     @property
     def name(self) -> str:

@@ -18,9 +18,12 @@ Two rows
   is what every boundary carries: the result cache's files, the local
   pool's IPC, and the distributed backend's store publish and queue ack.
   It is the canonical row with each trace packed into one ASCII string
-  (:meth:`~repro.results.pairs.IntPairs.pack`), about a fifth of the
-  size.  It decodes eagerly and validates as it goes: any malformed row
-  raises :class:`RunRecordWireError`.
+  (:meth:`~repro.results.pairs.IntPairs.pack`) and ``lags`` as eight
+  equal-length columns keyed by :class:`LagMeasurement`'s field names
+  instead of one eight-key object per lag, about an eighth of the size.
+  It decodes eagerly, the lags in one pass over the columns, and
+  validates as it goes: any malformed row raises
+  :class:`RunRecordWireError`.
 
 Schema rules
 ------------
@@ -30,9 +33,10 @@ Schema rules
   bump it.  Both rows embed it, and the fleet cache folds it into every
   key, so old entries become misses (and re-execute) instead of
   deserializing wrongly.
-* The wire row's packing is guarded by the fleet cache's
-  ``CACHE_VERSION``, not by this version: changing it moves every cache
-  key but leaves the canonical row, and so every digest, untouched.
+* The wire row's layout (packed traces, lag columns) is guarded by the
+  fleet cache's ``CACHE_VERSION``, not by this version: changing it
+  moves every cache key but leaves the canonical row, and so every
+  digest, untouched.
 * Rows are pure JSON: ints, floats, strings, lists.  Floats round-trip
   exactly (``json`` emits ``repr``-precision), which the bit-identical
   A/B guarantees rely on.
@@ -46,7 +50,8 @@ Schema rules
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.core.errors import ReproError
@@ -61,14 +66,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: into its content address, so a bump invalidates every cached row.
 RUN_RECORD_SCHEMA_VERSION = 2
 
+#: A lag's fields in :class:`LagMeasurement` order: the keys of each lag
+#: object in the canonical row and of the lag columns in the wire row.
+_LAG_FIELDS = tuple(f.name for f in fields(LagMeasurement))
+_LAG_FIELD_SET = frozenset(_LAG_FIELDS)
+_lag_values = attrgetter(*_LAG_FIELDS)
+
 
 class RunRecordSchemaError(ReproError):
     """A serialized row does not carry the supported schema version."""
 
 
 class RunRecordWireError(ReproError):
-    """A wire row is malformed: not JSON, a missing key, or a packed trace
-    column that does not decode."""
+    """A wire row is malformed: not JSON, a missing key, a packed trace
+    column that does not decode, or lag columns that are not eight lists
+    of one length."""
 
 
 def _check_version(row: dict) -> None:
@@ -144,8 +156,8 @@ class RunRecord:
 
     # --- serialization ----------------------------------------------------------
 
-    def _row(self, transitions, busy_intervals) -> dict:
-        """The row around the two trace columns, in their given form.
+    def _row(self, transitions, busy_intervals, lags) -> dict:
+        """The row around the trace and lag columns, in their given form.
 
         ``obs`` is emitted only when present, so unobserved rows (the
         default, and everything the A/B digest tests compare) serialize
@@ -162,27 +174,17 @@ class RunRecord:
             "busy_us": self.busy_us,
             "transitions": transitions,
             "busy_intervals": busy_intervals,
-            "lags": [
-                {
-                    "lag_index": lag.lag_index,
-                    "gesture_index": lag.gesture_index,
-                    "label": lag.label,
-                    "category": lag.category,
-                    "begin_time_us": lag.begin_time_us,
-                    "end_frame": lag.end_frame,
-                    "duration_us": lag.duration_us,
-                    "threshold_us": lag.threshold_us,
-                }
-                for lag in self.lags
-            ],
+            "lags": lags,
         }
         if self.obs is not None:
             row["obs"] = self.obs
         return row
 
     @classmethod
-    def _from_row(cls, row: dict, transitions, busy_intervals) -> "RunRecord":
-        """Rebuild a record from a row whose traces are already decoded."""
+    def _from_row(
+        cls, row: dict, transitions, busy_intervals, lags
+    ) -> "RunRecord":
+        """Rebuild a record from a row whose columns are already decoded."""
         return cls(
             workload=row["workload"],
             config=row["config"],
@@ -193,19 +195,7 @@ class RunRecord:
             busy_us=row["busy_us"],
             transitions=transitions,
             busy_intervals=busy_intervals,
-            lags=tuple(
-                LagMeasurement(
-                    lag_index=lag["lag_index"],
-                    gesture_index=lag["gesture_index"],
-                    label=lag["label"],
-                    category=lag["category"],
-                    begin_time_us=lag["begin_time_us"],
-                    end_frame=lag["end_frame"],
-                    duration_us=lag["duration_us"],
-                    threshold_us=lag["threshold_us"],
-                )
-                for lag in row["lags"]
-            ),
+            lags=lags,
             obs=row.get("obs"),
         )
 
@@ -214,7 +204,9 @@ class RunRecord:
     def to_json_dict(self) -> dict:
         """The canonical row as a pure-JSON dict (what :meth:`dumps` hashes)."""
         return self._row(
-            self.transitions.to_lists(), self.busy_intervals.to_lists()
+            self.transitions.to_lists(),
+            self.busy_intervals.to_lists(),
+            [dict(zip(_LAG_FIELDS, _lag_values(lag))) for lag in self.lags],
         )
 
     @classmethod
@@ -225,7 +217,13 @@ class RunRecord:
         """
         _check_version(row)
         return cls._from_row(
-            row, IntPairs(row["transitions"]), IntPairs(row["busy_intervals"])
+            row,
+            IntPairs(row["transitions"]),
+            IntPairs(row["busy_intervals"]),
+            tuple(
+                LagMeasurement(*(lag[name] for name in _LAG_FIELDS))
+                for lag in row["lags"]
+            ),
         )
 
     def dumps(self) -> str:
@@ -242,8 +240,17 @@ class RunRecord:
 
     def to_wire(self) -> dict:
         """The compact wire row: the canonical row with each trace packed
-        into one ASCII string (:meth:`IntPairs.pack`)."""
-        return self._row(self.transitions.pack(), self.busy_intervals.pack())
+        into one ASCII string (:meth:`IntPairs.pack`) and the lags as one
+        list per :class:`LagMeasurement` field."""
+        if self.lags:
+            columns = map(list, zip(*map(_lag_values, self.lags)))
+        else:
+            columns = ([] for _ in _LAG_FIELDS)
+        return self._row(
+            self.transitions.pack(),
+            self.busy_intervals.pack(),
+            dict(zip(_LAG_FIELDS, columns)),
+        )
 
     @classmethod
     def from_wire(cls, row: dict) -> "RunRecord":
@@ -272,6 +279,7 @@ class RunRecord:
                 columns.append(IntPairs.unpack(packed))
             except ValueError as exc:
                 raise RunRecordWireError(f"wire column {name!r}: {exc}") from None
+        columns.append(_lags_from_columns(row.get("lags")))
         try:
             return cls._from_row(row, *columns)
         except (KeyError, TypeError) as exc:
@@ -288,3 +296,30 @@ class RunRecord:
         except ValueError as exc:
             raise RunRecordWireError(f"wire row is not JSON: {exc}") from None
         return cls.from_wire(row)
+
+
+def _lags_from_columns(columns) -> tuple[LagMeasurement, ...]:
+    """Decode the wire row's lag columns in one pass over all eight."""
+    if not isinstance(columns, dict):
+        raise RunRecordWireError(
+            f"wire lags are a {type(columns).__name__}, not lag columns"
+        )
+    if columns.keys() != _LAG_FIELD_SET:
+        missing = sorted(_LAG_FIELD_SET - columns.keys())
+        extra = sorted(columns.keys() - _LAG_FIELD_SET)
+        raise RunRecordWireError(
+            f"wire lag columns: missing {missing}, unexpected {extra}"
+        )
+    values = [columns[name] for name in _LAG_FIELDS]
+    for name, column in zip(_LAG_FIELDS, values):
+        if not isinstance(column, list):
+            raise RunRecordWireError(
+                f"wire lag column {name!r} is a {type(column).__name__}, "
+                "not a list"
+            )
+    lengths = {len(column) for column in values}
+    if len(lengths) > 1:
+        raise RunRecordWireError(
+            f"wire lag columns differ in length: {sorted(lengths)}"
+        )
+    return tuple(map(LagMeasurement, *values))

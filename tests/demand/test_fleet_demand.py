@@ -144,19 +144,26 @@ def test_corrupt_stored_trace_is_a_miss_not_an_error(artifacts_ds03, tmp_path):
 
 def test_workload_is_fingerprinted_once_per_run(artifacts_ds03, tmp_path,
                                                 monkeypatch):
-    """The result cache and the demand store share one fingerprint."""
+    """The result cache and the demand store share one fingerprint, and
+    a second sweep over the same recording hashes it no more."""
+    from dataclasses import replace
+
     import repro.fleet.cache as cache_module
-    import repro.fleet.engine as engine_module
+    from repro.harness.sweep import run_sweep
 
     calls = []
+    hash_recording = cache_module.hash_recording
 
     def counting(artifacts):
         calls.append(artifacts)
-        return workload_fingerprint(artifacts)
+        return hash_recording(artifacts)
 
-    for module in (cache_module, engine_module):
-        monkeypatch.setattr(module, "workload_fingerprint", counting)
+    monkeypatch.setattr(cache_module, "hash_recording", counting)
+    artifacts = replace(artifacts_ds03)  # not yet hashed
     cache = ResultCache(tmp_path)
-    FleetEngine(jobs=1, cache=cache).run(artifacts_ds03, _specs(artifacts_ds03))
-    assert len(calls) == 1
+    cold = run_sweep(artifacts, reps=1, cache=cache)
+    warm = run_sweep(artifacts, reps=1, cache=cache)
+    assert len(calls) == 1 and calls[0] is artifacts
+    assert cache.hits == cache.misses == len(cold.configs())
+    assert warm.runs == cold.runs
     assert len(list((tmp_path / "demand").glob("*.json"))) == 1

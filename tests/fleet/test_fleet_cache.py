@@ -78,6 +78,62 @@ def test_fingerprint_tracks_artifact_content(artifacts_ds03):
     assert workload_fingerprint(reseeded) != fingerprint
 
 
+def test_fingerprint_is_cached_on_frozen_artifacts(artifacts_ds03, monkeypatch):
+    from dataclasses import FrozenInstanceError, replace
+
+    import repro.fleet.cache as cache_mod
+
+    calls = []
+    hash_recording = cache_mod.hash_recording
+
+    def counting(artifacts):
+        calls.append(artifacts)
+        return hash_recording(artifacts)
+
+    monkeypatch.setattr(cache_mod, "hash_recording", counting)
+    copy = replace(artifacts_ds03)
+    fingerprint = workload_fingerprint(copy)
+    assert workload_fingerprint(copy) == copy.fingerprint == fingerprint
+    assert len(calls) == 1
+    # A replaced field is a new recording with a fresh fingerprint.
+    edited = replace(copy, duration_us=copy.duration_us + 1)
+    assert workload_fingerprint(edited) != fingerprint
+    assert len(calls) == 2 and calls[1] is edited
+    with pytest.raises(FrozenInstanceError):
+        copy.duration_us = 1
+    with pytest.raises(FrozenInstanceError):
+        copy.trace = None
+    assert copy.duration_us == artifacts_ds03.duration_us
+
+
+def test_rows_stored_under_cache_version_3_are_misses_never_decoded(
+    tmp_path, artifacts_ds03, specs, monkeypatch
+):
+    """A CACHE_VERSION bump moves every key: the old row is never read."""
+    import repro.fleet.cache as cache_mod
+    from repro.results import RunRecord
+    from tests.results.test_record import make_record
+
+    cache = ResultCache(tmp_path)
+    fingerprint = workload_fingerprint(artifacts_ds03)
+    record = make_record()
+    v3_row = record.to_wire()
+    v3_row["lags"] = record.to_json_dict()["lags"]  # one object per lag
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_mod, "CACHE_VERSION", 3)
+        old_key = cache.key_for(specs[0], fingerprint)
+    cache.store_wire(old_key, v3_row)
+    decoded = []
+    monkeypatch.setattr(
+        RunRecord, "wire_loads", classmethod(lambda cls, data: decoded.append(data))
+    )
+    key = cache.key_for(specs[0], fingerprint)
+    assert key != old_key
+    assert cache.load(key) is None
+    assert cache.miss_reasons == {"absent": 1}
+    assert decoded == []
+
+
 def test_corrupt_entry_is_a_miss_and_reexecuted(tmp_path, artifacts_ds03, specs):
     cache = ResultCache(tmp_path)
     engine = FleetEngine(jobs=1, cache=cache)

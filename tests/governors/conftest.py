@@ -35,7 +35,6 @@ class GovernorRig:
             policy=self.policy,
             load_tracker=LoadTracker(self.engine.clock, self.core),
             input_subsystem=self.input_subsystem,
-            scheduler=self.scheduler,
         )
 
     def submit_work(self, cycles: float, name: str = "work") -> Task:

@@ -9,6 +9,7 @@ from repro.analysis.lagprofile import LagMeasurement, LagProfile
 from repro.device.frequencies import snapdragon_8074_table
 from repro.device.power import PowerModel
 from repro.oracle.builder import BusyTimeline, build_oracle
+from repro.results.pairs import IntPairs
 
 
 class TestBusyTimeline:
@@ -39,6 +40,47 @@ class TestBusyTimeline:
     def test_inverted_rejected(self):
         with pytest.raises(ReproError):
             BusyTimeline([(100, 50)])
+
+    @pytest.mark.parametrize(
+        "intervals, message",
+        [
+            ([(0, 10), (20, 15), (12, 30)], "busy interval (20, 15) is inverted"),
+            ([(0, 10), (5, 30), (40, 35)], "busy intervals overlap or are unsorted"),
+            ([(0, 10), (10, 10), (10, 5)], "busy interval (10, 5) is inverted"),
+            ([(20, 30), (0, 10)], "busy intervals overlap or are unsorted"),
+            ([(-5, 10)], "busy intervals overlap or are unsorted"),
+        ],
+    )
+    def test_first_offending_interval_names_the_error(self, intervals, message):
+        for form in (intervals, IntPairs(intervals)):
+            with pytest.raises(ReproError) as info:
+                BusyTimeline(form)
+            assert str(info.value) == message
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 300), st.integers(0, 60)), max_size=25
+        ),
+        st.lists(st.tuples(st.integers(-50, 3_000), st.integers(-50, 3_000)),
+                 min_size=1, max_size=8),
+    )
+    def test_busy_in_equals_brute_force_sum(self, raw, windows):
+        """Zero-length and touching intervals included, from both input
+        forms (a list, and IntPairs whose columns the timeline shares)."""
+        intervals = []
+        cursor = 0
+        for gap, length in raw:
+            start = cursor + gap
+            intervals.append((start, start + length))
+            cursor = start + length
+        for timeline in (BusyTimeline(intervals), BusyTimeline(IntPairs(intervals))):
+            for lo, hi in windows:
+                brute = sum(
+                    max(0, min(end, hi) - max(start, lo))
+                    for start, end in intervals
+                )
+                assert timeline.busy_in(lo, hi) == brute
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -159,3 +201,90 @@ def test_mismatched_lag_counts_rejected():
     profiles[table.min_khz] = broken
     with pytest.raises(ReproError):
         build_oracle(profiles, busy, energy, 60_000_000, table, model)
+
+
+def _quadratic_energy(oracle, fixed_busy, table, model, base_lag_windows):
+    """The energy integral as first written: every base segment checks
+    every one of the base run's lag windows."""
+    energy = 0.0
+    idle_w = model.idle_power()
+    for segment in oracle.profile.segments:
+        point = table.point(segment.freq_khz)
+        timeline = fixed_busy[segment.freq_khz]
+        busy_us = timeline.busy_in(segment.start_us, segment.end_us)
+        if segment.freq_khz == oracle.base_khz:
+            for lag_start, lag_end in base_lag_windows:
+                lo = max(segment.start_us, lag_start)
+                hi = min(segment.end_us, lag_end)
+                if hi > lo:
+                    busy_us -= timeline.busy_in(lo, hi)
+            busy_us = max(0, busy_us)
+        dynamic_w = model.active_power(point.freq_khz, point.volts) - idle_w
+        energy += busy_us * dynamic_w / 1e6
+    return energy
+
+
+def test_energy_with_overlapping_base_windows_equals_quadratic_loop():
+    """The base run's long lags overlap each other and the base segments
+    around the chosen runs' shorter lags."""
+    table = snapdragon_8074_table()
+    model = PowerModel()
+    work = [4e9, 1e8, 4e9, 3e9, 1e8]
+    profiles, busy = {}, {}
+    for khz in table.frequencies_khz:
+        lags = []
+        intervals = []
+        for index, cycles in enumerate(work):
+            begin = (index + 1) * 10_000_000
+            duration = int(cycles / (khz / 1e3))
+            lags.append(
+                LagMeasurement(index, index, f"lag{index}", "simple_frequent",
+                               begin, 0, duration, 1_000_000)
+            )
+            intervals.append((begin, begin + min(duration, 5_000_000)))
+        profiles[khz] = LagProfile("w", tuple(lags))
+        busy[khz] = BusyTimeline(intervals)
+    energy = {khz: float(khz) for khz in table.frequencies_khz}
+    oracle = build_oracle(profiles, busy, energy, 70_000_000, table, model)
+    assert oracle.base_khz == table.min_khz
+    windows = [
+        (lag.begin_time_us, lag.begin_time_us + lag.duration_us)
+        for lag in profiles[oracle.base_khz].lags
+    ]
+    assert any(a[1] > b[0] for a, b in zip(windows, windows[1:]))
+    assert oracle.energy_j == _quadratic_energy(oracle, busy, table, model, windows)
+    # The base windows removed busy time the plain integral would charge.
+    assert oracle.energy_j < _quadratic_energy(oracle, busy, table, model, [])
+
+
+@pytest.mark.parametrize("name", ["01", "02", "03", "04", "05"])
+def test_dataset_oracle_energy_equals_quadratic_loop(name):
+    """On every paper dataset the compose's energy equals, to the bit,
+    the loop that checked every base window against every segment."""
+    from repro.fleet.engine import FleetEngine
+    from repro.fleet.spec import enumerate_sweep_specs, group_results_by_config
+    from repro.harness.experiment import record_workload
+    from repro.harness.sweep import compose_oracle_from_runs, fixed_configs
+    from repro.workloads import dataset
+
+    artifacts = record_workload(dataset(name))
+    table = snapdragon_8074_table()
+    configs = fixed_configs(table)
+    specs = enumerate_sweep_specs(
+        artifacts.name, configs, 1, artifacts.recording_master_seed
+    )
+    records = FleetEngine(jobs=1).run(artifacts, specs)
+    runs = group_results_by_config(specs, records, configs)
+    model = PowerModel()
+    oracle = compose_oracle_from_runs(artifacts, runs, table, model)
+    fixed_busy = {
+        khz: runs[f"fixed:{khz}"][0].busy_timeline for khz in table.frequencies_khz
+    }
+    base_lags = runs[f"fixed:{oracle.base_khz}"][0].lags
+    windows = [
+        (lag.begin_time_us, lag.begin_time_us + lag.duration_us)
+        for lag in base_lags
+    ]
+    assert oracle.energy_j == _quadratic_energy(
+        oracle, fixed_busy, table, model, windows
+    )

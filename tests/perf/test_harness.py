@@ -95,6 +95,29 @@ def test_queue_roundtrip_leases_and_acks_every_cell():
     assert workloads.run_queue_roundtrip(roundtrips=10) == 10
 
 
+def test_wire_decode_decodes_every_row():
+    from repro.results import RunRecord
+
+    assert workloads.run_wire_decode(rows=3) == 3
+    record = RunRecord.wire_loads(workloads._wire_rows(3)[0])
+    assert len(record.lags) == workloads._WIRE_LAGS
+    assert len(record.busy_intervals) == workloads._WIRE_PAIRS
+
+
+def test_oracle_compose_composes_every_lag():
+    assert workloads.run_oracle_compose(lags=40) == 40
+    _table, profiles, busy, energy, _duration = workloads._compose_inputs(40)
+    base_windows = [
+        (lag.begin_time_us, lag.begin_time_us + lag.duration_us)
+        for lag in profiles[min(energy, key=energy.get)].lags
+    ]
+    # The base run's lag windows overlap: the base-window pass has work.
+    assert any(a[1] > b[0] for a, b in zip(base_windows, base_windows[1:]))
+    assert {len(pairs) for pairs in busy.values()} == {
+        workloads._COMPOSE_INTERVALS
+    }
+
+
 def test_run_suite_micro_produces_all_results(tmp_path):
     results = run_suite(repeats=1)
     assert [result.name for result in results] == list(MICRO_BENCHES)

@@ -4,6 +4,8 @@ wire/cache row."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.lagprofile import LagMeasurement
 from repro.results import (
@@ -184,6 +186,16 @@ def _with(key, value):
     return row
 
 
+def _with_lag_column(name, column):
+    """A wire row with lag column ``name`` replaced (None: removed)."""
+    row = make_record().to_wire()
+    if column is None:
+        del row["lags"][name]
+    else:
+        row["lags"][name] = column
+    return row
+
+
 @pytest.mark.parametrize(
     "row",
     [
@@ -195,6 +207,12 @@ def _with(key, value):
         _without("busy_intervals"),
         _with("lags", [{"lag_index": 0}]),
         _with("lags", 3),
+        # The v3 wire row's lags: one eight-key object per lag.
+        _with("lags", make_record().to_json_dict()["lags"]),
+        _with_lag_column("duration_us", None),  # a missing column
+        _with_lag_column("label", ["lag0", "lag1"]),  # a short column
+        _with_lag_column("end_frame", 40),  # not a list
+        _with_lag_column("frames", [1, 2, 3]),  # an unexpected column
         make_record().to_json_dict(),  # the canonical row: list columns
         _with("transitions", 17),
         _with("transitions", "@@@@"),  # not base64
@@ -210,3 +228,74 @@ def test_malformed_wire_rows_raise_one_error(row):
 def test_wire_text_that_is_not_json_is_a_wire_error(text):
     with pytest.raises(RunRecordWireError):
         RunRecord.wire_loads(text)
+
+
+def test_wire_lags_are_eight_equal_length_columns():
+    record = make_record()
+    lags = record.to_wire()["lags"]
+    assert list(lags) == [
+        "lag_index", "gesture_index", "label", "category",
+        "begin_time_us", "end_frame", "duration_us", "threshold_us",
+    ]
+    assert {len(column) for column in lags.values()} == {len(record.lags)}
+    assert lags["label"] == [lag.label for lag in record.lags]
+    assert lags["duration_us"] == [lag.duration_us for lag in record.lags]
+    # The canonical row keeps one object per lag.
+    assert record.to_json_dict()["lags"][1]["label"] == "lag1"
+
+
+def test_wire_row_without_lags_has_eight_empty_columns():
+    record = make_record(lags=())
+    lags = record.to_wire()["lags"]
+    assert len(lags) == 8 and all(column == [] for column in lags.values())
+    assert RunRecord.from_wire(record.to_wire()) == record
+
+
+_lag_strategy = st.builds(
+    LagMeasurement,
+    lag_index=st.integers(0, 10_000),
+    gesture_index=st.integers(0, 10_000),
+    label=st.text(max_size=12),
+    category=st.sampled_from(
+        ["simple_frequent", "simple_rare", "complex_frequent", "complex_rare"]
+    ),
+    begin_time_us=st.integers(0, 2**40),
+    end_frame=st.integers(0, 10**7),
+    duration_us=st.integers(0, 10**8),
+    threshold_us=st.integers(1, 10**8),
+)
+_pairs_strategy = st.lists(
+    st.tuples(st.integers(-(2**62), 2**62), st.integers(-(2**62), 2**62)),
+    max_size=20,
+)
+_float_strategy = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lags=st.lists(_lag_strategy, max_size=6),
+    transitions=_pairs_strategy,
+    busy_intervals=_pairs_strategy,
+    energy_j=_float_strategy,
+    dynamic_energy_j=_float_strategy,
+    obs=st.none() | st.dictionaries(
+        st.text(max_size=6), st.integers() | st.text(max_size=6), max_size=3
+    ),
+)
+def test_wire_round_trip_keeps_dumps_byte_identical(
+    lags, transitions, busy_intervals, energy_j, dynamic_energy_j, obs
+):
+    """Zero lags, empty traces and an ``obs`` section included."""
+    record = make_record(
+        lags=tuple(lags),
+        transitions=transitions,
+        busy_intervals=busy_intervals,
+        energy_j=energy_j,
+        dynamic_energy_j=dynamic_energy_j,
+        obs=obs,
+    )
+    text = json.dumps(record.to_wire(), separators=(",", ":"))
+    again = RunRecord.wire_loads(text)
+    assert again.dumps() == record.dumps()
+    assert again.lags == record.lags
+    assert again.obs == record.obs
