@@ -83,10 +83,6 @@ class Scheduler:
     def completed_cycles(self) -> float:
         return self._completed_cycles
 
-    @property
-    def queued_tasks(self) -> int:
-        return len(self._foreground) + len(self._background)
-
     # --- task submission ----------------------------------------------------------
 
     def submit(self, task: Task) -> None:
