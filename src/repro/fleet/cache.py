@@ -6,11 +6,9 @@ The fingerprint hashes the recorded artifacts themselves — trace,
 annotation database, duration, recording seed — so editing a dataset
 plan, changing the recorder, or re-recording with a different master seed
 all invalidate exactly the affected cells and nothing else.  The
-artifacts are frozen and hash themselves once, on first use
-(:attr:`~repro.harness.experiment.WorkloadArtifacts.fingerprint`), so
-every sweep over one recording reuses that hash.  Entries are immutable
-once written: a warm re-run of a study loads every completed cell and
-executes only invalidated ones.
+artifacts are frozen, so the hash is taken once per recording and kept
+on it.  Entries are immutable once written: a warm re-run of a study
+loads every completed cell and executes only invalidated ones.
 
 Values are stored as :class:`~repro.results.RunRecord` wire rows
 (:meth:`~repro.results.RunRecord.to_wire`: the canonical row with each
@@ -85,26 +83,28 @@ def code_fingerprint() -> str:
 
 
 def workload_fingerprint(artifacts: "WorkloadArtifacts") -> str:
-    """Content hash of a recorded workload's replay-relevant state,
-    computed once per artifacts object and cached on it."""
-    return artifacts.fingerprint
+    """Content hash of a recorded workload's replay-relevant state.
 
-
-def hash_recording(artifacts: "WorkloadArtifacts") -> str:
-    """Hash ``artifacts`` afresh: pickles the full trace and annotation
-    database, so :func:`workload_fingerprint` is the call to make."""
-    blob = pickle.dumps(
-        (
-            CACHE_VERSION,
-            artifacts.spec.name,
-            artifacts.duration_us,
-            artifacts.recording_master_seed,
-            artifacts.trace,
-            artifacts.database,
-        ),
-        protocol=_PICKLE_PROTOCOL,
-    )
-    return hashlib.sha256(blob).hexdigest()
+    Hashing pickles the full trace and annotation database, so the hash
+    is kept on the frozen artifacts and every later call over the same
+    recording returns it.
+    """
+    if artifacts._fingerprint is None:
+        blob = pickle.dumps(
+            (
+                CACHE_VERSION,
+                artifacts.spec.name,
+                artifacts.duration_us,
+                artifacts.recording_master_seed,
+                artifacts.trace,
+                artifacts.database,
+            ),
+            protocol=_PICKLE_PROTOCOL,
+        )
+        object.__setattr__(
+            artifacts, "_fingerprint", hashlib.sha256(blob).hexdigest()
+        )
+    return artifacts._fingerprint
 
 
 def write_atomic(path: Path, text: str) -> None:

@@ -59,10 +59,10 @@ DEFAULT_MASTER_SEED = 2014
 class WorkloadArtifacts:
     """Everything needed to replay and evaluate a recorded workload.
 
-    Frozen, so its content hash can be taken once: :attr:`fingerprint`
-    is computed on first use and kept, and every sweep, engine and store
-    over one recording reuses it.  ``dataclasses.replace`` makes a new
-    recording, which hashes itself afresh.
+    Frozen, so its content hash
+    (:func:`~repro.fleet.cache.workload_fingerprint`) is taken on first
+    use and kept in ``_fingerprint``.  ``dataclasses.replace`` makes a
+    new recording, which is hashed afresh.
     """
 
     spec: DatasetSpec
@@ -74,16 +74,6 @@ class WorkloadArtifacts:
     _fingerprint: str | None = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    @property
-    def fingerprint(self) -> str:
-        """Content hash of the recording
-        (:func:`~repro.fleet.cache.hash_recording`), built lazily."""
-        if self._fingerprint is None:
-            from repro.fleet.cache import hash_recording
-
-            object.__setattr__(self, "_fingerprint", hash_recording(self))
-        return self._fingerprint
 
     @property
     def name(self) -> str:

@@ -26,7 +26,6 @@ MICRO_BENCHES = (
     "replay_inputs",
     "annotate_session",
     "queue_roundtrip",
-    "wire_decode",
     "oracle_compose",
 )
 
@@ -120,8 +119,6 @@ def _runner_for(name: str):
         return lambda: _run_counting_bench(name, workloads.run_annotate_session)
     if name == "queue_roundtrip":
         return lambda: _run_counting_bench(name, workloads.run_queue_roundtrip)
-    if name == "wire_decode":
-        return lambda: _run_counting_bench(name, workloads.run_wire_decode)
     if name == "oracle_compose":
         return lambda: _run_counting_bench(name, workloads.run_oracle_compose)
     raise ReproError(f"unknown benchmark {name!r}")

@@ -3,9 +3,9 @@
 Each workload exercises one kernel subsystem in isolation (event heap,
 periodic timers, cancellation churn, the scheduler's task path, the
 cpufreq trace queries, the demand walk, the replay agent's input cursor,
-the annotation of a long recording, the fleet's work queue, the wire
-row decode, the oracle compose) so a regression pinpoints its layer.
-Full study cells are ``perfbench/``'s to measure.
+the annotation of a long recording, the fleet's work queue, the oracle
+compose) so a regression pinpoints its layer.  Full study cells are
+``perfbench/``'s to measure.
 
 Every workload is seeded and deterministic: two runs execute the same
 event sequence, so wall-clock differences measure the implementation, not
@@ -421,79 +421,6 @@ def run_queue_roundtrip(roundtrips: int = _QUEUE_ROUNDTRIPS) -> int:
         finally:
             queue.close()
     return done
-
-
-_WIRE_ROWS = 24
-_WIRE_LAGS = 137  # a ds02 record's lag count
-_WIRE_PAIRS = 6_000  # a ds02 ``ondemand`` record's busy intervals
-
-
-@lru_cache(maxsize=1)
-def _wire_rows(rows: int) -> tuple[str, ...]:
-    """``rows`` ds02-shaped wire rows as JSON text, each with
-    ``_WIRE_LAGS`` lags and ``_WIRE_PAIRS`` pairs per trace.  Built once
-    per process so the timed region is the decode."""
-    import json
-    import random
-
-    from repro.analysis.lagprofile import LagMeasurement
-    from repro.results import RunRecord
-
-    khz = snapdragon_8074_table().frequencies_khz
-    rng = random.Random(2014)
-    texts = []
-    for row in range(rows):
-        now = 0
-        busy = []
-        transitions = []
-        for _pair in range(_WIRE_PAIRS):
-            start = now + rng.randrange(1, 5_000)
-            now = start + rng.randrange(1, 20_000)
-            busy.append((start, now))
-            transitions.append((start, rng.choice(khz)))
-        lags = tuple(
-            LagMeasurement(
-                lag_index=index,
-                gesture_index=index,
-                label=f"app:lag{index}",
-                category="simple_frequent",
-                begin_time_us=index * now // _WIRE_LAGS,
-                end_frame=index * 30,
-                duration_us=rng.randrange(30_000, 2_000_000),
-                threshold_us=1_000_000,
-            )
-            for index in range(_WIRE_LAGS)
-        )
-        record = RunRecord(
-            workload="perf:wire",
-            config=f"fixed:{khz[row % len(khz)]}",
-            rep=row,
-            duration_us=now,
-            energy_j=rng.random(),
-            dynamic_energy_j=rng.random(),
-            busy_us=sum(end - start for start, end in busy),
-            transitions=transitions,
-            busy_intervals=busy,
-            lags=lags,
-        )
-        texts.append(json.dumps(record.to_wire(), separators=(",", ":")))
-    return tuple(texts)
-
-
-def run_wire_decode(rows: int = _WIRE_ROWS) -> int:
-    """Decode a batch of ds02-shaped wire rows; returns the rows decoded.
-
-    Guards a warm rerun, whose cost is almost all decoding: the packed
-    traces decode in a few numpy calls and the lags in one pass over
-    their columns.  Parsing the traces pair by pair from JSON lists is a
-    >3x drop.
-    """
-    from repro.results import RunRecord
-
-    texts = _wire_rows(rows)
-    for text in texts:
-        RunRecord.wire_loads(text)
-    return len(texts)
 
 
 _COMPOSE_LAGS = 2_000

@@ -147,23 +147,24 @@ def test_workload_is_fingerprinted_once_per_run(artifacts_ds03, tmp_path,
     """The result cache and the demand store share one fingerprint, and
     a second sweep over the same recording hashes it no more."""
     from dataclasses import replace
+    from types import SimpleNamespace
 
     import repro.fleet.cache as cache_module
     from repro.harness.sweep import run_sweep
 
-    calls = []
-    hash_recording = cache_module.hash_recording
+    hashed = []  # the (version, name, duration, seed, trace, db) tuples
+    dumps = cache_module.pickle.dumps
 
-    def counting(artifacts):
-        calls.append(artifacts)
-        return hash_recording(artifacts)
+    def counting(obj, *args, **kwargs):
+        hashed.append(obj)
+        return dumps(obj, *args, **kwargs)
 
-    monkeypatch.setattr(cache_module, "hash_recording", counting)
+    monkeypatch.setattr(cache_module, "pickle", SimpleNamespace(dumps=counting))
     artifacts = replace(artifacts_ds03)  # not yet hashed
     cache = ResultCache(tmp_path)
     cold = run_sweep(artifacts, reps=1, cache=cache)
     warm = run_sweep(artifacts, reps=1, cache=cache)
-    assert len(calls) == 1 and calls[0] is artifacts
+    assert len(hashed) == 1 and hashed[0][4] is artifacts.trace
     assert cache.hits == cache.misses == len(cold.configs())
     assert warm.runs == cold.runs
     assert len(list((tmp_path / "demand").glob("*.json"))) == 1

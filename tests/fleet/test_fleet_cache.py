@@ -80,25 +80,27 @@ def test_fingerprint_tracks_artifact_content(artifacts_ds03):
 
 def test_fingerprint_is_cached_on_frozen_artifacts(artifacts_ds03, monkeypatch):
     from dataclasses import FrozenInstanceError, replace
+    from types import SimpleNamespace
 
     import repro.fleet.cache as cache_mod
 
-    calls = []
-    hash_recording = cache_mod.hash_recording
+    hashed = []  # the (version, name, duration, seed, trace, db) tuples
+    dumps = cache_mod.pickle.dumps
 
-    def counting(artifacts):
-        calls.append(artifacts)
-        return hash_recording(artifacts)
+    def counting(obj, *args, **kwargs):
+        hashed.append(obj)
+        return dumps(obj, *args, **kwargs)
 
-    monkeypatch.setattr(cache_mod, "hash_recording", counting)
+    monkeypatch.setattr(cache_mod, "pickle", SimpleNamespace(dumps=counting))
     copy = replace(artifacts_ds03)
     fingerprint = workload_fingerprint(copy)
-    assert workload_fingerprint(copy) == copy.fingerprint == fingerprint
-    assert len(calls) == 1
+    assert workload_fingerprint(copy) == copy._fingerprint == fingerprint
+    assert len(hashed) == 1
     # A replaced field is a new recording with a fresh fingerprint.
     edited = replace(copy, duration_us=copy.duration_us + 1)
+    assert edited._fingerprint is None
     assert workload_fingerprint(edited) != fingerprint
-    assert len(calls) == 2 and calls[1] is edited
+    assert len(hashed) == 2 and hashed[1][2] == edited.duration_us
     with pytest.raises(FrozenInstanceError):
         copy.duration_us = 1
     with pytest.raises(FrozenInstanceError):

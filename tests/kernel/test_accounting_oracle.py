@@ -109,6 +109,7 @@ def _oracle(end, busy, transitions, model):
 @given(_ops)
 def test_core_accounting_matches_independent_integration(ops):
     engine, core, policy, scheduler, tasks = _run(ops)
+    assert scheduler.current_task is None
     assert all(task.completed_at is not None for task in tasks)
     assert not core.busy
     end = engine.now

@@ -95,15 +95,6 @@ def test_queue_roundtrip_leases_and_acks_every_cell():
     assert workloads.run_queue_roundtrip(roundtrips=10) == 10
 
 
-def test_wire_decode_decodes_every_row():
-    from repro.results import RunRecord
-
-    assert workloads.run_wire_decode(rows=3) == 3
-    record = RunRecord.wire_loads(workloads._wire_rows(3)[0])
-    assert len(record.lags) == workloads._WIRE_LAGS
-    assert len(record.busy_intervals) == workloads._WIRE_PAIRS
-
-
 def test_oracle_compose_composes_every_lag():
     assert workloads.run_oracle_compose(lags=40) == 40
     _table, profiles, busy, energy, _duration = workloads._compose_inputs(40)
